@@ -10,6 +10,8 @@ summation, which bounds how hard the synthetic domain can pull on the model.
 Gradients are exact analytic derivatives of the scaled batch loss. The top-k
 selection is treated as constant within a step (the standard subgradient
 choice for max-pooling objectives), so gradient flows only to selected clips.
+The batch objective is built from :func:`topk_mean`, :func:`gvvad.numerics.bce`
+and :func:`ssls_scale`; no other code implements those rules.
 """
 
 from __future__ import annotations
@@ -145,131 +147,28 @@ def topk_indices(scores, k: int) -> np.ndarray:
     return order[:k]
 
 
-def topk_mean(scores, k: int) -> float:
-    """Mean of the k largest scores, summed in descending-score order."""
+def topk_mean(scores, k: int, return_indices: bool = False):
+    """Mean of the k largest scores, summed in descending-score order.
+
+    With ``return_indices`` it returns ``(mean, indices)``, the indices being
+    those of :func:`topk_indices` from the same single sort.
+    """
     s = np.asarray(scores, dtype=np.float64)
     idx = topk_indices(s, k)
-    return float(np.sum(s[idx]) / k)
+    mean = float(s[idx].sum() / k)
+    return (mean, idx) if return_indices else mean
 
 
-def mil_loss(y_hat_anomalous: float, y_hat_normal: float, clamp_eps: float = 1e-7) -> float:
-    """BCE of the anomalous bag score toward 1 plus the normal one toward 0."""
-    return bce(1, y_hat_anomalous, clamp_eps) + bce(0, y_hat_normal, clamp_eps)
-
-
-def _bce_and_grad(y: int, y_hat: float, clamp_eps: float):
-    # The clamp is part of the objective: outside it the loss is flat.
-    clamped = y_hat < clamp_eps or y_hat > 1.0 - clamp_eps
-    p = min(max(y_hat, clamp_eps), 1.0 - clamp_eps)
-    if y == 1:
-        loss = -math.log(p)
-        grad = 0.0 if clamped else -1.0 / p
-    else:
-        loss = -math.log1p(-p)
-        grad = 0.0 if clamped else 1.0 / (1.0 - p)
-    return loss, grad
-
-
-def _bag_backward(params: ScorerParams, cache, dscores) -> dict:
-    """Push per-clip score gradients back through the scorer for one bag."""
+def _bag_backward(params: ScorerParams, cache, dscores, acc: dict) -> None:
+    """Push per-clip score gradients back through the scorer for one bag and
+    add the parameter gradients to ``acc`` in place."""
     x, z1, h, scores = cache
     du = dscores * scores * (1.0 - scores)
-    dh = np.outer(du, params.w2)
-    dz1 = dh * (z1 > 0.0)
-    return {
-        "w1": dz1.T @ x,
-        "b1": dz1.sum(axis=0),
-        "w2": h.T @ du,
-        "b2": np.asarray(du.sum()),
-    }
-
-
-def _zero_grads(params: ScorerParams) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.to_dict().items()}
-
-
-def _add_grads(acc: dict, grads: dict) -> None:
-    for k, g in grads.items():
-        acc[k] = acc[k] + g
-
-
-@dataclass(eq=False)
-class PairTerms:
-    """Loss pieces and gradients for one (anomalous, normal) bag pair."""
-
-    loss_anomalous: float
-    loss_normal: float
-    lap: float
-    grads_anomalous: dict
-    grads_normal: dict
-    grads_lap: dict | None
-    y_hat_anomalous: float
-    y_hat_normal: float
-    dscores_anomalous: np.ndarray
-    dscores_normal: np.ndarray
-
-    @property
-    def mil(self) -> float:
-        return self.loss_anomalous + self.loss_normal
-
-    @property
-    def total(self) -> float:
-        return self.mil + self.lap
-
-    def combined_grads(self, params: ScorerParams) -> dict:
-        out = _zero_grads(params)
-        _add_grads(out, self.grads_anomalous)
-        _add_grads(out, self.grads_normal)
-        if self.grads_lap is not None:
-            _add_grads(out, self.grads_lap)
-        return out
-
-
-def pair_terms(params: ScorerParams, sample_a, sample_n, config, lap_hook=None) -> PairTerms:
-    """Loss and exact gradients for one bag pair, before any source scaling."""
-    if sample_a.y != 1 or sample_n.y != 0:
-        raise ValidationError(
-            f"pair ({sample_a.id!r}, {sample_n.id!r}) must be (anomalous, normal), "
-            f"got y=({sample_a.y}, {sample_n.y})"
-        )
-    cache_a = _forward(params, sample_a.features)
-    cache_n = _forward(params, sample_n.features)
-    scores_a = cache_a[3]
-    scores_n = cache_n[3]
-    k_a = resolve_k(config.k_rule, scores_a.shape[0])
-    k_n = resolve_k(config.k_rule, scores_n.shape[0])
-    idx_a = topk_indices(scores_a, k_a)
-    idx_n = topk_indices(scores_n, k_n)
-    y_hat_a = float(np.sum(scores_a[idx_a]) / k_a)
-    y_hat_n = float(np.sum(scores_n[idx_n]) / k_n)
-    loss_a, gy_a = _bce_and_grad(1, y_hat_a, config.clamp_eps)
-    loss_n, gy_n = _bce_and_grad(0, y_hat_n, config.clamp_eps)
-    ds_a = np.zeros_like(scores_a)
-    ds_a[idx_a] = gy_a / k_a
-    ds_n = np.zeros_like(scores_n)
-    ds_n[idx_n] = gy_n / k_n
-
-    lap_val = 0.0
-    lap_grads = None
-    if lap_hook is not None:
-        out = lap_hook(params, sample_a, sample_n, scores_a, scores_n)
-        if isinstance(out, tuple):
-            lap_val, lap_grads = float(out[0]), out[1]
-        else:
-            lap_val = float(out)
-
-    return PairTerms(
-        loss_anomalous=loss_a,
-        loss_normal=loss_n,
-        lap=lap_val,
-        grads_anomalous=_bag_backward(params, cache_a, ds_a),
-        grads_normal=_bag_backward(params, cache_n, ds_n),
-        grads_lap=lap_grads,
-        y_hat_anomalous=y_hat_a,
-        y_hat_normal=y_hat_n,
-        dscores_anomalous=ds_a,
-        dscores_normal=ds_n,
-    )
+    dz1 = np.outer(du, params.w2) * (z1 > 0.0)
+    acc["w1"] += dz1.T @ x
+    acc["b1"] += dz1.sum(axis=0)
+    acc["w2"] += h.T @ du
+    acc["b2"] += du.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +189,6 @@ class LossBreakdown:
     total: float
     source_labels: np.ndarray
     lambda_effective: float
-    mil: np.ndarray | None = None
-    lap: np.ndarray | None = None
 
 
 def _left_fold_sum(values) -> float:
@@ -307,13 +204,11 @@ def ssls_scale(raw_losses, source_labels, lam: float) -> LossBreakdown:
     ys = np.asarray(source_labels)
     if raw.ndim != 1 or raw.shape != ys.shape:
         raise ShapeError(f"losses {raw.shape} and source labels {ys.shape} must be equal-length vectors")
-    if not np.isin(ys, (0, 1)).all():
+    if not ((ys == 0) | (ys == 1)).all():
         raise ValidationError("source labels must be 0 or 1")
     if lam < 0:
         raise ValidationError(f"scaling factor must be >= 0, got {lam}")
-    scaled = raw.copy()
-    synthetic = ys == 1
-    scaled[synthetic] = lam * raw[synthetic]
+    scaled = np.where(ys == 1, lam * raw, raw)
     return LossBreakdown(
         raw=raw.copy(),
         scaled=scaled,
@@ -328,7 +223,7 @@ def ssls_scale(raw_losses, source_labels, lam: float) -> LossBreakdown:
 # ---------------------------------------------------------------------------
 
 TRAIN_CONFIG_KEYS = (
-    "lambda", "lambda_learnable", "ssls_enabled", "ssls_granularity", "k_rule",
+    "lambda", "lambda_learnable", "ssls_enabled", "k_rule",
     "lr", "weight_decay", "epochs", "batch_pairs", "clamp_eps", "hidden", "seed",
 )
 
@@ -340,7 +235,6 @@ class TrainConfig:
     lam: float = 0.5
     lam_learnable: bool = False
     ssls_enabled: bool = True
-    ssls_granularity: str = "pair"  # "pair" or "sample"
     k_rule: str = "div:16"
     lr: float = 0.001
     weight_decay: float = 0.005
@@ -351,8 +245,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValidationError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValidationError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_pairs < 1:
@@ -361,8 +259,6 @@ class TrainConfig:
             raise ValidationError(f"hidden must be >= 1, got {self.hidden}")
         if not 0.0 < self.clamp_eps < 0.5:
             raise ValidationError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
-        if self.ssls_granularity not in ("pair", "sample"):
-            raise ValidationError(f"ssls_granularity must be 'pair' or 'sample', got {self.ssls_granularity!r}")
         resolve_k(self.k_rule, 16)  # surface bad rules early
 
 
@@ -371,7 +267,6 @@ def train_config_to_kv(config: TrainConfig) -> dict:
         "lambda": repr(config.lam),
         "lambda_learnable": "1" if config.lam_learnable else "0",
         "ssls_enabled": "1" if config.ssls_enabled else "0",
-        "ssls_granularity": config.ssls_granularity,
         "k_rule": config.k_rule,
         "lr": repr(config.lr),
         "weight_decay": repr(config.weight_decay),
@@ -394,8 +289,6 @@ def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
         kwargs["lam_learnable"] = parse_bool(values["lambda_learnable"], "lambda_learnable")
     if "ssls_enabled" in values:
         kwargs["ssls_enabled"] = parse_bool(values["ssls_enabled"], "ssls_enabled")
-    if "ssls_granularity" in values:
-        kwargs["ssls_granularity"] = values["ssls_granularity"]
     if "k_rule" in values:
         kwargs["k_rule"] = values["k_rule"]
     for key, attr in (("lr", "lr"), ("weight_decay", "weight_decay"), ("clamp_eps", "clamp_eps")):
@@ -420,13 +313,15 @@ def load_train_config(path) -> TrainConfig:
 # batch objective
 # ---------------------------------------------------------------------------
 
-def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig,
-                         lap_hook=None, rho: float | None = None):
-    """Scaled loss and exact gradients over a batch of bag pairs.
+def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig, rho: float | None = None):
+    """Scaled loss and exact gradients over a batch of (anomalous, normal) bag pairs.
 
-    Returns (LossBreakdown, grads) where grads covers the scorer blocks and,
-    when the scaling factor is learnable, a ``"rho"`` entry for the logit of
-    lambda. A pair counts as synthetic when either member is synthetic.
+    A pair counts as synthetic when either member is synthetic. Each bag's
+    gradient goes into a real or a synthetic sum, and the result is
+    ``real + lambda * synthetic``; with scaling disabled lambda is 1.0, so
+    that path is the lambda = 1 path. Returns (LossBreakdown, grads) where
+    grads covers the scorer blocks and, when the scaling factor is learnable,
+    a ``"rho"`` entry for the logit of lambda.
     """
     batch = list(batch)
     if not batch:
@@ -437,66 +332,37 @@ def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig,
         lam = stable_sigmoid(float(rho))
     else:
         lam = config.lam
+    lam_eff = lam if config.ssls_enabled else 1.0
 
-    acc = _zero_grads(params)
-    n = len(batch)
-    raw = np.zeros(n)
-    scaled = np.zeros(n)
-    mil_terms = np.zeros(n)
-    lap_terms = np.zeros(n)
-    ys = np.zeros(n, dtype=np.int64)
-    rho_coeff = 0.0  # d(total)/d(lambda): sum of losses that get scaled
+    real, synthetic = ({k: np.zeros(v.shape) for k, v in params.to_dict().items()} for _ in range(2))
+    raw = np.zeros(len(batch))
+    ys = np.zeros(len(batch), dtype=np.int64)
+    for i, pair in enumerate(batch):
+        if (pair[0].y, pair[1].y) != (1, 0):
+            raise ValidationError(
+                f"pair ({pair[0].id!r}, {pair[1].id!r}) must be (anomalous, normal), "
+                f"got y=({pair[0].y}, {pair[1].y})"
+            )
+        ys[i] = 1 if (pair[0].y_s == 1 or pair[1].y_s == 1) else 0
+        acc = synthetic if ys[i] else real
+        for sample in pair:
+            cache = _forward(params, sample.features)
+            scores = cache[3]
+            k = resolve_k(config.k_rule, scores.shape[0])
+            y_hat, idx = topk_mean(scores, k, return_indices=True)
+            loss, dy_hat = bce(sample.y, y_hat, config.clamp_eps, return_grad=True)
+            raw[i] += loss
+            dscores = np.zeros(scores.shape)
+            dscores[idx] = dy_hat / k
+            _bag_backward(params, cache, dscores, acc)
 
-    for i, (sample_a, sample_n) in enumerate(batch):
-        terms = pair_terms(params, sample_a, sample_n, config, lap_hook)
-        pair_synthetic = 1 if (sample_a.y_s == 1 or sample_n.y_s == 1) else 0
-        raw[i] = terms.total
-        mil_terms[i] = terms.mil
-        lap_terms[i] = terms.lap
-        ys[i] = pair_synthetic
-
-        if not config.ssls_enabled:
-            scaled[i] = terms.total
-            _add_grads(acc, terms.combined_grads(params))
-            continue
-
-        if config.ssls_granularity == "pair":
-            scale = lam if pair_synthetic else 1.0
-            scaled[i] = scale * terms.total
-            grads = terms.combined_grads(params)
-            for key in grads:
-                acc[key] = acc[key] + scale * grads[key]
-            if pair_synthetic:
-                rho_coeff += terms.total
-        else:  # per-sample scaling: each bag keeps its own source label
-            scale_a = lam if sample_a.y_s == 1 else 1.0
-            scale_n = lam if sample_n.y_s == 1 else 1.0
-            scale_pair = lam if pair_synthetic else 1.0
-            scaled[i] = scale_a * terms.loss_anomalous + scale_n * terms.loss_normal + scale_pair * terms.lap
-            for key in acc:
-                acc[key] = acc[key] + scale_a * terms.grads_anomalous[key]
-                acc[key] = acc[key] + scale_n * terms.grads_normal[key]
-                if terms.grads_lap is not None:
-                    acc[key] = acc[key] + scale_pair * terms.grads_lap[key]
-            if sample_a.y_s == 1:
-                rho_coeff += terms.loss_anomalous
-            if sample_n.y_s == 1:
-                rho_coeff += terms.loss_normal
-            if pair_synthetic:
-                rho_coeff += terms.lap
-
-    breakdown = LossBreakdown(
-        raw=raw,
-        scaled=scaled,
-        total=_left_fold_sum(scaled),
-        source_labels=ys,
-        lambda_effective=float(lam) if config.ssls_enabled else 1.0,
-        mil=mil_terms,
-        lap=lap_terms,
-    )
+    breakdown = ssls_scale(raw, ys, lam_eff)
+    grads = {k: real[k] + lam_eff * synthetic[k] for k in real}
     if config.lam_learnable:
-        acc["rho"] = np.asarray(rho_coeff * lam * (1.0 - lam))
-    return breakdown, acc
+        # d(total)/d(lambda) is the sum of the losses that get scaled.
+        rho_coeff = _left_fold_sum(raw[ys == 1]) if config.ssls_enabled else 0.0
+        grads["rho"] = np.asarray(rho_coeff * lam * (1.0 - lam))
+    return breakdown, grads
 
 
 # ---------------------------------------------------------------------------
@@ -582,8 +448,7 @@ def filter_synthetic(real_anomalous, real_normal, synth_anomalous, synth_normal,
 class EpochStats:
     epoch: int
     total_loss: float  # mean adjusted loss per pair
-    mil_mean: float
-    lap_mean: float
+    mil_mean: float  # mean unscaled MIL loss per pair
     val_auc: float | None
     lambda_effective: float
 
@@ -596,7 +461,7 @@ class TrainResult:
     rho: float | None
 
 
-HISTORY_HEADER = "epoch,L_total,L_MIL_mean,L_LAP_mean,val_auc,lambda_effective"
+HISTORY_HEADER = "epoch,L_total,L_MIL_mean,val_auc,lambda_effective"
 
 
 def history_to_csv(history) -> str:
@@ -604,7 +469,7 @@ def history_to_csv(history) -> str:
     for row in history:
         val = "" if row.val_auc is None else repr(row.val_auc)
         lines.append(
-            f"{row.epoch},{row.total_loss!r},{row.mil_mean!r},{row.lap_mean!r},{val},{row.lambda_effective!r}"
+            f"{row.epoch},{row.total_loss!r},{row.mil_mean!r},{val},{row.lambda_effective!r}"
         )
     return "\n".join(lines) + "\n"
 
@@ -642,7 +507,7 @@ def _epoch_pairs(anomalous, normal, rng) -> list:
     return [pairs[i] for i in rng.permutation(len(pairs))]
 
 
-def train(dataset, config: TrainConfig, lap_hook=None, val_samples=None) -> TrainResult:
+def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
     """Train the scorer on a mixed dataset; fully deterministic given inputs.
 
     Samples are ordered by id before any seeded shuffling, so two datasets
@@ -670,20 +535,18 @@ def train(dataset, config: TrainConfig, lap_hook=None, val_samples=None) -> Trai
         pairs = _epoch_pairs(anomalous, normal, loop_rng)
         total_sum = 0.0
         mil_sum = 0.0
-        lap_sum = 0.0
         n_pairs = 0
         lam_eff = 1.0
         for start in range(0, len(pairs), config.batch_pairs):
             batch = pairs[start:start + config.batch_pairs]
-            breakdown, grads = total_loss_and_grads(params, batch, config, lap_hook, rho)
+            breakdown, grads = total_loss_and_grads(params, batch, config, rho)
             scorer_grads = {k: grads[k] for k in _PARAM_KEYS}
             params = ScorerParams.from_dict(adam_step(params.to_dict(), scorer_grads, state))
             if config.lam_learnable:
                 updated = adam_step({"rho": np.asarray(rho)}, {"rho": grads["rho"]}, rho_state)
                 rho = float(updated["rho"])
             total_sum += breakdown.total
-            mil_sum += _left_fold_sum(breakdown.mil)
-            lap_sum += _left_fold_sum(breakdown.lap)
+            mil_sum += _left_fold_sum(breakdown.raw)
             n_pairs += len(batch)
             lam_eff = breakdown.lambda_effective
         if config.lam_learnable:
@@ -697,7 +560,6 @@ def train(dataset, config: TrainConfig, lap_hook=None, val_samples=None) -> Trai
             epoch=epoch,
             total_loss=total_sum / n_pairs,
             mil_mean=mil_sum / n_pairs,
-            lap_mean=lap_sum / n_pairs,
             val_auc=val_auc,
             lambda_effective=lam_eff,
         ))
@@ -825,7 +687,7 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
                    threshold: float = 1e-4, corrupt: bool = False) -> GradCheckReport:
     """Compare analytic batch gradients against central finite differences.
 
-    Exercises the top-k selection, both scaling granularities' common path,
+    Exercises the top-k selection, real, synthetic and mixed-source pairs,
     and the learnable scaling factor. Relative error per coordinate uses a
     safeguarded denominator max(|analytic|, |numeric|, 1e-5) so coordinates
     whose true gradient is dominated by finite-difference noise do not blow
@@ -844,7 +706,7 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
             _random_pair(rng, dim, 1, 0, f"{b}-mixed"),
         ]
         rho = float(rng.normal(0.0, 0.5))
-        _, grads = total_loss_and_grads(params, batch, config, None, rho)
+        _, grads = total_loss_and_grads(params, batch, config, rho)
         if corrupt:
             grads = dict(grads)
             grads["w1"] = grads["w1"] + 1e-3
@@ -855,7 +717,7 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
 
         def objective(vec):
             p = vector_to_params(vec[:-1], dim, hidden)
-            breakdown, _ = total_loss_and_grads(p, batch, config, None, float(vec[-1]))
+            breakdown, _ = total_loss_and_grads(p, batch, config, float(vec[-1]))
             return breakdown.total
 
         numeric = finite_diff_grad(objective, theta, h)

@@ -1,4 +1,4 @@
-"""Small dense-math kernel: matvec, stable activations, BCE, Adam, seeding.
+"""Small dense-math kernel: stable sigmoid, BCE, Adam, finite differences, seeding.
 
 Everything runs on plain numpy arrays in float64. All randomness in the
 package flows through ``seed_sequence``: tokens (ints and strings) are hashed
@@ -53,29 +53,6 @@ def derived_int_seed(*tokens: int | str) -> int:
     return int(seed_sequence(*tokens).generate_state(1, np.uint64)[0] >> 1)
 
 
-def linear_forward(weights: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """weights @ x + bias with explicit shape checking."""
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if weights.ndim != 2:
-        raise ShapeError(f"weights must be 2-D, got shape {weights.shape}")
-    if x.ndim != 1 or bias.ndim != 1:
-        raise ShapeError(f"bias and input must be 1-D, got {bias.shape} and {x.shape}")
-    if weights.shape[1] != x.shape[0]:
-        raise ShapeError(f"weights {weights.shape} cannot multiply input {x.shape}")
-    if bias.shape[0] != weights.shape[0]:
-        raise ShapeError(f"bias {bias.shape} does not match weights {weights.shape}")
-    out = weights @ x + bias
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("linear_forward produced non-finite values")
-    return out
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def stable_sigmoid(x):
     """Numerically stable logistic, clamped strictly inside (0, 1).
 
@@ -95,16 +72,25 @@ def stable_sigmoid(x):
     return float(out[0]) if scalar else out
 
 
-def bce(y: int, y_hat: float, clamp_eps: float = 1e-7) -> float:
-    """Binary cross-entropy with the prediction clamped to [eps, 1-eps]."""
+def bce(y: int, y_hat: float, clamp_eps: float = 1e-7, return_grad: bool = False):
+    """Binary cross-entropy with the prediction clamped to [eps, 1-eps].
+
+    With ``return_grad`` it returns ``(loss, d loss / d y_hat)``. The clamp is
+    part of the objective: outside it the loss is flat and the derivative 0.
+    """
     if y not in (0, 1):
         raise ValidationError(f"label must be 0 or 1, got {y!r}")
     if not 0.0 < clamp_eps < 0.5:
         raise ValidationError(f"clamp_eps must be in (0, 0.5), got {clamp_eps}")
-    p = min(max(float(y_hat), clamp_eps), 1.0 - clamp_eps)
+    y_hat = float(y_hat)
+    p = min(max(y_hat, clamp_eps), 1.0 - clamp_eps)
     if y == 1:
-        return -math.log(p)
-    return -math.log1p(-p)
+        loss, grad = -math.log(p), -1.0 / p
+    else:
+        loss, grad = -math.log1p(-p), 1.0 / (1.0 - p)
+    if not return_grad:
+        return loss
+    return loss, (grad if p == y_hat else 0.0)
 
 
 @dataclass

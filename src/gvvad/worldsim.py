@@ -149,26 +149,12 @@ def element_perturbation(elements, dim: int, scale: float) -> np.ndarray:
     return (scale / norm) * vec
 
 
-@dataclass(frozen=True)
-class Provenance:
-    pair_index: int
-    label: str
-    source: str
-    seed_tokens: tuple
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratedVideo:
-    sample: VideoSample
-    provenance: Provenance
-
-
 def _seed_tag(tokens) -> str:
     return format(seed_sequence(*tokens).generate_state(1, np.uint64)[0], "016x")[:8]
 
 
 def generate_video(config: WorldConfig, pair, label: str, source: str, seed,
-                   video_id: str | None = None) -> GeneratedVideo:
+                   video_id: str | None = None) -> VideoSample:
     """Sample one video's feature sequence plus ground-truth frame labels.
 
     ``label`` is "normal" or "anomalous"; ``source`` is "real" or "synthetic".
@@ -198,14 +184,13 @@ def generate_video(config: WorldConfig, pair, label: str, source: str, seed,
 
     if video_id is None:
         video_id = f"{source[0]}{label[0]}-p{pair.index:05d}-x{_seed_tag(tokens)}"
-    sample = VideoSample(
+    return VideoSample(
         id=video_id,
         features=feats.astype(np.float32),
         y=1 if label == "anomalous" else 0,
         y_s=1 if source == "synthetic" else 0,
         frame_labels=np.repeat(clip_labels, config.clip_len),
     )
-    return GeneratedVideo(sample, Provenance(pair.index, label, source, tokens))
 
 
 @dataclass(frozen=True)
@@ -262,11 +247,10 @@ def generate_dataset(config: WorldConfig, pairs, counts: GenerationCounts, base_
         vids = []
         for i in range(n):
             pair = pairs[i % len(pairs)]
-            video = generate_video(
+            vids.append(generate_video(
                 config, pair, label, source,
                 seed=(*base_tokens, tag, i),
                 video_id=f"{tag}-{i:05d}-p{pair.index:05d}",
-            )
-            vids.append(video.sample)
+            ))
         pools[field_name] = tuple(vids)
     return GeneratedSets(**pools)

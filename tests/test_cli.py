@@ -155,7 +155,7 @@ class TestTrainEvalFlow:
         tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
         assert (model_dir / "params.gvpm").exists()
         history = (model_dir / "history.csv").read_text().splitlines()
-        assert history[0] == "epoch,L_total,L_MIL_mean,L_LAP_mean,val_auc,lambda_effective"
+        assert history[0] == "epoch,L_total,L_MIL_mean,val_auc,lambda_effective"
         assert len(history) == 4
 
         eval_dir = tmp_path / "eval"
@@ -170,6 +170,16 @@ class TestTrainEvalFlow:
         assert metrics["auc_protocol"] == "micro"
         assert (eval_dir / "curves" / f"{video_id}.csv").exists()
         assert (eval_dir / "curves" / f"{video_id}.svg").exists()
+
+    def test_non_positive_lr_exits_2(self, pipeline):
+        tmp_path, prompts, world_cfg = pipeline
+        data_dir = tmp_path / "data"
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "2,2,0,0", "--seed", "1", "--out", str(data_dir)]) == 0
+        model_dir = tmp_path / "model"
+        assert main(["train", "--manifest", str(data_dir / "manifest.tsv"),
+                     "--set", "lr=-0.001", "--out", str(model_dir)]) == 2
+        assert not (model_dir / "params.gvpm").exists()
 
     def test_eval_rejects_corrupt_params_with_exit_2(self, pipeline):
         tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)

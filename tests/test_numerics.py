@@ -9,41 +9,10 @@ from gvvad.numerics import (
     adam_step,
     bce,
     finite_diff_grad,
-    linear_forward,
     rng_from,
     seed_sequence,
     stable_sigmoid,
 )
-
-
-class TestLinearForward:
-    def test_identity(self):
-        out = linear_forward(np.eye(2), np.zeros(2), np.array([3.0, -1.0]))
-        np.testing.assert_array_equal(out, [3.0, -1.0])
-
-    def test_hand_arithmetic(self):
-        w = np.array([[1.0, 2.0], [0.0, 1.0]])
-        out = linear_forward(w, np.array([1.0, 0.0]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(out, [4.0, 1.0])
-
-    def test_matches_naive_double_loop(self):
-        rng = rng_from(11, "linear")
-        w = rng.normal(size=(8, 16))
-        b = rng.normal(size=8)
-        x = rng.normal(size=16)
-        naive = np.zeros(8)
-        for i in range(8):
-            acc = b[i]
-            for j in range(16):
-                acc += w[i, j] * x[j]
-            naive[i] = acc
-        np.testing.assert_allclose(linear_forward(w, b, x), naive, atol=1e-12)
-
-    def test_shape_errors_name_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2,\)"):
-            linear_forward(np.zeros((2, 3)), np.zeros(2), np.zeros(2))
-        with pytest.raises(ShapeError, match=r"\(3,\).*\(2, 2\)"):
-            linear_forward(np.zeros((2, 2)), np.zeros(3), np.zeros(2))
 
 
 class TestStableSigmoid:

@@ -84,24 +84,24 @@ class TestGenerateVideo:
         cfg = world(element_effect_scale=0.3, anomaly_offset=offset(8, 1.0))
         a = generate_video(cfg, PAIRS[0], "anomalous", "synthetic", seed=5)
         b = generate_video(cfg, PAIRS[0], "anomalous", "synthetic", seed=5)
-        assert a.sample.id == b.sample.id
-        assert np.array_equal(a.sample.features.view(np.uint32), b.sample.features.view(np.uint32))
-        np.testing.assert_array_equal(a.sample.frame_labels, b.sample.frame_labels)
+        assert a.id == b.id
+        assert np.array_equal(a.features.view(np.uint32), b.features.view(np.uint32))
+        np.testing.assert_array_equal(a.frame_labels, b.frame_labels)
 
     def test_labels_and_source_set_from_arguments(self):
         cfg = world()
         v = generate_video(cfg, PAIRS[1], "anomalous", "real", seed=1)
-        assert v.sample.y == 1 and v.sample.y_s == 0
+        assert v.y == 1 and v.y_s == 0
         n = generate_video(cfg, PAIRS[1], "normal", "synthetic", seed=1)
-        assert n.sample.y == 0 and n.sample.y_s == 1
+        assert n.y == 0 and n.y_s == 1
 
     def test_clip_count_in_range_and_labels_contiguous(self):
         cfg = world()
         for seed in range(50):
             v = generate_video(cfg, PAIRS[seed % len(PAIRS)], "anomalous", "real", seed=seed)
-            t = v.sample.num_clips
+            t = v.num_clips
             assert cfg.clips_min <= t <= cfg.clips_max
-            clip_labels = v.sample.frame_labels[::cfg.clip_len]
+            clip_labels = v.frame_labels[::cfg.clip_len]
             assert clip_labels.sum() >= 1
             ones = np.flatnonzero(clip_labels)
             assert ones[-1] - ones[0] + 1 == len(ones)  # one contiguous run
@@ -112,20 +112,20 @@ class TestGenerateVideo:
     def test_frame_labels_repeat_clip_labels(self):
         cfg = world(clip_len=4)
         v = generate_video(cfg, PAIRS[2], "anomalous", "real", seed=3)
-        labels = v.sample.frame_labels.reshape(-1, 4)
+        labels = v.frame_labels.reshape(-1, 4)
         assert np.all(labels == labels[:, :1])
 
     def test_normal_videos_have_zero_labels(self):
         cfg = world()
         v = generate_video(cfg, PAIRS[3], "normal", "real", seed=2)
-        assert v.sample.frame_labels.sum() == 0
+        assert v.frame_labels.sum() == 0
 
     def test_zero_gap_means_match_across_sources(self):
         # With domain_offset = 0 the per-clip means differ only by noise.
         cfg = world(dim=16, clips_min=16, clips_max=16)
-        real = [generate_video(cfg, PAIRS[i % 8], "normal", "real", seed=(1, i)).sample
+        real = [generate_video(cfg, PAIRS[i % 8], "normal", "real", seed=(1, i))
                 for i in range(40)]
-        synth = [generate_video(cfg, PAIRS[i % 8], "normal", "synthetic", seed=(2, i)).sample
+        synth = [generate_video(cfg, PAIRS[i % 8], "normal", "synthetic", seed=(2, i))
                  for i in range(40)]
         clips_r = np.concatenate([s.features for s in real])
         clips_s = np.concatenate([s.features for s in synth])
