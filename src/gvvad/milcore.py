@@ -9,13 +9,16 @@ summation, which bounds how hard the synthetic domain can pull on the model.
 
 Gradients are exact analytic derivatives of the scaled batch loss. The top-k
 selection is treated as constant within a step (the standard subgradient
-choice for max-pooling objectives), so gradient flows only to selected clips.
-The batch objective is built from :func:`topk_mean`, :func:`gvvad.numerics.bce`
-and :func:`ssls_scale`; no other code implements those rules.
+choice for max-pooling objectives), so gradient flows only to selected clips,
+and the backward pass runs over the selected rows only: one pass per source
+(real, synthetic) over the top-k clips of all its bags in the batch. The batch
+objective is built from :func:`topk_mean`, :func:`gvvad.numerics.bce` and
+:func:`ssls_scale`; no other code implements those rules.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -59,6 +62,9 @@ class ScorerParams:
             raise ShapeError(
                 f"b1 {self.b1.shape} and w2 {self.w2.shape} must both be ({hidden},)"
             )
+        self.check_finite()
+
+    def check_finite(self) -> None:
         for name in _PARAM_KEYS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValidationError(f"parameter {name} contains non-finite values")
@@ -82,18 +88,10 @@ class ScorerParams:
             b2=np.zeros(()),
         )
 
-    def to_dict(self) -> dict:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScorerParams":
-        return cls(d["w1"], d["b1"], d["w2"], d["b2"])
-
-    def copy(self) -> "ScorerParams":
-        return ScorerParams(self.w1.copy(), self.b1.copy(), self.w2.copy(), self.b2.copy())
-
 
 def _forward(params: ScorerParams, features):
+    """(pre-activation, hidden activation, score) per clip; the float64 copy
+    of the features is freed on return."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ShapeError(f"features {x.shape} do not match scorer dim {params.dim}")
@@ -101,12 +99,39 @@ def _forward(params: ScorerParams, features):
     h = np.maximum(z1, 0.0)
     logits = h @ params.w2 + params.b2
     scores = stable_sigmoid(logits)
-    return x, z1, h, scores
+    return z1, h, scores
 
 
 def score_segments(params: ScorerParams, features) -> np.ndarray:
     """Anomaly score in (0,1) per clip; clips are scored independently."""
-    return _forward(params, features)[3]
+    return _forward(params, features)[2]
+
+
+@functools.lru_cache(maxsize=64)
+def _param_layout(dim: int, hidden: int) -> tuple:
+    """(name, shape, start, stop) of each scorer block in the flat parameter
+    vector: the blocks of ``_PARAM_KEYS`` in order, each row-major."""
+    layout, start = [], 0
+    for name, shape in zip(_PARAM_KEYS, ((hidden, dim), (hidden,), (hidden,), ())):
+        stop = start + math.prod(shape)
+        layout.append((name, shape, start, stop))
+        start = stop
+    return tuple(layout)
+
+
+def _param_views(vec: np.ndarray, dim: int, hidden: int) -> dict:
+    """Block name -> view of the flat vector ``vec`` with that block's shape."""
+    layout = _param_layout(dim, hidden)
+    if vec.size != layout[-1][3]:
+        raise ShapeError(f"vector of size {vec.size} cannot fill a {dim}->{hidden}->1 scorer")
+    return {name: vec[start:stop].reshape(shape) for name, shape, start, stop in layout}
+
+
+def _rule_number(rule: str, arg: str, parse):
+    try:
+        return parse(arg)
+    except ValueError:
+        raise ValidationError(f"k rule {rule!r}: {arg!r} is not a number") from None
 
 
 def resolve_k(rule: str, num_clips: int) -> int:
@@ -119,17 +144,17 @@ def resolve_k(rule: str, num_clips: int) -> int:
         raise ValidationError(f"bag must contain at least one clip, got {num_clips}")
     kind, _, arg = rule.partition(":")
     if kind == "div":
-        divisor = int(arg) if arg else 16
+        divisor = _rule_number(rule, arg, int) if arg else 16
         if divisor < 1:
             raise ValidationError(f"k rule {rule!r}: divisor must be >= 1")
         return max(1, num_clips // divisor)
     if kind == "fixed":
-        k = int(arg)
+        k = _rule_number(rule, arg, int)
         if k < 1:
             raise ValidationError(f"k rule {rule!r}: k must be >= 1")
         return min(k, num_clips)
     if kind == "frac":
-        f = float(arg)
+        f = _rule_number(rule, arg, float)
         if not 0.0 < f <= 1.0:
             raise ValidationError(f"k rule {rule!r}: fraction must be in (0, 1]")
         return max(1, int(f * num_clips))
@@ -159,16 +184,24 @@ def topk_mean(scores, k: int, return_indices: bool = False):
     return (mean, idx) if return_indices else mean
 
 
-def _bag_backward(params: ScorerParams, cache, dscores, acc: dict) -> None:
-    """Push per-clip score gradients back through the scorer for one bag and
-    add the parameter gradients to ``acc`` in place."""
-    x, z1, h, scores = cache
-    du = dscores * scores * (1.0 - scores)
+def _selected_backward(params: ScorerParams, selected) -> np.ndarray:
+    """Flat parameter gradient of the selected clips of one source.
+
+    ``selected`` holds, per bag, the (features, pre-activation, hidden
+    activation, d loss / d logit) rows of its top-k clips; no other clip
+    reaches the gradient.
+    """
+    flat = np.zeros(_param_layout(params.dim, params.hidden)[-1][3])
+    if not selected:
+        return flat
+    x, z1, h, du = (np.concatenate(rows, dtype=np.float64) for rows in zip(*selected))
     dz1 = np.outer(du, params.w2) * (z1 > 0.0)
-    acc["w1"] += dz1.T @ x
-    acc["b1"] += dz1.sum(axis=0)
-    acc["w2"] += h.T @ du
-    acc["b2"] += du.sum()
+    g = _param_views(flat, params.dim, params.hidden)
+    np.matmul(dz1.T, x, out=g["w1"])
+    dz1.sum(axis=0, out=g["b1"])
+    np.matmul(h.T, du, out=g["w2"])
+    g["b2"][...] = du.sum()
+    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -316,12 +349,15 @@ def load_train_config(path) -> TrainConfig:
 def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig, rho: float | None = None):
     """Scaled loss and exact gradients over a batch of (anomalous, normal) bag pairs.
 
-    A pair counts as synthetic when either member is synthetic. Each bag's
-    gradient goes into a real or a synthetic sum, and the result is
-    ``real + lambda * synthetic``; with scaling disabled lambda is 1.0, so
-    that path is the lambda = 1 path. Returns (LossBreakdown, grads) where
-    grads covers the scorer blocks and, when the scaling factor is learnable,
-    a ``"rho"`` entry for the logit of lambda.
+    A pair counts as synthetic when either member is synthetic. Each bag
+    keeps only its top-k rows; after the forward passes, one backward pass
+    per source runs over those rows into a flat real and a flat synthetic
+    gradient, and the result is ``real + lambda * synthetic``; with scaling
+    disabled lambda is 1.0, so that path is the lambda = 1 path. Returns
+    (LossBreakdown, grads) where grads maps each scorer block to a view of
+    that one flat gradient (laid out as :func:`params_to_vector`) and, when
+    the scaling factor is learnable, holds a ``"rho"`` entry for the logit of
+    lambda.
     """
     batch = list(batch)
     if not batch:
@@ -334,9 +370,9 @@ def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig, rho: 
         lam = config.lam
     lam_eff = lam if config.ssls_enabled else 1.0
 
-    real, synthetic = ({k: np.zeros(v.shape) for k, v in params.to_dict().items()} for _ in range(2))
     raw = np.zeros(len(batch))
     ys = np.zeros(len(batch), dtype=np.int64)
+    selected = ([], [])  # per source (real, synthetic): the top-k rows of each bag
     for i, pair in enumerate(batch):
         if (pair[0].y, pair[1].y) != (1, 0):
             raise ValidationError(
@@ -344,20 +380,20 @@ def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig, rho: 
                 f"got y=({pair[0].y}, {pair[1].y})"
             )
         ys[i] = 1 if (pair[0].y_s == 1 or pair[1].y_s == 1) else 0
-        acc = synthetic if ys[i] else real
         for sample in pair:
-            cache = _forward(params, sample.features)
-            scores = cache[3]
+            z1, h, scores = _forward(params, sample.features)
             k = resolve_k(config.k_rule, scores.shape[0])
             y_hat, idx = topk_mean(scores, k, return_indices=True)
             loss, dy_hat = bce(sample.y, y_hat, config.clamp_eps, return_grad=True)
             raw[i] += loss
-            dscores = np.zeros(scores.shape)
-            dscores[idx] = dy_hat / k
-            _bag_backward(params, cache, dscores, acc)
+            s = scores[idx]
+            selected[ys[i]].append(
+                (np.asarray(sample.features)[idx], z1[idx], h[idx], dy_hat / k * s * (1.0 - s))
+            )
 
     breakdown = ssls_scale(raw, ys, lam_eff)
-    grads = {k: real[k] + lam_eff * synthetic[k] for k in real}
+    real, synthetic = (_selected_backward(params, rows) for rows in selected)
+    grads = _param_views(real + lam_eff * synthetic, params.dim, params.hidden)
     if config.lam_learnable:
         # d(total)/d(lambda) is the sum of the losses that get scaled.
         rho_coeff = _left_fold_sum(raw[ys == 1]) if config.ssls_enabled else 0.0
@@ -524,7 +560,8 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
         if s.dim != dim:
             raise ShapeError(f"sample {s.id!r} has dim {s.dim}, dataset has {dim}")
 
-    params = ScorerParams.init(dim, config.hidden, rng_from(config.seed, "scorer-init"))
+    theta = params_to_vector(ScorerParams.init(dim, config.hidden, rng_from(config.seed, "scorer-init")))
+    params = vector_to_params(theta, dim, config.hidden)  # views: updating theta updates params
     state = AdamState(lr=config.lr, weight_decay=config.weight_decay)
     rho = 0.0 if config.lam_learnable else None  # sigmoid(0) = 0.5
     rho_state = AdamState(lr=config.lr, weight_decay=0.0) if config.lam_learnable else None
@@ -540,8 +577,10 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
         for start in range(0, len(pairs), config.batch_pairs):
             batch = pairs[start:start + config.batch_pairs]
             breakdown, grads = total_loss_and_grads(params, batch, config, rho)
-            scorer_grads = {k: grads[k] for k in _PARAM_KEYS}
-            params = ScorerParams.from_dict(adam_step(params.to_dict(), scorer_grads, state))
+            flat_grad = grads["w1"].base  # every scorer block is a view of one flat gradient
+            theta[...] = adam_step({"theta": theta}, {"theta": flat_grad}, state)["theta"]
+            if not np.isfinite(theta).all():
+                params.check_finite()  # names the block
             if config.lam_learnable:
                 updated = adam_step({"rho": np.asarray(rho)}, {"rho": grads["rho"]}, rho_state)
                 rho = float(updated["rho"])
@@ -636,7 +675,7 @@ def load_params(path) -> ScorerParams:
         count = int(np.prod(shape, dtype=np.int64))
         values[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=cursor * 8).reshape(shape).copy()
         cursor += count
-    return ScorerParams.from_dict(values)
+    return ScorerParams(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -648,11 +687,8 @@ def params_to_vector(params: ScorerParams) -> np.ndarray:
 
 
 def vector_to_params(vec: np.ndarray, dim: int, hidden: int) -> ScorerParams:
-    sizes = (hidden * dim, hidden, hidden, 1)
-    if vec.size != sum(sizes):
-        raise ShapeError(f"vector of size {vec.size} cannot fill a {dim}->{hidden}->1 scorer")
-    w1, b1, w2, b2 = np.split(vec, np.cumsum(sizes)[:-1])
-    return ScorerParams(w1.reshape(hidden, dim), b1, w2, b2.reshape(()))
+    """Scorer whose blocks are views of the flat float64 vector ``vec``."""
+    return ScorerParams(**_param_views(vec, dim, hidden))
 
 
 @dataclass(frozen=True)
@@ -711,8 +747,7 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
             grads = dict(grads)
             grads["w1"] = grads["w1"] + 1e-3
 
-        analytic = np.concatenate([np.concatenate([grads[k].ravel() for k in _PARAM_KEYS]),
-                                   np.atleast_1d(grads["rho"])])
+        analytic = np.concatenate([grads[k].ravel() for k in (*_PARAM_KEYS, "rho")])
         theta = np.concatenate([params_to_vector(params), [rho]])
 
         def objective(vec):
@@ -723,9 +758,8 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
         numeric = finite_diff_grad(objective, theta, h)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
         rel = np.abs(analytic - numeric) / denom
-        sizes = (hidden * dim, hidden, hidden, 1, 1)
-        offsets = np.cumsum((0,) + sizes)
-        for (name, start, stop) in zip((*_PARAM_KEYS, "rho"), offsets[:-1], offsets[1:]):
+        rho_at = theta.size - 1
+        for name, _, start, stop in (*_param_layout(dim, hidden), ("rho", (), rho_at, rho_at + 1)):
             block_errors[name] = max(block_errors[name], float(rel[start:stop].max()))
     max_err = max(block_errors.values())
     return GradCheckReport(

@@ -57,19 +57,15 @@ def stable_sigmoid(x):
     """Numerically stable logistic, clamped strictly inside (0, 1).
 
     Uses the two-branch formulation (1/(1+exp(-x)) for x >= 0, else
-    exp(x)/(1+exp(x))) so no exp ever overflows; saturated outputs are nudged
-    off exact 0/1 so log-losses stay finite.
+    exp(x)/(1+exp(x))) in one pass over ex = exp(-|x|), so no exp ever
+    overflows; saturated outputs are nudged off exact 0/1 so log-losses stay
+    finite.
     """
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    ex = np.exp(-np.abs(arr))
+    out = np.where(arr >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
     np.clip(out, _SIGMOID_FLOOR, _SIGMOID_CEIL, out=out)
-    return float(out[0]) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def bce(y: int, y_hat: float, clamp_eps: float = 1e-7, return_grad: bool = False):

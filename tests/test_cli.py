@@ -181,6 +181,16 @@ class TestTrainEvalFlow:
                      "--set", "lr=-0.001", "--out", str(model_dir)]) == 2
         assert not (model_dir / "params.gvpm").exists()
 
+    def test_non_numeric_k_rule_exits_2(self, pipeline):
+        tmp_path, prompts, world_cfg = pipeline
+        data_dir = tmp_path / "data"
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "2,2,0,0", "--seed", "1", "--out", str(data_dir)]) == 0
+        model_dir = tmp_path / "model"
+        assert main(["train", "--manifest", str(data_dir / "manifest.tsv"),
+                     "--set", "k_rule=fixed:x", "--out", str(model_dir)]) == 2
+        assert not (model_dir / "params.gvpm").exists()
+
     def test_eval_rejects_corrupt_params_with_exit_2(self, pipeline):
         tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
         params_path = model_dir / "params.gvpm"

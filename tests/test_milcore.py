@@ -131,6 +131,11 @@ class TestResolveK:
         with pytest.raises(ValidationError):
             resolve_k("best:5", 10)
 
+    def test_non_numeric_argument(self):
+        for rule in ("fixed:x", "frac:abc", "div:y", "fixed:", "frac:"):
+            with pytest.raises(ValidationError, match="is not a number"):
+                resolve_k(rule, 10)
+
 
 class TestMilLoss:
     # A pair's loss is the BCE of the anomalous bag score toward 1 plus the
@@ -278,6 +283,18 @@ class TestTotalLossAndGrads:
         batch = pair_batch(3)
         _, grads = total_loss_and_grads(params, batch, TrainConfig(lam_learnable=True), rho=0.3)
         assert float(grads["rho"]) == 0.0
+
+    def test_scorer_gradients_are_views_of_one_flat_vector(self):
+        # train() hands this flat vector to Adam; it must hold every block in
+        # the layout of params_to_vector.
+        params = ScorerParams.init(5, 4, rng_from("tl12"))
+        _, grads = total_loss_and_grads(params, pair_batch(2, synth_mask=[False, True]), TrainConfig())
+        flat = grads["w1"].base
+        assert flat.shape == params_to_vector(params).shape
+        unpacked = vector_to_params(flat, 5, 4)
+        for key in ("w1", "b1", "w2", "b2"):
+            assert np.shares_memory(grads[key], flat)
+            assert np.array_equal(getattr(unpacked, key), grads[key])
 
     def test_learnable_lambda_requires_rho(self):
         params = ScorerParams.init(5, 4, rng_from("tl11"))
@@ -474,6 +491,14 @@ class TestTrain:
     def test_empty_class_rejected(self):
         with pytest.raises(ValidationError):
             train(MixedDataset((), (sample("n", 0),)), TrainConfig(epochs=1))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_diverging_parameters_rejected(self):
+        # A step that leaves a non-finite weight stops training with the
+        # name of the block; the overflow that causes it is the point here.
+        dataset, _ = small_world_dataset(mag=2.0, n=8, seed=6)
+        with pytest.raises(ValidationError, match=r"parameter (w1|b1|w2|b2) contains non-finite values"):
+            train(dataset, TrainConfig(lr=1e308, epochs=5, batch_pairs=2))
 
     def test_train_runs_the_tested_rules(self, monkeypatch):
         # Training must go through the top-k mean, BCE and loss scaling that

@@ -40,6 +40,31 @@ class TestStableSigmoid:
         xs = np.linspace(-20, 20, 5000)
         assert np.all(np.diff(stable_sigmoid(xs)) > 0)
 
+    def test_bit_identical_to_two_masked_branches(self):
+        # The one-pass form over exp(-|x|) must equal, bit for bit, the
+        # formulation that evaluates each branch on its own mask.
+        def two_branch(xs):
+            out = np.empty_like(xs)
+            pos = xs >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-xs[pos]))
+            ex = np.exp(xs[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return np.clip(out, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+        rng = rng_from(5, "sigmoid-branches")
+        xs = np.concatenate([np.linspace(-800.0, 800.0, 100_001), rng.uniform(-800.0, 800.0, 100_000),
+                             rng.normal(0.0, 3.0, 1000), [0.0, -0.0, 1e-300, -1e-300]])
+        points = (-0.0, 0.0, -745.5, 745.5, -1.5, 2.5)
+        with np.errstate(over="raise", invalid="raise"):
+            got = stable_sigmoid(xs)
+            want = two_branch(xs)
+            scalars = [stable_sigmoid(x) for x in points]
+            scalars_want = two_branch(np.array(points))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for value, expected in zip(scalars, scalars_want):
+            assert isinstance(value, float)
+            assert np.float64(value).view(np.int64) == expected.view(np.int64)
+
 
 class TestBce:
     def test_perfect_prediction_is_tiny(self):
@@ -105,6 +130,25 @@ class TestAdam:
 
         a, b = run(), run()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+    def test_concatenated_key_matches_per_key_bitwise(self):
+        # Adam is elementwise: stepping one flat key must equal stepping each
+        # block as its own key, bit for bit, weight decay included.
+        rng = rng_from(10, "adam-flat")
+        shapes = {"w1": (4, 3), "b1": (4,), "w2": (4,), "b2": ()}
+        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        per_key_state = AdamState(lr=0.01, weight_decay=0.05)
+        flat_state = AdamState(lr=0.01, weight_decay=0.05)
+        p = params
+        theta = np.concatenate([params[k].ravel() for k in shapes])
+        for _ in range(6):
+            grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+            p = adam_step(p, grads, per_key_state)
+            flat_grad = np.concatenate([grads[k].ravel() for k in shapes])
+            theta = adam_step({"theta": theta}, {"theta": flat_grad}, flat_state)["theta"]
+        assert flat_state.step == per_key_state.step == 6
+        expected = np.concatenate([p[k].ravel() for k in shapes])
+        assert np.array_equal(theta.view(np.int64), expected.view(np.int64))
 
     def test_moments_track_param_shapes(self):
         state = AdamState()
