@@ -167,7 +167,7 @@ def cmd_world(args) -> int:
 def _train_defaults() -> dict:
     return {
         "manifest": "", "val_manifest": "",
-        "lambda": "0.5", "lambda_learnable": "0", "ssls_enabled": "1",
+        "lambda": "0.5", "ssls_enabled": "1",
         "k_rule": "div:16", "lr": "0.001",
         "weight_decay": "0.005", "epochs": "20", "batch_pairs": "8",
         "clamp_eps": "1e-07", "hidden": "32", "seed": "0",

@@ -35,7 +35,7 @@ _HEADER = struct.Struct("<4sIII")
 _CHECKSUM = struct.Struct("<Q")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_ID_RE = re.compile(r"[A-Za-z0-9._-]+")
+_ID_RE = re.compile(r"[A-Za-z0-9._-]+")  # ids name files: checked on write and on load
 
 
 def fnv1a64(data: bytes) -> int:
@@ -245,8 +245,8 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
         if len(parts) != 5:
             raise DataFormatError(f"{path}:{lineno}: expected 5 tab-separated fields, got {len(parts)}")
         vid, feature_path, y_raw, ys_raw, label_path = parts
-        if not vid:
-            raise DataFormatError(f"{path}:{lineno}: empty id")
+        if _ID_RE.fullmatch(vid) is None:
+            raise DataFormatError(f"{path}:{lineno}: id {vid!r} is not filesystem-safe")
         if vid in seen:
             raise DataFormatError(f"{path}:{lineno}: duplicate id {vid!r}")
         seen.add(vid)

@@ -27,7 +27,7 @@ from .milcore import (
 from .numerics import derived_int_seed
 from .worldsim import GenerationCounts, WorldConfig, generate_dataset
 
-LAMBDA_GRID_DEFAULT = ("0.1", "0.25", "0.5", "1.0", "2.0", "learnable")
+LAMBDA_GRID_DEFAULT = ("0.1", "0.25", "0.5", "1.0", "2.0")
 DATA_SCALE_GRID_DEFAULT = ("0.25", "0.5", "0.75", "1.0")
 MODULE_GRID_DEFAULT = ("baseline", "vg", "vg+vf", "vg+ssls", "vg+vf+ssls")
 
@@ -136,7 +136,7 @@ class AblationSpec:
     """One sweep: a grid of settings x seeds over a fixed world and trainer.
 
     Kinds:
-      * ``lambda_sweep``: grid entries are scaling factors or ``learnable``.
+      * ``lambda_sweep``: grid entries are scaling factors.
       * ``data_scale_sweep``: grid entries are real-data fractions; each one
         runs a real-only arm and a with-synthetic arm on the same subsample.
       * ``module_ablation``: grid entries name module combinations out of
@@ -162,6 +162,7 @@ class AblationSpec:
             raise ValidationError("ablation needs a description repository")
         if len(self.test_counts) != 2 or min(self.test_counts) < 1:
             raise ValidationError(f"test_counts must be two positive ints, got {self.test_counts}")
+        FilterPolicy("centroid_distance", self.filter_percentile)  # rejects a bad percentile
         if not self.grid:
             defaults = {
                 "lambda_sweep": LAMBDA_GRID_DEFAULT,
@@ -197,7 +198,7 @@ def _expand_settings(spec: AblationSpec) -> list:
 
     if spec.kind == "lambda_sweep":
         for value in spec.grid:
-            if value != "learnable" and as_number(value) < 0:
+            if as_number(value) < 0:
                 raise ValidationError(f"scaling factor {value!r} must be >= 0")
         return [f"lambda={v}" for v in spec.grid]
     if spec.kind == "data_scale_sweep":
@@ -219,11 +220,7 @@ def _materialize_run(spec: AblationSpec, pool, setting: str, seed: int):
     config = replace(spec.train, seed=derived_int_seed(spec.train.seed, "ablate-train", seed))
 
     if spec.kind == "lambda_sweep":
-        value = setting.split("=", 1)[1]
-        if value == "learnable":
-            config = replace(config, lam_learnable=True)
-        else:
-            config = replace(config, lam=float(value))
+        config = replace(config, lam=float(setting.split("=", 1)[1]))
         dataset = mix_datasets(pool.real_anomalous, pool.real_normal,
                                pool.synth_anomalous, pool.synth_normal)
         return dataset, config
@@ -251,7 +248,7 @@ def _materialize_run(spec: AblationSpec, pool, setting: str, seed: int):
             FilterPolicy("centroid_distance", spec.filter_percentile),
         )
     if "ssls" not in flags:
-        config = replace(config, ssls_enabled=False, lam_learnable=False)
+        config = replace(config, ssls_enabled=False)
     dataset = mix_datasets(pool.real_anomalous, pool.real_normal, synth_a, synth_n)
     return dataset, config
 

@@ -67,13 +67,6 @@ def parse_float(value: str, key: str) -> float:
         raise ValidationError(f"key {key!r}: expected a number, got {value!r}") from None
 
 
-def parse_float_list(value: str, key: str) -> list:
-    try:
-        return [float(part) for part in value.split(",") if part.strip() != ""]
-    except ValueError:
-        raise ValidationError(f"key {key!r}: expected comma-separated numbers, got {value!r}") from None
-
-
 def parse_int_list(value: str, key: str) -> list:
     try:
         return [int(part) for part in value.split(",") if part.strip() != ""]

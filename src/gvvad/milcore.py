@@ -256,7 +256,7 @@ def ssls_scale(raw_losses, source_labels, lam: float) -> LossBreakdown:
 # ---------------------------------------------------------------------------
 
 TRAIN_CONFIG_KEYS = (
-    "lambda", "lambda_learnable", "ssls_enabled", "k_rule",
+    "lambda", "ssls_enabled", "k_rule",
     "lr", "weight_decay", "epochs", "batch_pairs", "clamp_eps", "hidden", "seed",
 )
 
@@ -266,7 +266,6 @@ class TrainConfig:
     """Training knobs; ``lam`` is the synthetic-sample loss scale."""
 
     lam: float = 0.5
-    lam_learnable: bool = False
     ssls_enabled: bool = True
     k_rule: str = "div:16"
     lr: float = 0.001
@@ -298,7 +297,6 @@ class TrainConfig:
 def train_config_to_kv(config: TrainConfig) -> dict:
     return {
         "lambda": repr(config.lam),
-        "lambda_learnable": "1" if config.lam_learnable else "0",
         "ssls_enabled": "1" if config.ssls_enabled else "0",
         "k_rule": config.k_rule,
         "lr": repr(config.lr),
@@ -318,8 +316,6 @@ def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
     kwargs = {}
     if "lambda" in values:
         kwargs["lam"] = parse_float(values["lambda"], "lambda")
-    if "lambda_learnable" in values:
-        kwargs["lam_learnable"] = parse_bool(values["lambda_learnable"], "lambda_learnable")
     if "ssls_enabled" in values:
         kwargs["ssls_enabled"] = parse_bool(values["ssls_enabled"], "ssls_enabled")
     if "k_rule" in values:
@@ -346,7 +342,7 @@ def load_train_config(path) -> TrainConfig:
 # batch objective
 # ---------------------------------------------------------------------------
 
-def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig, rho: float | None = None):
+def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig):
     """Scaled loss and exact gradients over a batch of (anomalous, normal) bag pairs.
 
     A pair counts as synthetic when either member is synthetic. Each bag
@@ -355,20 +351,12 @@ def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig, rho: 
     gradient, and the result is ``real + lambda * synthetic``; with scaling
     disabled lambda is 1.0, so that path is the lambda = 1 path. Returns
     (LossBreakdown, grads) where grads maps each scorer block to a view of
-    that one flat gradient (laid out as :func:`params_to_vector`) and, when
-    the scaling factor is learnable, holds a ``"rho"`` entry for the logit of
-    lambda.
+    that one flat gradient (laid out as :func:`params_to_vector`).
     """
     batch = list(batch)
     if not batch:
         raise ValidationError("batch must contain at least one pair")
-    if config.lam_learnable:
-        if rho is None:
-            raise ValidationError("rho is required when the scaling factor is learnable")
-        lam = stable_sigmoid(float(rho))
-    else:
-        lam = config.lam
-    lam_eff = lam if config.ssls_enabled else 1.0
+    lam_eff = config.lam if config.ssls_enabled else 1.0
 
     raw = np.zeros(len(batch))
     ys = np.zeros(len(batch), dtype=np.int64)
@@ -393,12 +381,7 @@ def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig, rho: 
 
     breakdown = ssls_scale(raw, ys, lam_eff)
     real, synthetic = (_selected_backward(params, rows) for rows in selected)
-    grads = _param_views(real + lam_eff * synthetic, params.dim, params.hidden)
-    if config.lam_learnable:
-        # d(total)/d(lambda) is the sum of the losses that get scaled.
-        rho_coeff = _left_fold_sum(raw[ys == 1]) if config.ssls_enabled else 0.0
-        grads["rho"] = np.asarray(rho_coeff * lam * (1.0 - lam))
-    return breakdown, grads
+    return breakdown, _param_views(real + lam_eff * synthetic, params.dim, params.hidden)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +477,6 @@ class TrainResult:
     params: ScorerParams
     history: list
     lambda_value: float
-    rho: float | None
 
 
 HISTORY_HEADER = "epoch,L_total,L_MIL_mean,val_auc,lambda_effective"
@@ -563,8 +545,7 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
     theta = params_to_vector(ScorerParams.init(dim, config.hidden, rng_from(config.seed, "scorer-init")))
     params = vector_to_params(theta, dim, config.hidden)  # views: updating theta updates params
     state = AdamState(lr=config.lr, weight_decay=config.weight_decay)
-    rho = 0.0 if config.lam_learnable else None  # sigmoid(0) = 0.5
-    rho_state = AdamState(lr=config.lr, weight_decay=0.0) if config.lam_learnable else None
+    lam_eff = config.lam if config.ssls_enabled else 1.0
     loop_rng = rng_from(config.seed, "pair-sampling")
 
     history = []
@@ -573,23 +554,16 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
         total_sum = 0.0
         mil_sum = 0.0
         n_pairs = 0
-        lam_eff = 1.0
         for start in range(0, len(pairs), config.batch_pairs):
             batch = pairs[start:start + config.batch_pairs]
-            breakdown, grads = total_loss_and_grads(params, batch, config, rho)
+            breakdown, grads = total_loss_and_grads(params, batch, config)
             flat_grad = grads["w1"].base  # every scorer block is a view of one flat gradient
-            theta[...] = adam_step({"theta": theta}, {"theta": flat_grad}, state)["theta"]
+            theta[...] = adam_step(theta, flat_grad, state)
             if not np.isfinite(theta).all():
                 params.check_finite()  # names the block
-            if config.lam_learnable:
-                updated = adam_step({"rho": np.asarray(rho)}, {"rho": grads["rho"]}, rho_state)
-                rho = float(updated["rho"])
             total_sum += breakdown.total
             mil_sum += _left_fold_sum(breakdown.raw)
             n_pairs += len(batch)
-            lam_eff = breakdown.lambda_effective
-        if config.lam_learnable:
-            lam_eff = stable_sigmoid(rho)
         val_auc = None
         if val_samples is not None:
             from .evaluation import evaluate  # local import: evaluation imports this module
@@ -603,13 +577,7 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
             lambda_effective=lam_eff,
         ))
 
-    if not config.ssls_enabled:
-        lambda_value = 1.0
-    elif config.lam_learnable:
-        lambda_value = stable_sigmoid(rho)
-    else:
-        lambda_value = config.lam
-    return TrainResult(params=params, history=history, lambda_value=lambda_value, rho=rho)
+    return TrainResult(params=params, history=history, lambda_value=lam_eff)
 
 
 # ---------------------------------------------------------------------------
@@ -723,16 +691,16 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
                    threshold: float = 1e-4, corrupt: bool = False) -> GradCheckReport:
     """Compare analytic batch gradients against central finite differences.
 
-    Exercises the top-k selection, real, synthetic and mixed-source pairs,
-    and the learnable scaling factor. Relative error per coordinate uses a
+    Exercises the top-k selection and real, synthetic and mixed-source pairs
+    under a scaling factor other than 1. Relative error per coordinate uses a
     safeguarded denominator max(|analytic|, |numeric|, 1e-5) so coordinates
     whose true gradient is dominated by finite-difference noise do not blow
     up the ratio. ``corrupt`` perturbs one analytic gradient block and is a
     negative-control hook for tests.
     """
     dim, hidden = 7, 5
-    config = TrainConfig(lam=0.7, lam_learnable=True, k_rule="frac:0.3", hidden=hidden)
-    block_errors = {key: 0.0 for key in (*_PARAM_KEYS, "rho")}
+    config = TrainConfig(lam=0.7, k_rule="frac:0.3", hidden=hidden)
+    block_errors = dict.fromkeys(_PARAM_KEYS, 0.0)
     for b in range(num_batches):
         rng = rng_from(seed, "gradcheck", b)
         params = ScorerParams.init(dim, hidden, rng)
@@ -741,25 +709,21 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
             _random_pair(rng, dim, 1, 1, f"{b}-synth"),
             _random_pair(rng, dim, 1, 0, f"{b}-mixed"),
         ]
-        rho = float(rng.normal(0.0, 0.5))
-        _, grads = total_loss_and_grads(params, batch, config, rho)
+        _, grads = total_loss_and_grads(params, batch, config)
         if corrupt:
             grads = dict(grads)
             grads["w1"] = grads["w1"] + 1e-3
 
-        analytic = np.concatenate([grads[k].ravel() for k in (*_PARAM_KEYS, "rho")])
-        theta = np.concatenate([params_to_vector(params), [rho]])
+        analytic = np.concatenate([grads[k].ravel() for k in _PARAM_KEYS])
 
         def objective(vec):
-            p = vector_to_params(vec[:-1], dim, hidden)
-            breakdown, _ = total_loss_and_grads(p, batch, config, float(vec[-1]))
+            breakdown, _ = total_loss_and_grads(vector_to_params(vec, dim, hidden), batch, config)
             return breakdown.total
 
-        numeric = finite_diff_grad(objective, theta, h)
+        numeric = finite_diff_grad(objective, params_to_vector(params), h)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
         rel = np.abs(analytic - numeric) / denom
-        rho_at = theta.size - 1
-        for name, _, start, stop in (*_param_layout(dim, hidden), ("rho", (), rho_at, rho_at + 1)):
+        for name, _, start, stop in _param_layout(dim, hidden):
             block_errors[name] = max(block_errors[name], float(rel[start:stop].max()))
     max_err = max(block_errors.values())
     return GradCheckReport(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -91,10 +91,10 @@ def bce(y: int, y_hat: float, clamp_eps: float = 1e-7, return_grad: bool = False
 
 @dataclass
 class AdamState:
-    """Adam state with decoupled weight decay over a dict of parameter arrays.
+    """Adam state with decoupled weight decay over one parameter array.
 
-    Moment buffers are created lazily on the first step and afterwards must
-    keep matching the parameter shapes.
+    The moment buffers are created on the first step and afterwards must keep
+    matching the parameter shape.
     """
 
     lr: float = 0.001
@@ -103,44 +103,34 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    first_moment: dict = field(default_factory=dict)
-    second_moment: dict = field(default_factory=dict)
+    first_moment: np.ndarray | None = None
+    second_moment: np.ndarray | None = None
 
 
-def adam_step(params: dict, grads: dict, state: AdamState) -> dict:
-    """One Adam update; returns the new params and advances ``state`` in place.
+def adam_step(param, grad, state: AdamState) -> np.ndarray:
+    """One Adam update; returns the new param and advances ``state`` in place.
 
-    Weight decay is decoupled: each parameter first shrinks by lr * wd, then
+    Weight decay is decoupled: the parameter first shrinks by lr * wd, then
     the moment update is applied, so decay never enters the moment estimates.
     Bias correction uses the post-increment step count.
     """
-    if set(params) != set(grads):
-        raise ShapeError(f"param keys {sorted(params)} != grad keys {sorted(grads)}")
-    for key, p in params.items():
-        if key not in state.first_moment:
-            if state.step == 0:
-                state.first_moment[key] = np.zeros_like(np.asarray(p, dtype=np.float64))
-                state.second_moment[key] = np.zeros_like(np.asarray(p, dtype=np.float64))
-            else:
-                raise ShapeError(f"no moment state for parameter {key!r}")
+    p = np.asarray(param, dtype=np.float64)
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape != p.shape:
+        raise ShapeError(f"grad has shape {g.shape}, param has {p.shape}")
+    if state.first_moment is None:
+        state.first_moment = np.zeros_like(p)
+        state.second_moment = np.zeros_like(p)
+    m, v = state.first_moment, state.second_moment
+    if m.shape != p.shape:
+        raise ShapeError(f"moment has shape {m.shape}, param has {p.shape}")
     state.step += 1
     c1 = 1.0 - state.beta1 ** state.step
     c2 = 1.0 - state.beta2 ** state.step
-    out = {}
-    for key, p in params.items():
-        p = np.asarray(p, dtype=np.float64)
-        g = np.asarray(grads[key], dtype=np.float64)
-        if g.shape != p.shape:
-            raise ShapeError(f"grad {key!r} has shape {g.shape}, param has {p.shape}")
-        m = state.first_moment[key]
-        v = state.second_moment[key]
-        if m.shape != p.shape:
-            raise ShapeError(f"moment {key!r} has shape {m.shape}, param has {p.shape}")
-        p = p - state.lr * state.weight_decay * p
-        m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-        v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-        out[key] = p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
-    return out
+    p = p - state.lr * state.weight_decay * p
+    m[...] = state.beta1 * m + (1.0 - state.beta1) * g
+    v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
+    return p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float) -> np.ndarray:

@@ -191,6 +191,37 @@ class TestTrainEvalFlow:
                      "--set", "k_rule=fixed:x", "--out", str(model_dir)]) == 2
         assert not (model_dir / "params.gvpm").exists()
 
+    def test_learnable_lambda_exits_2(self, pipeline):
+        tmp_path, prompts, world_cfg = pipeline
+        data_dir = tmp_path / "data"
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "2,2,0,0", "--seed", "1", "--out", str(data_dir)]) == 0
+        config = tmp_path / "train.cfg"
+        config.write_text("lambda_learnable=1\n")
+        for extra in (["--set", "lambda_learnable=1"], ["--config", str(config)]):
+            model_dir = tmp_path / "model"
+            assert main(["train", "--manifest", str(data_dir / "manifest.tsv"),
+                         *extra, "--out", str(model_dir)]) == 2
+            assert not (model_dir / "params.gvpm").exists()
+
+    def test_eval_curve_id_cannot_leave_out(self, pipeline):
+        # A manifest id naming a path outside --out is refused before
+        # anything is written.
+        tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
+        manifest = test_dir / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        victim = lines[1].split("\t")
+        victim[0] = "../../evil"
+        lines[1] = "\t".join(victim)
+        manifest.write_text("\n".join(lines) + "\n")
+        eval_dir = tmp_path / "ev" / "out"
+        before = tree_bytes(tmp_path)
+        assert main(["eval", "--params", str(model_dir / "params.gvpm"),
+                     "--manifest", str(manifest), "--curve", "../../evil",
+                     "--out", str(eval_dir)]) == 2
+        assert tree_bytes(tmp_path) == before
+        assert not (tmp_path / "ev").exists()
+
     def test_eval_rejects_corrupt_params_with_exit_2(self, pipeline):
         tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
         params_path = model_dir / "params.gvpm"
@@ -268,6 +299,21 @@ class TestAblate:
         assert len(summary) == 3
         assert (out / "spec.cfg").read_text() == spec.read_text()
 
+    @pytest.mark.parametrize("kind, bad", [
+        ("lambda_sweep", "grid=0.5,learnable"),
+        ("lambda_sweep", "filter_percentile=-3"),
+        ("module_ablation", "filter_percentile=0"),
+        ("data_scale_sweep", "filter_percentile=101"),
+    ])
+    def test_bad_spec_value_exits_2_before_writing(self, tmp_path, pipeline, kind, bad):
+        _, prompts, _ = pipeline
+        spec = tmp_path / "bad-spec.cfg"
+        spec.write_text(f"kind={kind}\nseeds=0\ncounts=2,2,2,2\ntest_counts=2,2\n"
+                        f"prompts={prompts}\n{bad}\nworld.dim=6\ntrain.epochs=1\n")
+        out = tmp_path / "o"
+        assert main(["ablate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert not (out / "ablation.csv").exists()
+
     def test_unknown_spec_key_exits_2(self, tmp_path, pipeline):
         _, prompts, _ = pipeline
         spec = tmp_path / "bad-spec.cfg"
@@ -280,7 +326,7 @@ class TestGradcheck:
         out = tmp_path / "gc"
         assert main(["gradcheck", "--seed", "0", "--out", str(out)]) == 0
         report = (out / "report.txt").read_text()
-        for block in ("w1", "b1", "w2", "b2", "rho"):
+        for block in ("w1", "b1", "w2", "b2"):
             assert block in report
         assert "PASS" in report
 

@@ -164,6 +164,17 @@ class TestManifest:
         with pytest.raises(DataFormatError, match=r"m\.tsv:2"):
             load_manifest(path, check_files=False)
 
+    def test_unsafe_id_rejected_with_line(self, tmp_path):
+        # Ids name the files written for a video (score curves, features), so
+        # a manifest may only hold ids that write_dataset would accept.
+        for bad in ("../x", "a/b", "a b"):
+            path = tmp_path / "m.tsv"
+            path.write_text(self.header() + f"\nok\tf.gvft\t0\t0\t-\n{bad}\tg.gvft\t1\t0\t-\n")
+            with pytest.raises(DataFormatError, match=r"m\.tsv:3.*not filesystem-safe"):
+                load_manifest(path, check_files=False)
+            with pytest.raises(ValidationError, match="not filesystem-safe"):
+                write_dataset(tmp_path / "out", [make_sample(bad, 0)], feature_dim=4, clip_len=2)
+
     def test_missing_referenced_file_rejected(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(self.header() + "\nvid\tmissing.gvft\t0\t0\t-\n")

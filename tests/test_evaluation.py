@@ -191,7 +191,7 @@ class TestRunAblation:
         assert 0.0 <= rows[0].auc <= 1.0
 
     def test_default_lambda_grid_mirrors_standard_sweep(self):
-        assert LAMBDA_GRID_DEFAULT == ("0.1", "0.25", "0.5", "1.0", "2.0", "learnable")
+        assert LAMBDA_GRID_DEFAULT == ("0.1", "0.25", "0.5", "1.0", "2.0")
         spec = tiny_spec("lambda_sweep")
         assert spec.grid == LAMBDA_GRID_DEFAULT
 
@@ -208,7 +208,7 @@ class TestRunAblation:
         assert [r.setting for r in rows] == list(MODULE_GRID_DEFAULT)
 
     def test_deterministic(self):
-        spec = tiny_spec("lambda_sweep", grid=("0.5", "learnable"), seeds=(0, 1))
+        spec = tiny_spec("lambda_sweep", grid=("0.5", "2.0"), seeds=(0, 1))
         a = run_ablation(spec)
         b = run_ablation(spec)
         assert a == b
@@ -238,6 +238,17 @@ class TestRunAblation:
     def test_bad_module_name_rejected(self):
         with pytest.raises(ValidationError, match="unknown module"):
             run_ablation(tiny_spec("module_ablation", grid=("vg+nope",)))
+
+    def test_learnable_grid_entry_rejected(self):
+        with pytest.raises(ValidationError, match="'learnable' is not a number"):
+            run_ablation(tiny_spec("lambda_sweep", grid=("0.5", "learnable")))
+
+    def test_filter_percentile_validated_when_spec_is_built(self):
+        # Every kind rejects a percentile outside (0, 100] before any training.
+        for kind in ("lambda_sweep", "data_scale_sweep", "module_ablation"):
+            for bad in (0.0, 101.0, -3.0):
+                with pytest.raises(ValidationError, match="percentile"):
+                    tiny_spec(kind, filter_percentile=bad)
 
 
 class TestScoreCurve:

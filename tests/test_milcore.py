@@ -268,22 +268,6 @@ class TestTotalLossAndGrads:
         with pytest.raises(ValidationError):
             total_loss_and_grads(params, [(sample("x", 0), sample("y", 0))], TrainConfig())
 
-    def test_learnable_lambda_uses_sigmoid_of_rho(self):
-        params = ScorerParams.init(5, 4, rng_from("tl9"))
-        batch = pair_batch(2, synth_mask=[True, True])
-        cfg = TrainConfig(lam_learnable=True)
-        bd, grads = total_loss_and_grads(params, batch, cfg, rho=0.0)
-        assert bd.lambda_effective == 0.5
-        assert "rho" in grads
-        expected = 0.25 * float(np.sum(bd.raw))  # sigma'(0) = 0.25
-        assert float(grads["rho"]) == pytest.approx(expected, abs=1e-12)
-
-    def test_learnable_lambda_all_real_has_zero_rho_grad(self):
-        params = ScorerParams.init(5, 4, rng_from("tl10"))
-        batch = pair_batch(3)
-        _, grads = total_loss_and_grads(params, batch, TrainConfig(lam_learnable=True), rho=0.3)
-        assert float(grads["rho"]) == 0.0
-
     def test_scorer_gradients_are_views_of_one_flat_vector(self):
         # train() hands this flat vector to Adam; it must hold every block in
         # the layout of params_to_vector.
@@ -295,12 +279,6 @@ class TestTotalLossAndGrads:
         for key in ("w1", "b1", "w2", "b2"):
             assert np.shares_memory(grads[key], flat)
             assert np.array_equal(getattr(unpacked, key), grads[key])
-
-    def test_learnable_lambda_requires_rho(self):
-        params = ScorerParams.init(5, 4, rng_from("tl11"))
-        with pytest.raises(ValidationError):
-            total_loss_and_grads(params, pair_batch(1), TrainConfig(lam_learnable=True))
-
 
 class TestGradientCheck:
     def test_passes_against_finite_differences(self):
@@ -314,9 +292,9 @@ class TestGradientCheck:
 
     def test_report_lists_every_block(self):
         report = gradient_check(seed=1, num_batches=2)
-        assert set(report.block_errors) == {"w1", "b1", "w2", "b2", "rho"}
+        assert set(report.block_errors) == {"w1", "b1", "w2", "b2"}
         text = report.format()
-        for name in ("w1", "b1", "w2", "b2", "rho"):
+        for name in ("w1", "b1", "w2", "b2"):
             assert name in text
         assert "PASS" in text
 
@@ -456,20 +434,6 @@ class TestTrain:
         assert np.array_equal(one.w1, off.w1) and np.array_equal(one.b1, off.b1)
         assert np.array_equal(one.w2, off.w2) and np.array_equal(one.b2, off.b2)
 
-    def test_learnable_lambda_stays_in_unit_interval_and_moves(self):
-        dim = 16
-        a_off = np.zeros(dim)
-        a_off[0] = 1.0
-        world = WorldConfig(dim=dim, clips_min=6, clips_max=10, clip_len=2,
-                            anomaly_frac_min=0.3, anomaly_frac_max=0.6, anomaly_offset=a_off,
-                            domain_offset=np.full(dim, 0.5))
-        sets = generate_dataset(world, PAIRS, GenerationCounts(8, 8, 8, 8), base_seed=10)
-        dataset = mix_datasets(sets.real_anomalous, sets.real_normal,
-                               sets.synth_anomalous, sets.synth_normal)
-        result = train(dataset, TrainConfig(lam_learnable=True, epochs=6, seed=2, batch_pairs=2))
-        assert 0.0 < result.lambda_value < 1.0
-        assert result.rho is not None and result.rho != 0.0
-
     def test_zero_signal_world_stays_near_chance(self):
         from gvvad.evaluation import evaluate
 
@@ -550,7 +514,7 @@ class TestParamsFile:
 
 class TestTrainConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = TrainConfig(lam=0.25, lam_learnable=True, k_rule="frac:0.2",
+        cfg = TrainConfig(lam=0.25, k_rule="frac:0.2",
                           epochs=7, batch_pairs=3, hidden=12, seed=99)
         path = tmp_path / "train.cfg"
         save_train_config(cfg, path)
@@ -561,6 +525,15 @@ class TestTrainConfigFile:
         path.write_text("epochs=3\nmystery=1\n")
         with pytest.raises(ValidationError, match="mystery"):
             load_train_config(path)
+
+    def test_learnable_lambda_key_rejected(self, tmp_path):
+        # The scaling factor is fixed; a config that asks to learn it is refused.
+        path = tmp_path / "train.cfg"
+        path.write_text("lambda=0.5\nlambda_learnable=1\n")
+        with pytest.raises(ValidationError, match="lambda_learnable"):
+            load_train_config(path)
+        with pytest.raises(TypeError):
+            TrainConfig(lam_learnable=True)
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -93,18 +93,18 @@ class TestBce:
 
 class TestAdam:
     def test_zero_grad_is_fixed_point_without_decay(self):
-        params = {"w": np.array([1.0, -2.0, 3.0])}
+        param = np.array([1.0, -2.0, 3.0])
         state = AdamState(weight_decay=0.0)
-        out = adam_step(params, {"w": np.zeros(3)}, state)
-        np.testing.assert_array_equal(out["w"], params["w"])
+        out = adam_step(param, np.zeros(3), state)
+        np.testing.assert_array_equal(out, param)
         assert state.step == 1
 
     def test_first_step_magnitude_is_lr(self):
         # Bias-corrected Adam's first step is exactly -lr * sign(g) up to eps.
         for g in (0.3, -2.0, 17.5):
             state = AdamState(lr=0.001, weight_decay=0.0)
-            out = adam_step({"w": np.array([5.0])}, {"w": np.array([g])}, state)
-            step = out["w"][0] - 5.0
+            out = adam_step(np.array([5.0]), np.array([g]), state)
+            step = out[0] - 5.0
             assert step == pytest.approx(-0.001 * np.sign(g), abs=1e-9)
 
     def test_converges_on_quadratic(self):
@@ -112,7 +112,7 @@ class TestAdam:
         state = AdamState(lr=0.001, weight_decay=0.0)
         trail = [abs(theta[0])]
         for _ in range(100):
-            theta = adam_step({"t": theta}, {"t": 2.0 * theta}, state)["t"]
+            theta = adam_step(theta, 2.0 * theta, state)
             trail.append(abs(theta[0]))
         assert all(b < a for a, b in zip(trail[1:], trail[2:]))
 
@@ -122,47 +122,53 @@ class TestAdam:
         grads = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=4)}
 
         def run():
-            state = AdamState()
-            p = {k: v.copy() for k, v in params.items()}
-            for _ in range(5):
-                p = adam_step(p, grads, state)
-            return p
+            out = {}
+            for k, p in params.items():
+                state = AdamState()
+                p = p.copy()
+                for _ in range(5):
+                    p = adam_step(p, grads[k], state)
+                out[k] = p
+            return out
 
         a, b = run(), run()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_concatenated_key_matches_per_key_bitwise(self):
-        # Adam is elementwise: stepping one flat key must equal stepping each
-        # block as its own key, bit for bit, weight decay included.
+        # Adam is elementwise: stepping one state over the concatenated array
+        # must equal stepping one state per slice, bit for bit, weight decay
+        # included.
         rng = rng_from(10, "adam-flat")
         shapes = {"w1": (4, 3), "b1": (4,), "w2": (4,), "b2": ()}
-        params = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-        per_key_state = AdamState(lr=0.01, weight_decay=0.05)
+        p = {k: rng.normal(size=shape) for k, shape in shapes.items()}
+        per_key_state = {k: AdamState(lr=0.01, weight_decay=0.05) for k in shapes}
         flat_state = AdamState(lr=0.01, weight_decay=0.05)
-        p = params
-        theta = np.concatenate([params[k].ravel() for k in shapes])
+        theta = np.concatenate([p[k].ravel() for k in shapes])
         for _ in range(6):
             grads = {k: rng.normal(size=shape) for k, shape in shapes.items()}
-            p = adam_step(p, grads, per_key_state)
+            p = {k: adam_step(p[k], grads[k], per_key_state[k]) for k in shapes}
             flat_grad = np.concatenate([grads[k].ravel() for k in shapes])
-            theta = adam_step({"theta": theta}, {"theta": flat_grad}, flat_state)["theta"]
-        assert flat_state.step == per_key_state.step == 6
+            theta = adam_step(theta, flat_grad, flat_state)
+        assert flat_state.step == 6
+        assert all(state.step == 6 for state in per_key_state.values())
         expected = np.concatenate([p[k].ravel() for k in shapes])
         assert np.array_equal(theta.view(np.int64), expected.view(np.int64))
 
     def test_moments_track_param_shapes(self):
         state = AdamState()
-        adam_step({"w": np.zeros((2, 2))}, {"w": np.ones((2, 2))}, state)
-        assert state.first_moment["w"].shape == (2, 2)
-        assert state.second_moment["w"].shape == (2, 2)
+        adam_step(np.zeros((2, 2)), np.ones((2, 2)), state)
+        assert state.first_moment.shape == (2, 2)
+        assert state.second_moment.shape == (2, 2)
         with pytest.raises(ShapeError):
-            adam_step({"w": np.zeros(3)}, {"w": np.zeros(3)}, state)
+            adam_step(np.zeros(3), np.zeros(3), state)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, AdamState())
+            adam_step(np.zeros(3), np.zeros(4), AdamState())
+        state = AdamState()
         with pytest.raises(ShapeError):
-            adam_step({"w": np.zeros(3)}, {"v": np.zeros(3)}, AdamState())
+            adam_step(np.zeros(3), np.zeros((1, 3)), state)  # broadcastable is not enough
+        assert state.step == 0
 
 
 class TestFiniteDiff:
