@@ -24,7 +24,7 @@ from .milcore import (
     score_segments,
     train,
 )
-from .numerics import derived_int_seed
+from .numerics import derived_int_seed, is_binary
 from .worldsim import GenerationCounts, WorldConfig, generate_dataset
 
 LAMBDA_GRID_DEFAULT = ("0.1", "0.25", "0.5", "1.0", "2.0")
@@ -59,7 +59,7 @@ def roc_auc(scores, labels) -> float:
         raise ValidationError("cannot compute AUC of empty inputs")
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores contain non-finite values")
-    if not np.isin(y, (0, 1)).all():
+    if not is_binary(y):
         raise ValidationError("labels must be 0 or 1")
     p = int(y.sum())
     n = int(y.size - p)
@@ -198,8 +198,7 @@ def _expand_settings(spec: AblationSpec) -> list:
 
     if spec.kind == "lambda_sweep":
         for value in spec.grid:
-            if as_number(value) < 0:
-                raise ValidationError(f"scaling factor {value!r} must be >= 0")
+            replace(spec.train, lam=as_number(value))  # TrainConfig's rule: finite and >= 0
         return [f"lambda={v}" for v in spec.grid]
     if spec.kind == "data_scale_sweep":
         settings = []

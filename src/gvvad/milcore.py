@@ -29,7 +29,7 @@ import numpy as np
 from .datamodel import fnv1a64
 from .errors import DataFormatError, ShapeError, ValidationError
 from .kvformat import load_kv, parse_bool, parse_float, parse_int, save_kv
-from .numerics import AdamState, adam_step, bce, finite_diff_grad, rng_from, stable_sigmoid
+from .numerics import AdamState, adam_step, bce, finite_diff_grad, is_binary, rng_from, stable_sigmoid
 
 PARAMS_MAGIC = b"GVPM"
 PARAMS_VERSION = 1
@@ -237,7 +237,7 @@ def ssls_scale(raw_losses, source_labels, lam: float) -> LossBreakdown:
     ys = np.asarray(source_labels)
     if raw.ndim != 1 or raw.shape != ys.shape:
         raise ShapeError(f"losses {raw.shape} and source labels {ys.shape} must be equal-length vectors")
-    if not ((ys == 0) | (ys == 1)).all():
+    if not is_binary(ys):
         raise ValidationError("source labels must be 0 or 1")
     if lam < 0:
         raise ValidationError(f"scaling factor must be >= 0, got {lam}")
@@ -595,11 +595,11 @@ def save_params(path, params: ScorerParams) -> None:
         meta += struct.pack("<I", len(encoded)) + encoded
         meta += struct.pack("<I", arr.ndim)
         meta += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-        payload += arr.tobytes()
+        payload += arr.data
     with open(path, "wb") as fh:
-        fh.write(bytes(meta))
-        fh.write(bytes(payload))
-        fh.write(struct.pack("<Q", fnv1a64(bytes(payload))))
+        fh.write(meta)
+        fh.write(payload)
+        fh.write(struct.pack("<Q", fnv1a64(payload)))
 
 
 def load_params(path) -> ScorerParams:
@@ -633,7 +633,7 @@ def load_params(path) -> ScorerParams:
     expected = offset + total * 8 + 8
     if len(raw) != expected:
         raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    payload = raw[offset:-8]
+    payload = memoryview(raw)[offset:-8]
     (stored,) = struct.unpack_from("<Q", raw, len(raw) - 8)
     if fnv1a64(payload) != stored:
         raise DataFormatError(f"{path}: checksum mismatch")

@@ -53,6 +53,11 @@ def derived_int_seed(*tokens: int | str) -> int:
     return int(seed_sequence(*tokens).generate_state(1, np.uint64)[0] >> 1)
 
 
+def is_binary(arr: np.ndarray) -> bool:
+    """True when every element of ``arr`` equals 0 or 1 (strings never do)."""
+    return bool(((arr == 0) | (arr == 1)).all())
+
+
 def stable_sigmoid(x):
     """Numerically stable logistic, clamped strictly inside (0, 1).
 

@@ -301,6 +301,9 @@ class TestAblate:
 
     @pytest.mark.parametrize("kind, bad", [
         ("lambda_sweep", "grid=0.5,learnable"),
+        ("lambda_sweep", "grid=0.5,inf"),
+        ("lambda_sweep", "grid=0.5,nan"),
+        ("lambda_sweep", "grid=0.5,-inf"),
         ("lambda_sweep", "filter_percentile=-3"),
         ("module_ablation", "filter_percentile=0"),
         ("data_scale_sweep", "filter_percentile=101"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gvvad import datamodel
 from gvvad.datamodel import (
     DatasetManifest,
     ManifestEntry,
@@ -19,6 +20,7 @@ from gvvad.datamodel import (
     write_frame_labels,
 )
 from gvvad.errors import DataFormatError, ValidationError
+from gvvad.milcore import ScorerParams, load_params, save_params
 from gvvad.numerics import rng_from
 
 
@@ -33,12 +35,101 @@ def make_sample(sample_id, y, y_s=0, t=3, dim=4, seed=0, labels=False, clip_len=
     return VideoSample(sample_id, feats, y, y_s, frame_labels)
 
 
+def fnv1a64_oracle(data) -> int:
+    """The FNV-1a definition, one byte at a time."""
+    h = 0xCBF29CE484222325
+    for b in bytes(data):
+        h = ((h ^ b) * 0x100000001B3) % 2**64
+    return h
+
+
+def pattern(shape, dtype, scale=64.0):
+    """Values from integer arithmetic only, exact in float32 and float64."""
+    n = int(np.prod(shape, dtype=np.int64))
+    ints = (np.arange(n, dtype=np.int64) * 40503) % 65521 - 32760
+    return (ints / scale).astype(dtype).reshape(shape)
+
+
+def wide_params():
+    """A 2048-dim scorer whose GVPM payload spans three checksum chunks."""
+    return ScorerParams(w1=pattern((8, 2048), np.float64, 1024.0), b1=pattern((8,), np.float64),
+                        w2=pattern((8,), np.float64, 4096.0), b2=0.25)
+
+
+SWITCH = datamodel._VECTORIZED_MIN_BYTES
+BLOCK = datamodel._BLOCK_BYTES
+CHUNK = datamodel._CHUNK_BYTES
+HASH_PATHS = (fnv1a64, datamodel._fnv1a64_loop, datamodel._fnv1a64_vectorized)
+
+
 class TestFnv1a:
     def test_known_vectors(self):
         # Reference values for the 64-bit FNV-1a test vectors.
         assert fnv1a64(b"") == 0xCBF29CE484222325
         assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
+
+    @pytest.mark.parametrize("kind", ["random", "zeros", "ones"])
+    @pytest.mark.parametrize("n", sorted({0, 1, SWITCH - 1, SWITCH, SWITCH + 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                          CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17}))
+    def test_every_path_equals_the_byte_loop(self, n, kind):
+        if kind == "random":
+            data = rng_from(n, "fnv").integers(0, 256, n, dtype=np.uint8).tobytes()
+        else:
+            data = (b"\x00" if kind == "zeros" else b"\xff") * n
+        expected = fnv1a64_oracle(data)
+        for path in HASH_PATHS:
+            for buf in (data, bytearray(data), memoryview(data)):
+                assert path(buf) == expected, (path.__name__, type(buf).__name__)
+
+
+class TestChecksumAboveSwitch:
+    """Payloads large enough for the vectorized checksum, across chunk boundaries."""
+
+    @pytest.mark.parametrize("offset", [0, CHUNK - 1, CHUNK, -1], ids=["first", "chunk-end", "chunk-start", "last"])
+    def test_flipped_bit_in_features_rejected(self, tmp_path, offset):
+        path = tmp_path / "f.gvft"
+        write_features(path, pattern((9, 2048), np.float32))  # 73728-byte payload
+        raw = path.read_bytes()
+        start, end = 16, len(raw) - 8
+        self._assert_each_flip_rejected(path, raw, range(start, end)[offset], lambda: read_features(path))
+
+    @pytest.mark.parametrize("offset", [0, CHUNK - 1, CHUNK, -1], ids=["first", "chunk-end", "chunk-start", "last"])
+    def test_flipped_bit_in_params_rejected(self, tmp_path, offset):
+        path = tmp_path / "p.gvpm"
+        params = wide_params()
+        save_params(path, params)
+        raw = path.read_bytes()
+        payload_size = 8 * (params.w1.size + params.b1.size + params.w2.size + 1)
+        assert payload_size > 2 * CHUNK
+        start, end = len(raw) - 8 - payload_size, len(raw) - 8
+        self._assert_each_flip_rejected(path, raw, range(start, end)[offset], lambda: load_params(path))
+
+    @staticmethod
+    def _assert_each_flip_rejected(path, raw, index, read):
+        read()  # the intact file reads
+        for mask in (0x01, 0x80):
+            bad = bytearray(raw)
+            bad[index] ^= mask
+            path.write_bytes(bad)
+            with pytest.raises(DataFormatError, match="checksum"):
+                read()
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        # Sizes and whole-file hashes recorded from files written when the
+        # checksum was a byte loop: the bytes on disk, stored checksums
+        # included, do not depend on how the checksum is computed.
+        write_features(tmp_path / "f.gvft", pattern((9, 2048), np.float32))
+        write_frame_labels(tmp_path / "l.gvlb", (np.arange(9001) * 40503 % 65521 % 2).astype(np.uint8))
+        save_params(tmp_path / "p.gvpm", wide_params())
+        pinned = {"f.gvft": (73728, 73752, 0x674465F7EB3F7FF8),
+                  "l.gvlb": (9001, 9025, 0x19D36F99A6E28346),
+                  "p.gvpm": (131208, 131288, 0x3C52E66FFF53EA76)}
+        for name, (payload_size, size, digest) in pinned.items():
+            raw = (tmp_path / name).read_bytes()
+            assert (len(raw), fnv1a64_oracle(raw)) == (size, digest), name
+            payload = raw[size - 8 - payload_size:size - 8]
+            assert int.from_bytes(raw[-8:], "little") == fnv1a64_oracle(payload), name
 
 
 class TestFeatureFiles:
@@ -109,6 +200,12 @@ class TestLabelFiles:
         with pytest.raises(ValidationError):
             write_frame_labels(tmp_path / "l.gvlb", np.array([0, 2, 1]))
 
+    @pytest.mark.parametrize("labels", [np.array(["0", "1"]), np.array([0, "1"], dtype=object)])
+    def test_rejects_string_and_object_labels(self, tmp_path, labels):
+        with pytest.raises(ValidationError, match="0 or 1"):
+            write_frame_labels(tmp_path / "l.gvlb", labels)
+        assert not (tmp_path / "l.gvlb").exists()
+
 
 class TestVideoSample:
     def test_normal_video_with_anomalous_frames_rejected(self):
@@ -132,6 +229,11 @@ class TestVideoSample:
             VideoSample("s", feats, 2, 0)
         with pytest.raises(ValidationError):
             VideoSample("s", feats, 0, 5)
+
+    @pytest.mark.parametrize("labels", [np.array(["0", "1", "0", "0"]), np.array([0, 1, 0, "0"], dtype=object)])
+    def test_rejects_string_and_object_frame_labels(self, labels):
+        with pytest.raises(ValidationError, match="frame labels must be 0 or 1"):
+            VideoSample("s", np.zeros((2, 2), dtype=np.float32), 1, 0, labels)
 
 
 class TestManifest:

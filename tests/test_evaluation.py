@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from gvvad import evaluation
 from gvvad.datamodel import VideoSample
 from gvvad.errors import ShapeError, ValidationError
 from gvvad.evaluation import (
@@ -106,6 +107,11 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError, match="one label class"):
             roc_auc([0.1, 0.2], [1, 1])
+
+    @pytest.mark.parametrize("labels", [np.array(["1", "0"]), np.array([1, "0"], dtype=object), [1, 2]])
+    def test_non_binary_labels_rejected(self, labels):
+        with pytest.raises(ValidationError, match="labels must be 0 or 1"):
+            roc_auc([0.9, 0.1], labels)
 
 
 def oracle_sample(sample_id, clip_labels, clip_len=4, y_s=0, dim=3):
@@ -242,6 +248,15 @@ class TestRunAblation:
     def test_learnable_grid_entry_rejected(self):
         with pytest.raises(ValidationError, match="'learnable' is not a number"):
             run_ablation(tiny_spec("lambda_sweep", grid=("0.5", "learnable")))
+
+    @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+    def test_non_finite_lambda_rejected_before_training(self, monkeypatch, bad):
+        calls = []
+        real_train = evaluation.train
+        monkeypatch.setattr(evaluation, "train", lambda *args: calls.append(args) or real_train(*args))
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            run_ablation(tiny_spec("lambda_sweep", grid=("0.5", "1.0", bad)))
+        assert calls == []
 
     def test_filter_percentile_validated_when_spec_is_built(self):
         # Every kind rejects a percentile outside (0, 100] before any training.

@@ -9,10 +9,27 @@ from gvvad.numerics import (
     adam_step,
     bce,
     finite_diff_grad,
+    is_binary,
     rng_from,
     seed_sequence,
     stable_sigmoid,
 )
+
+
+class TestIsBinary:
+    @pytest.mark.parametrize("values", [[0, 1, 1], [True, False], [0.0, 1.0], np.zeros((2, 3), dtype=np.uint8)])
+    def test_accepts_zeros_and_ones(self, values):
+        assert is_binary(np.asarray(values))
+
+    @pytest.mark.parametrize("values", [
+        np.array([0, 2, 1]), np.array([-1, 0]), np.array([0.0, 0.5]), np.array([1.0, np.nan]),
+        np.array(["0", "1"]), np.array([b"0", b"1"]), np.array([0, "1"], dtype=object),
+        np.array([None, 1], dtype=object),
+    ])
+    def test_rejects_other_values_strings_and_objects(self, values):
+        # The suite turns FutureWarning into an error, so a comparison that
+        # warns instead of answering would fail here too.
+        assert not is_binary(values)
 
 
 class TestStableSigmoid:
