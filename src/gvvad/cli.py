@@ -28,14 +28,16 @@ from .evaluation import (
     summarize_ablation,
     summary_to_csv,
 )
-from .kvformat import load_kv, parse_bool, parse_float, parse_int, parse_int_list
+from .kvformat import load_kv, parse_bool, parse_float, parse_int, parse_list, parse_str, read_fields
 from .milcore import (
+    TrainConfig,
     gradient_check,
     load_params,
     save_history,
     save_params,
     train,
     train_config_from_kv,
+    train_config_to_kv,
 )
 from .promptgen import build_repository, default_inventory, export_repository, load_inventory, load_repository
 from .worldsim import (
@@ -110,7 +112,7 @@ def _out_dir(args) -> Path:
 
 
 def _counts_from(value: str, key: str, n: int) -> list:
-    parts = parse_int_list(value, key)
+    parts = parse_list(value, key, parse_int)
     if len(parts) != n or any(c < 0 for c in parts):
         raise ValidationError(f"key {key!r}: expected {n} non-negative integers, got {value!r}")
     return parts
@@ -165,13 +167,7 @@ def cmd_world(args) -> int:
 
 
 def _train_defaults() -> dict:
-    return {
-        "manifest": "", "val_manifest": "",
-        "lambda": "0.5", "ssls_enabled": "1",
-        "k_rule": "div:16", "lr": "0.001",
-        "weight_decay": "0.005", "epochs": "20", "batch_pairs": "8",
-        "clamp_eps": "1e-07", "hidden": "32", "seed": "0",
-    }
+    return {"manifest": "", "val_manifest": "", **train_config_to_kv(TrainConfig())}
 
 
 def _split_by_class(samples) -> MixedDataset:
@@ -243,7 +239,7 @@ def cmd_eval(args) -> int:
         curve_dir = out / "curves"
         curve_dir.mkdir(exist_ok=True)
         want_svg = parse_bool(config.get("svg"), "svg")
-        for video_id in (v.strip() for v in curves_value.split(",") if v.strip()):
+        for video_id in parse_list(curves_value, "curves"):
             export_score_curve(
                 result, video_id,
                 curve_dir / f"{video_id}.csv",
@@ -254,41 +250,39 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_ABLATE_TOP_KEYS = ("kind", "grid", "seeds", "counts", "test_counts", "filter_percentile", "prompts")
+# Top-level spec keys; ``prompts`` stays a path until the spec's directory is known.
+_ABLATE_KEYS = {
+    "kind": ("kind", parse_str),
+    "grid": ("grid", lambda value, key: tuple(parse_list(value, key))),
+    "seeds": ("seeds", lambda value, key: tuple(parse_list(value, key, parse_int))),
+    "counts": ("counts", lambda value, key: GenerationCounts(*_counts_from(value, key, 4))),
+    "test_counts": ("test_counts", lambda value, key: tuple(_counts_from(value, key, 2))),
+    "filter_percentile": ("filter_percentile", parse_float),
+    "prompts": ("pairs", parse_str),
+}
 
 
 def ablation_spec_from_file(path) -> AblationSpec:
+    """Spec from a kv file; the keys it leaves out take AblationSpec's defaults."""
     path = Path(path)
-    values = load_kv(path)
     world_kv, train_kv, top = {}, {}, {}
-    for key, value in values.items():
+    for key, value in load_kv(path).items():
         if key.startswith("world."):
             world_kv[key[len("world."):]] = value
         elif key.startswith("train."):
             train_kv[key[len("train."):]] = value
-        elif key in _ABLATE_TOP_KEYS:
-            top[key] = value
         else:
-            raise ValidationError(f"{path}: unknown ablation key {key!r}")
+            top[key] = value
+    kwargs = read_fields(top, _ABLATE_KEYS, str(path), "ablation")
     for required in ("kind", "seeds", "counts", "prompts"):
         if required not in top:
             raise ValidationError(f"{path}: missing required key {required!r}")
-    prompts_path = Path(top["prompts"])
-    if not prompts_path.is_absolute():
-        prompts_path = path.parent / prompts_path
-    counts = _counts_from(top["counts"], "counts", 4)
-    test_counts = _counts_from(top.get("test_counts", "40,40"), "test_counts", 2)
-    grid = tuple(v.strip() for v in top.get("grid", "").split(",") if v.strip())
+    # a relative prompts path is relative to the spec file; an absolute one replaces it
+    kwargs["pairs"] = tuple(load_repository(path.parent / kwargs["pairs"]))
     return AblationSpec(
-        kind=top["kind"],
-        grid=grid,
-        seeds=tuple(parse_int_list(top["seeds"], "seeds")),
+        **kwargs,
         world=world_config_from_kv(world_kv, origin=f"{path} [world.*]"),
         train=train_config_from_kv(train_kv, origin=f"{path} [train.*]"),
-        pairs=tuple(load_repository(prompts_path)),
-        counts=GenerationCounts(*counts),
-        test_counts=tuple(test_counts),
-        filter_percentile=parse_float(top.get("filter_percentile", "95"), "filter_percentile"),
     )
 
 
@@ -315,7 +309,6 @@ def cmd_gradcheck(args) -> int:
     report = gradient_check(
         seed=parse_int(config.get("seed"), "seed"),
         num_batches=parse_int(config.get("batches"), "batches"),
-        corrupt=args.corrupt,
     )
     text = report.format()
     print(text, end="")
@@ -382,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("gradcheck", help="compare analytic gradients against finite differences")
     p.add_argument("--batches", default=None, help="number of seeded batches")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)  # negative-control hook
     _add_common(p, out_required=False)
     p.set_defaults(func=cmd_gradcheck)
 

@@ -306,8 +306,9 @@ def _parse_binary_field(raw: str, name: str, origin: str, lineno: int) -> int:
     return int(raw)
 
 
-def load_manifest(path, check_files: bool = True) -> DatasetManifest:
-    """Parse and validate a manifest; errors name the offending line."""
+def load_manifest(path) -> DatasetManifest:
+    """Parse and validate a manifest and the files it references; errors name
+    the offending line or entry."""
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines:
@@ -335,19 +336,18 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
         y_s = _parse_binary_field(ys_raw, "y_s", str(path), lineno)
         entries.append(ManifestEntry(vid, feature_path, y, y_s, None if label_path == "-" else label_path))
     manifest = DatasetManifest(tuple(entries), dim, clip_len)
-    if check_files:
-        base = path.parent
-        for e in manifest.entries:
-            fpath = base / e.feature_path
-            if not fpath.is_file():
-                raise DataFormatError(f"{path}: entry {e.id!r} references missing file {e.feature_path!r}")
-            _, file_dim = read_feature_header(fpath)
-            if file_dim != dim:
-                raise DataFormatError(
-                    f"{path}: entry {e.id!r} has feature dim {file_dim}, manifest declares {dim}"
-                )
-            if e.frame_label_path is not None and not (base / e.frame_label_path).is_file():
-                raise DataFormatError(f"{path}: entry {e.id!r} references missing file {e.frame_label_path!r}")
+    base = path.parent
+    for e in manifest.entries:
+        fpath = base / e.feature_path
+        if not fpath.is_file():
+            raise DataFormatError(f"{path}: entry {e.id!r} references missing file {e.feature_path!r}")
+        _, file_dim = read_feature_header(fpath)
+        if file_dim != dim:
+            raise DataFormatError(
+                f"{path}: entry {e.id!r} has feature dim {file_dim}, manifest declares {dim}"
+            )
+        if e.frame_label_path is not None and not (base / e.frame_label_path).is_file():
+            raise DataFormatError(f"{path}: entry {e.id!r} references missing file {e.frame_label_path!r}")
     return manifest
 
 

@@ -17,9 +17,9 @@ import numpy as np
 from .datamodel import mix_datasets, subsample_real
 from .errors import ShapeError, ValidationError
 from .milcore import (
-    FilterPolicy,
     ScorerParams,
     TrainConfig,
+    check_percentile,
     filter_synthetic,
     score_segments,
     train,
@@ -162,7 +162,7 @@ class AblationSpec:
             raise ValidationError("ablation needs a description repository")
         if len(self.test_counts) != 2 or min(self.test_counts) < 1:
             raise ValidationError(f"test_counts must be two positive ints, got {self.test_counts}")
-        FilterPolicy("centroid_distance", self.filter_percentile)  # rejects a bad percentile
+        check_percentile(self.filter_percentile)
         if not self.grid:
             defaults = {
                 "lambda_sweep": LAMBDA_GRID_DEFAULT,
@@ -243,8 +243,7 @@ def _materialize_run(spec: AblationSpec, pool, setting: str, seed: int):
         synth_a, synth_n = (), ()
     elif "vf" in flags:
         synth_a, synth_n, _ = filter_synthetic(
-            pool.real_anomalous, pool.real_normal, synth_a, synth_n,
-            FilterPolicy("centroid_distance", spec.filter_percentile),
+            pool.real_anomalous, pool.real_normal, synth_a, synth_n, spec.filter_percentile,
         )
     if "ssls" not in flags:
         config = replace(config, ssls_enabled=False)

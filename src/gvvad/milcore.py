@@ -28,8 +28,10 @@ import numpy as np
 
 from .datamodel import fnv1a64
 from .errors import DataFormatError, ShapeError, ValidationError
-from .kvformat import load_kv, parse_bool, parse_float, parse_int, save_kv
-from .numerics import AdamState, adam_step, bce, finite_diff_grad, is_binary, rng_from, stable_sigmoid
+from .kvformat import parse_bool, parse_float, parse_int, parse_str, read_fields, write_fields
+from .numerics import (
+    DEFAULT_CLAMP_EPS, AdamState, adam_step, bce, finite_diff_grad, is_binary, rng_from, stable_sigmoid,
+)
 
 PARAMS_MAGIC = b"GVPM"
 PARAMS_VERSION = 1
@@ -221,7 +223,6 @@ class LossBreakdown:
     scaled: np.ndarray
     total: float
     source_labels: np.ndarray
-    lambda_effective: float
 
 
 def _left_fold_sum(values) -> float:
@@ -247,7 +248,6 @@ def ssls_scale(raw_losses, source_labels, lam: float) -> LossBreakdown:
         scaled=scaled,
         total=_left_fold_sum(scaled),
         source_labels=ys.astype(np.int64),
-        lambda_effective=float(lam),
     )
 
 
@@ -255,24 +255,19 @@ def ssls_scale(raw_losses, source_labels, lam: float) -> LossBreakdown:
 # training configuration
 # ---------------------------------------------------------------------------
 
-TRAIN_CONFIG_KEYS = (
-    "lambda", "ssls_enabled", "k_rule",
-    "lr", "weight_decay", "epochs", "batch_pairs", "clamp_eps", "hidden", "seed",
-)
-
-
 @dataclass
 class TrainConfig:
-    """Training knobs; ``lam`` is the synthetic-sample loss scale."""
+    """Training knobs; ``lam`` is the synthetic-sample loss scale. The
+    optimizer and loss knobs default to Adam's and bce's own defaults."""
 
     lam: float = 0.5
     ssls_enabled: bool = True
     k_rule: str = "div:16"
-    lr: float = 0.001
-    weight_decay: float = 0.005
+    lr: float = AdamState.lr
+    weight_decay: float = AdamState.weight_decay
     epochs: int = 20
     batch_pairs: int = 8
-    clamp_eps: float = 1e-7
+    clamp_eps: float = DEFAULT_CLAMP_EPS
     hidden: int = 32
     seed: int = 0
 
@@ -294,48 +289,26 @@ class TrainConfig:
         resolve_k(self.k_rule, 16)  # surface bad rules early
 
 
+TRAIN_CONFIG_KEYS = {
+    "lambda": ("lam", parse_float),
+    "ssls_enabled": ("ssls_enabled", parse_bool),
+    "k_rule": ("k_rule", parse_str),
+    "lr": ("lr", parse_float),
+    "weight_decay": ("weight_decay", parse_float),
+    "epochs": ("epochs", parse_int),
+    "batch_pairs": ("batch_pairs", parse_int),
+    "clamp_eps": ("clamp_eps", parse_float),
+    "hidden": ("hidden", parse_int),
+    "seed": ("seed", parse_int),
+}
+
+
 def train_config_to_kv(config: TrainConfig) -> dict:
-    return {
-        "lambda": repr(config.lam),
-        "ssls_enabled": "1" if config.ssls_enabled else "0",
-        "k_rule": config.k_rule,
-        "lr": repr(config.lr),
-        "weight_decay": repr(config.weight_decay),
-        "epochs": str(config.epochs),
-        "batch_pairs": str(config.batch_pairs),
-        "clamp_eps": repr(config.clamp_eps),
-        "hidden": str(config.hidden),
-        "seed": str(config.seed),
-    }
+    return write_fields(config, TRAIN_CONFIG_KEYS)
 
 
 def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
-    unknown = sorted(set(values) - set(TRAIN_CONFIG_KEYS))
-    if unknown:
-        raise ValidationError(f"{origin}: unknown train config keys {unknown}")
-    kwargs = {}
-    if "lambda" in values:
-        kwargs["lam"] = parse_float(values["lambda"], "lambda")
-    if "ssls_enabled" in values:
-        kwargs["ssls_enabled"] = parse_bool(values["ssls_enabled"], "ssls_enabled")
-    if "k_rule" in values:
-        kwargs["k_rule"] = values["k_rule"]
-    for key, attr in (("lr", "lr"), ("weight_decay", "weight_decay"), ("clamp_eps", "clamp_eps")):
-        if key in values:
-            kwargs[attr] = parse_float(values[key], key)
-    for key, attr in (("epochs", "epochs"), ("batch_pairs", "batch_pairs"),
-                      ("hidden", "hidden"), ("seed", "seed")):
-        if key in values:
-            kwargs[attr] = parse_int(values[key], key)
-    return TrainConfig(**kwargs)
-
-
-def save_train_config(config: TrainConfig, path) -> None:
-    save_kv(train_config_to_kv(config), path)
-
-
-def load_train_config(path) -> TrainConfig:
-    return train_config_from_kv(load_kv(path), origin=str(Path(path)))
+    return TrainConfig(**read_fields(values, TRAIN_CONFIG_KEYS, origin, "train config"))
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +361,9 @@ def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig):
 # synthetic-video filter
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FilterPolicy:
-    """``none`` keeps everything; ``centroid_distance`` drops synthetic videos
-    whose mean feature lies beyond the given percentile of real same-class
-    distances to the real class centroid."""
-
-    kind: str = "none"
-    percentile: float = 95.0
-
-    def __post_init__(self):
-        if self.kind not in ("none", "centroid_distance"):
-            raise ValidationError(f"unknown filter policy {self.kind!r}")
-        if not 0.0 < self.percentile <= 100.0:
-            raise ValidationError(f"percentile must be in (0, 100], got {self.percentile}")
+def check_percentile(percentile: float) -> None:
+    if not 0.0 < percentile <= 100.0:
+        raise ValidationError(f"percentile must be in (0, 100], got {percentile}")
 
 
 @dataclass(frozen=True)
@@ -413,7 +375,7 @@ class ClassFilterStats:
 
 @dataclass(frozen=True)
 class FilterReport:
-    policy: FilterPolicy
+    percentile: float
     anomalous: ClassFilterStats
     normal: ClassFilterStats
 
@@ -441,22 +403,20 @@ def _filter_class(real, synth, percentile: float):
     return tuple(kept), ClassFilterStats(threshold, tuple(s.id for s in kept), tuple(rejected))
 
 
-def filter_synthetic(real_anomalous, real_normal, synth_anomalous, synth_normal,
-                     policy: FilterPolicy = FilterPolicy()):
+def filter_synthetic(real_anomalous, real_normal, synth_anomalous, synth_normal, percentile: float):
     """Filter synthetic videos against the real distribution, per class.
 
+    A synthetic video is dropped when its mean feature lies beyond the given
+    percentile of real same-class distances to the real class centroid.
     Returns (kept_synth_anomalous, kept_synth_normal, FilterReport). Real
     videos are never filtered.
     """
-    if policy.kind == "none":
-        stats = ClassFilterStats(None, tuple(s.id for s in synth_anomalous), ())
-        stats_n = ClassFilterStats(None, tuple(s.id for s in synth_normal), ())
-        return tuple(synth_anomalous), tuple(synth_normal), FilterReport(policy, stats, stats_n)
+    check_percentile(percentile)
     if not real_anomalous or not real_normal:
-        raise ValidationError("centroid_distance filtering needs non-empty real sets for both classes")
-    kept_a, stats_a = _filter_class(real_anomalous, synth_anomalous, policy.percentile)
-    kept_n, stats_n = _filter_class(real_normal, synth_normal, policy.percentile)
-    return kept_a, kept_n, FilterReport(policy, stats_a, stats_n)
+        raise ValidationError("centroid-distance filtering needs non-empty real sets for both classes")
+    kept_a, stats_a = _filter_class(real_anomalous, synth_anomalous, percentile)
+    kept_n, stats_n = _filter_class(real_normal, synth_normal, percentile)
+    return kept_a, kept_n, FilterReport(percentile, stats_a, stats_n)
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +436,6 @@ class EpochStats:
 class TrainResult:
     params: ScorerParams
     history: list
-    lambda_value: float
 
 
 HISTORY_HEADER = "epoch,L_total,L_MIL_mean,val_auc,lambda_effective"
@@ -531,7 +490,9 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
     Samples are ordered by id before any seeded shuffling, so two datasets
     holding the same samples train identically regardless of construction
     order. Validation AUC is computed per epoch when ``val_samples`` carry
-    frame labels.
+    frame labels. Training stops with a ValidationError at the first step
+    whose loss or updated parameters are non-finite; numpy's floating-point
+    warnings are silenced while it runs, so that error is the only report.
     """
     anomalous = sorted(dataset.anomalous, key=lambda s: s.id)
     normal = sorted(dataset.normal, key=lambda s: s.id)
@@ -549,35 +510,38 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
     loop_rng = rng_from(config.seed, "pair-sampling")
 
     history = []
-    for epoch in range(1, config.epochs + 1):
-        pairs = _epoch_pairs(anomalous, normal, loop_rng)
-        total_sum = 0.0
-        mil_sum = 0.0
-        n_pairs = 0
-        for start in range(0, len(pairs), config.batch_pairs):
-            batch = pairs[start:start + config.batch_pairs]
-            breakdown, grads = total_loss_and_grads(params, batch, config)
-            flat_grad = grads["w1"].base  # every scorer block is a view of one flat gradient
-            theta[...] = adam_step(theta, flat_grad, state)
-            if not np.isfinite(theta).all():
-                params.check_finite()  # names the block
-            total_sum += breakdown.total
-            mil_sum += _left_fold_sum(breakdown.raw)
-            n_pairs += len(batch)
-        val_auc = None
-        if val_samples is not None:
-            from .evaluation import evaluate  # local import: evaluation imports this module
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            pairs = _epoch_pairs(anomalous, normal, loop_rng)
+            total_sum = 0.0
+            mil_sum = 0.0
+            n_pairs = 0
+            for start in range(0, len(pairs), config.batch_pairs):
+                batch = pairs[start:start + config.batch_pairs]
+                breakdown, grads = total_loss_and_grads(params, batch, config)
+                if not math.isfinite(breakdown.total):
+                    raise ValidationError(f"training loss is non-finite at epoch {epoch}")
+                flat_grad = grads["w1"].base  # every scorer block is a view of one flat gradient
+                theta[...] = adam_step(theta, flat_grad, state)
+                if not np.isfinite(theta).all():
+                    params.check_finite()  # names the block
+                total_sum += breakdown.total
+                mil_sum += _left_fold_sum(breakdown.raw)
+                n_pairs += len(batch)
+            val_auc = None
+            if val_samples is not None:
+                from .evaluation import evaluate  # local import: evaluation imports this module
 
-            val_auc = evaluate(params, val_samples).auc
-        history.append(EpochStats(
-            epoch=epoch,
-            total_loss=total_sum / n_pairs,
-            mil_mean=mil_sum / n_pairs,
-            val_auc=val_auc,
-            lambda_effective=lam_eff,
-        ))
+                val_auc = evaluate(params, val_samples).auc
+            history.append(EpochStats(
+                epoch=epoch,
+                total_loss=total_sum / n_pairs,
+                mil_mean=mil_sum / n_pairs,
+                val_auc=val_auc,
+                lambda_effective=lam_eff,
+            ))
 
-    return TrainResult(params=params, history=history, lambda_value=lam_eff)
+    return TrainResult(params=params, history=history)
 
 
 # ---------------------------------------------------------------------------
@@ -688,15 +652,14 @@ def _random_pair(rng, dim: int, y_s_a: int, y_s_n: int, tag: str):
 
 
 def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
-                   threshold: float = 1e-4, corrupt: bool = False) -> GradCheckReport:
+                   threshold: float = 1e-4) -> GradCheckReport:
     """Compare analytic batch gradients against central finite differences.
 
     Exercises the top-k selection and real, synthetic and mixed-source pairs
     under a scaling factor other than 1. Relative error per coordinate uses a
     safeguarded denominator max(|analytic|, |numeric|, 1e-5) so coordinates
     whose true gradient is dominated by finite-difference noise do not blow
-    up the ratio. ``corrupt`` perturbs one analytic gradient block and is a
-    negative-control hook for tests.
+    up the ratio.
     """
     dim, hidden = 7, 5
     config = TrainConfig(lam=0.7, k_rule="frac:0.3", hidden=hidden)
@@ -710,10 +673,6 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
             _random_pair(rng, dim, 1, 0, f"{b}-mixed"),
         ]
         _, grads = total_loss_and_grads(params, batch, config)
-        if corrupt:
-            grads = dict(grads)
-            grads["w1"] = grads["w1"] + 1e-3
-
         analytic = np.concatenate([grads[k].ravel() for k in _PARAM_KEYS])
 
         def objective(vec):

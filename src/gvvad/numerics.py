@@ -22,6 +22,14 @@ from .errors import ShapeError, ValidationError
 _SIGMOID_FLOOR = float(np.nextafter(0.0, 1.0))
 _SIGMOID_CEIL = float(np.nextafter(1.0, 0.0))
 
+# Default clamp of bce's prediction, away from 0 and 1.
+DEFAULT_CLAMP_EPS = 1e-7
+
+# Adam's moment decay rates and denominator guard.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_ADAM_EPS = 1e-8
+
 
 def seed_sequence(*tokens: int | str) -> np.random.SeedSequence:
     """Hash a list of int/str tokens into a numpy SeedSequence."""
@@ -73,7 +81,7 @@ def stable_sigmoid(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def bce(y: int, y_hat: float, clamp_eps: float = 1e-7, return_grad: bool = False):
+def bce(y: int, y_hat: float, clamp_eps: float = DEFAULT_CLAMP_EPS, return_grad: bool = False):
     """Binary cross-entropy with the prediction clamped to [eps, 1-eps].
 
     With ``return_grad`` it returns ``(loss, d loss / d y_hat)``. The clamp is
@@ -104,9 +112,6 @@ class AdamState:
 
     lr: float = 0.001
     weight_decay: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
@@ -130,12 +135,12 @@ def adam_step(param, grad, state: AdamState) -> np.ndarray:
     if m.shape != p.shape:
         raise ShapeError(f"moment has shape {m.shape}, param has {p.shape}")
     state.step += 1
-    c1 = 1.0 - state.beta1 ** state.step
-    c2 = 1.0 - state.beta2 ** state.step
+    c1 = 1.0 - _BETA1 ** state.step
+    c2 = 1.0 - _BETA2 ** state.step
     p = p - state.lr * state.weight_decay * p
-    m[...] = state.beta1 * m + (1.0 - state.beta1) * g
-    v[...] = state.beta2 * v + (1.0 - state.beta2) * g * g
-    return p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m[...] = _BETA1 * m + (1.0 - _BETA1) * g
+    v[...] = _BETA2 * v + (1.0 - _BETA2) * g * g
+    return p - state.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float) -> np.ndarray:

@@ -27,14 +27,8 @@ import numpy as np
 
 from .datamodel import VideoSample
 from .errors import ValidationError
-from .kvformat import load_kv, parse_float, parse_int, save_kv
+from .kvformat import load_kv, parse_float, parse_int, parse_list, read_fields, save_kv, write_fields
 from .numerics import rng_from, seed_sequence
-
-WORLD_CONFIG_KEYS = (
-    "dim", "clips_min", "clips_max", "clip_len", "noise_sigma",
-    "anomaly_frac_min", "anomaly_frac_max", "element_effect_scale",
-    "normal_center", "anomaly_offset", "domain_offset",
-)
 
 
 def _as_vector(value, dim: int, name: str) -> np.ndarray:
@@ -74,62 +68,54 @@ class WorldConfig:
             raise ValidationError(f"need 1 <= clips_min <= clips_max, got {self.clips_min}..{self.clips_max}")
         if self.clip_len < 1:
             raise ValidationError(f"clip_len must be >= 1, got {self.clip_len}")
-        if not self.noise_sigma > 0:
-            raise ValidationError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma > 0):
+            raise ValidationError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
         if not 0.0 < self.anomaly_frac_min <= self.anomaly_frac_max <= 1.0:
             raise ValidationError(
                 f"need 0 < anomaly_frac_min <= anomaly_frac_max <= 1, "
                 f"got {self.anomaly_frac_min}..{self.anomaly_frac_max}"
             )
-        if self.element_effect_scale < 0:
-            raise ValidationError(f"element_effect_scale must be >= 0, got {self.element_effect_scale}")
+        if not (math.isfinite(self.element_effect_scale) and self.element_effect_scale >= 0):
+            raise ValidationError(
+                f"element_effect_scale must be finite and >= 0, got {self.element_effect_scale}"
+            )
         object.__setattr__(self, "normal_center", _as_vector(self.normal_center, self.dim, "normal_center"))
         object.__setattr__(self, "anomaly_offset", _as_vector(self.anomaly_offset, self.dim, "anomaly_offset"))
         object.__setattr__(self, "domain_offset", _as_vector(self.domain_offset, self.dim, "domain_offset"))
 
 
+def parse_vector(value: str, key: str):
+    """World vector text: empty -> None (zeros), one number -> a scalar to
+    broadcast, several -> the list of entries."""
+    vec = parse_list(value, key, parse_float)
+    if not vec:
+        return None
+    return vec[0] if len(vec) == 1 else vec
+
+
+WORLD_CONFIG_KEYS = {
+    "dim": ("dim", parse_int),
+    "clips_min": ("clips_min", parse_int),
+    "clips_max": ("clips_max", parse_int),
+    "clip_len": ("clip_len", parse_int),
+    "noise_sigma": ("noise_sigma", parse_float),
+    "anomaly_frac_min": ("anomaly_frac_min", parse_float),
+    "anomaly_frac_max": ("anomaly_frac_max", parse_float),
+    "element_effect_scale": ("element_effect_scale", parse_float),
+    "normal_center": ("normal_center", parse_vector),
+    "anomaly_offset": ("anomaly_offset", parse_vector),
+    "domain_offset": ("domain_offset", parse_vector),
+}
+
+
 def save_world_config(config: WorldConfig, path) -> None:
-    values = {
-        "dim": str(config.dim),
-        "clips_min": str(config.clips_min),
-        "clips_max": str(config.clips_max),
-        "clip_len": str(config.clip_len),
-        "noise_sigma": repr(config.noise_sigma),
-        "anomaly_frac_min": repr(config.anomaly_frac_min),
-        "anomaly_frac_max": repr(config.anomaly_frac_max),
-        "element_effect_scale": repr(config.element_effect_scale),
-        "normal_center": ",".join(repr(float(v)) for v in config.normal_center),
-        "anomaly_offset": ",".join(repr(float(v)) for v in config.anomaly_offset),
-        "domain_offset": ",".join(repr(float(v)) for v in config.domain_offset),
-    }
-    save_kv(values, path)
+    save_kv(write_fields(config, WORLD_CONFIG_KEYS), path)
 
 
 def world_config_from_kv(values: dict, origin: str = "<config>") -> WorldConfig:
-    unknown = sorted(set(values) - set(WORLD_CONFIG_KEYS))
-    if unknown:
-        raise ValidationError(f"{origin}: unknown world config keys {unknown}")
-    if "dim" not in values:
+    kwargs = read_fields(values, WORLD_CONFIG_KEYS, origin, "world config")
+    if "dim" not in kwargs:
         raise ValidationError(f"{origin}: world config requires 'dim'")
-
-    def vector(key):
-        raw = values.get(key)
-        if raw is None or raw == "":
-            return None
-        parts = [p for p in raw.split(",") if p.strip() != ""]
-        vec = [parse_float(p, key) for p in parts]
-        return vec[0] if len(vec) == 1 else vec
-
-    kwargs = {"dim": parse_int(values["dim"], "dim")}
-    for key in ("clips_min", "clips_max", "clip_len"):
-        if key in values:
-            kwargs[key] = parse_int(values[key], key)
-    for key in ("noise_sigma", "anomaly_frac_min", "anomaly_frac_max", "element_effect_scale"):
-        if key in values:
-            kwargs[key] = parse_float(values[key], key)
-    for key in ("normal_center", "anomaly_offset", "domain_offset"):
-        if key in values:
-            kwargs[key] = vector(key)
     return WorldConfig(**kwargs)
 
 

@@ -5,6 +5,8 @@ from pathlib import Path
 import pytest
 
 from gvvad.cli import main
+from gvvad.kvformat import load_kv
+from gvvad.milcore import TrainConfig, train_config_to_kv
 from gvvad.promptgen import default_inventory, save_inventory
 
 
@@ -134,6 +136,23 @@ class TestWorld:
         tmp_path, prompts, _ = pipeline
         assert main(["world", "--prompts", str(prompts), "--counts", "1,1,0,0",
                      "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("counts", ["4,,4,4,4", "4,4,4,4,", ",4,4,4,4"])
+    def test_empty_count_item_exits_2(self, pipeline, capsys, counts):
+        tmp_path, prompts, world_cfg = pipeline
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", counts, "--out", str(tmp_path / "x")]) == 2
+        assert "'counts'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("offset", ["2,,0,0,0", "2,0,0,0,"])
+    def test_empty_world_vector_item_exits_2(self, pipeline, capsys, offset):
+        # Dropping the empty item would leave exactly dim=4 entries.
+        tmp_path, prompts, _ = pipeline
+        world_cfg = tmp_path / "w4.cfg"
+        world_cfg.write_text(f"dim=4\nanomaly_offset={offset}\n")
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "2,2,0,0", "--out", str(tmp_path / "x")]) == 2
+        assert "'anomaly_offset'" in capsys.readouterr().err
 
 
 class TestTrainEvalFlow:
@@ -307,6 +326,8 @@ class TestAblate:
         ("lambda_sweep", "filter_percentile=-3"),
         ("module_ablation", "filter_percentile=0"),
         ("data_scale_sweep", "filter_percentile=101"),
+        ("lambda_sweep", "grid=0.5,,1.0"),
+        ("module_ablation", "test_counts=2,2,"),
     ])
     def test_bad_spec_value_exits_2_before_writing(self, tmp_path, pipeline, kind, bad):
         _, prompts, _ = pipeline
@@ -333,9 +354,21 @@ class TestGradcheck:
             assert block in report
         assert "PASS" in report
 
-    def test_corrupted_gradient_exits_1(self, capsys):
-        assert main(["gradcheck", "--seed", "0", "--corrupt", "--batches", "2"]) == 1
+    def test_corrupted_gradient_exits_1(self, capsys, monkeypatch):
+        import gvvad.milcore as milcore
+
+        exact = milcore.total_loss_and_grads
+
+        def corrupted(params, batch, config):
+            breakdown, grads = exact(params, batch, config)
+            return breakdown, {**grads, "w1": grads["w1"] + 1e-3}
+
+        monkeypatch.setattr(milcore, "total_loss_and_grads", corrupted)
+        assert main(["gradcheck", "--seed", "0", "--batches", "2"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_corrupt_flag_is_gone(self):
+        assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 2
 
 
 class TestResolvedConfig:
@@ -351,12 +384,46 @@ class TestResolvedConfig:
         assert "limit=4" in resolved
         assert "seed=9" in resolved
 
+    def test_train_defaults_are_the_train_config_defaults(self, pipeline):
+        tmp_path, prompts, world_cfg = pipeline
+        data = tmp_path / "data"
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "2,2,0,0", "--out", str(data)]) == 0
+        out = tmp_path / "model"
+        assert main(["train", "--manifest", str(data / "manifest.tsv"), "--out", str(out)]) == 0
+        resolved = load_kv(out / "resolved.cfg")
+        defaults = train_config_to_kv(TrainConfig())
+        assert list(resolved) == ["manifest", "val_manifest", *defaults]
+        assert {k: resolved[k] for k in defaults} == defaults
+        text = (out / "resolved.cfg").read_text()
+        for key in defaults:
+            assert f"# {key} <- default" in text
+
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text("limit=4\nseed=1\n")
         out = tmp_path / "out"
         assert main(["prompts", "--config", str(cfg), "--limit", "6", "--out", str(out)]) == 0
         assert len((out / "prompts.tsv").read_text().splitlines()) == 7
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("lr", ["1e308", "1e100"])
+    def test_diverging_run_prints_only_the_error(self, pipeline, lr):
+        # numpy's overflow warnings must not precede the clean error.
+        tmp_path, prompts, world_cfg = pipeline
+        data = tmp_path / "data"
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "4,4,0,0", "--out", str(data)]) == 0
+        result = subprocess.run(
+            [sys.executable, "-m", "gvvad", "train", "--manifest", str(data / "manifest.tsv"),
+             "--set", f"lr={lr}", "--out", str(tmp_path / "model")],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+        assert "non-finite" in lines[0]
 
 
 class TestConsoleEntry:

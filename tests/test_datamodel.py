@@ -252,19 +252,19 @@ class TestManifest:
         path = tmp_path / "m.tsv"
         path.write_text(self.header() + "\nvid1\tf.gvft\t2\t0\t-\n")
         with pytest.raises(DataFormatError, match=r"m\.tsv:2.*'y'"):
-            load_manifest(path, check_files=False)
+            load_manifest(path)
 
     def test_duplicate_id_rejected_with_line(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(self.header() + "\na\tf.gvft\t0\t0\t-\na\tg.gvft\t1\t0\t-\n")
         with pytest.raises(DataFormatError, match=r"m\.tsv:3.*duplicate"):
-            load_manifest(path, check_files=False)
+            load_manifest(path)
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(self.header() + "\nonly\tthree\tfields\n")
         with pytest.raises(DataFormatError, match=r"m\.tsv:2"):
-            load_manifest(path, check_files=False)
+            load_manifest(path)
 
     def test_unsafe_id_rejected_with_line(self, tmp_path):
         # Ids name the files written for a video (score curves, features), so
@@ -273,7 +273,7 @@ class TestManifest:
             path = tmp_path / "m.tsv"
             path.write_text(self.header() + f"\nok\tf.gvft\t0\t0\t-\n{bad}\tg.gvft\t1\t0\t-\n")
             with pytest.raises(DataFormatError, match=r"m\.tsv:3.*not filesystem-safe"):
-                load_manifest(path, check_files=False)
+                load_manifest(path)
             with pytest.raises(ValidationError, match="not filesystem-safe"):
                 write_dataset(tmp_path / "out", [make_sample(bad, 0)], feature_dim=4, clip_len=2)
 

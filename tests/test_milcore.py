@@ -1,29 +1,31 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gvvad.datamodel import MixedDataset, VideoSample, mix_datasets
 from gvvad.errors import ShapeError, ValidationError
+from gvvad.kvformat import format_kv, load_kv, parse_kv_text, save_kv
 from gvvad.milcore import (
-    FilterPolicy,
+    TRAIN_CONFIG_KEYS,
     ScorerParams,
     TrainConfig,
     filter_synthetic,
     gradient_check,
     history_to_csv,
     load_params,
-    load_train_config,
     params_to_vector,
     resolve_k,
     save_params,
-    save_train_config,
     score_segments,
     ssls_scale,
     topk_indices,
     topk_mean,
     total_loss_and_grads,
     train,
+    train_config_from_kv,
+    train_config_to_kv,
     vector_to_params,
 )
 from gvvad.numerics import rng_from, stable_sigmoid
@@ -47,6 +49,20 @@ def pair_batch(n_pairs, dim=5, synth_mask=None, seed=0):
             sample(f"n{i}", 0, y_s=y_s, dim=dim, seed=seed),
         ))
     return batch
+
+
+def corrupt_w1_gradient(monkeypatch):
+    """Make every analytic gradient the trainer computes wrong by 1e-3 in each
+    w1 entry, leaving the loss itself exact."""
+    import gvvad.milcore as milcore
+
+    exact = milcore.total_loss_and_grads
+
+    def corrupted(params, batch, config):
+        breakdown, grads = exact(params, batch, config)
+        return breakdown, {**grads, "w1": grads["w1"] + 1e-3}
+
+    monkeypatch.setattr(milcore, "total_loss_and_grads", corrupted)
 
 
 class TestScoreSegments:
@@ -286,8 +302,9 @@ class TestGradientCheck:
         assert report.passed
         assert report.max_rel_error < 1e-4
 
-    def test_corrupted_gradient_fails(self):
-        report = gradient_check(seed=0, corrupt=True)
+    def test_corrupted_gradient_fails(self, monkeypatch):
+        corrupt_w1_gradient(monkeypatch)
+        report = gradient_check(seed=0)
         assert not report.passed
 
     def test_report_lists_every_block(self):
@@ -327,15 +344,6 @@ class TestFilterSynthetic:
                             anomaly_offset=None, domain_offset=gap)
         return generate_dataset(world, PAIRS, GenerationCounts(n, n, n, n), base_seed=seed)
 
-    def test_none_policy_is_identity(self):
-        sets = self.world_sets(1.0)
-        kept_a, kept_n, report = filter_synthetic(
-            sets.real_anomalous, sets.real_normal, sets.synth_anomalous, sets.synth_normal
-        )
-        assert kept_a == tuple(sets.synth_anomalous)
-        assert kept_n == tuple(sets.synth_normal)
-        assert report.rejected_ids == ()
-
     def test_video_at_real_centroid_always_kept(self):
         sets = self.world_sets(0.5)
         means = np.stack([np.asarray(s.features, dtype=np.float64).mean(axis=0)
@@ -344,7 +352,7 @@ class TestFilterSynthetic:
         planted = VideoSample("planted", np.tile(centroid, (4, 1)).astype(np.float32), 1, 1)
         kept_a, _, _ = filter_synthetic(
             sets.real_anomalous, sets.real_normal,
-            (planted,), sets.synth_normal, FilterPolicy("centroid_distance", 95.0),
+            (planted,), sets.synth_normal, 95.0,
         )
         assert any(s.id == "planted" for s in kept_a)
 
@@ -354,7 +362,7 @@ class TestFilterSynthetic:
             kept_a, kept_n, report = filter_synthetic(
                 sets.real_anomalous, sets.real_normal,
                 sets.synth_anomalous, sets.synth_normal,
-                FilterPolicy("centroid_distance", 95.0),
+                95.0,
             )
             rejected = len(report.rejected_ids)
             total = len(sets.synth_anomalous) + len(sets.synth_normal)
@@ -364,14 +372,14 @@ class TestFilterSynthetic:
         sets = self.world_sets(1.0)
         with pytest.raises(ValidationError):
             filter_synthetic((), sets.real_normal, sets.synth_anomalous, sets.synth_normal,
-                             FilterPolicy("centroid_distance"))
+                             95.0)
 
     def test_report_contains_distances(self):
         sets = self.world_sets(10.0)
         _, _, report = filter_synthetic(
             sets.real_anomalous, sets.real_normal,
             sets.synth_anomalous, sets.synth_normal,
-            FilterPolicy("centroid_distance", 95.0),
+            95.0,
         )
         assert report.anomalous.threshold is not None
         assert all(dist > report.anomalous.threshold for _, dist in report.anomalous.rejected)
@@ -456,13 +464,29 @@ class TestTrain:
         with pytest.raises(ValidationError):
             train(MixedDataset((), (sample("n", 0),)), TrainConfig(epochs=1))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverging_parameters_rejected(self):
         # A step that leaves a non-finite weight stops training with the
         # name of the block; the overflow that causes it is the point here.
         dataset, _ = small_world_dataset(mag=2.0, n=8, seed=6)
         with pytest.raises(ValidationError, match=r"parameter (w1|b1|w2|b2) contains non-finite values"):
             train(dataset, TrainConfig(lr=1e308, epochs=5, batch_pairs=2))
+
+    def test_non_finite_loss_rejected(self, monkeypatch):
+        # A step whose loss is non-finite stops training even when the
+        # parameters it would produce are finite.
+        import gvvad.milcore as milcore
+
+        exact = milcore.total_loss_and_grads
+
+        def nan_loss(params, batch, config):
+            breakdown, grads = exact(params, batch, config)
+            breakdown.total = math.nan
+            return breakdown, grads
+
+        monkeypatch.setattr(milcore, "total_loss_and_grads", nan_loss)
+        dataset, _ = small_world_dataset(mag=2.0, n=8, seed=6)
+        with pytest.raises(ValidationError, match="non-finite"):
+            train(dataset, TrainConfig(epochs=2, batch_pairs=2))
 
     def test_train_runs_the_tested_rules(self, monkeypatch):
         # Training must go through the top-k mean, BCE and loss scaling that
@@ -517,21 +541,33 @@ class TestTrainConfigFile:
         cfg = TrainConfig(lam=0.25, k_rule="frac:0.2",
                           epochs=7, batch_pairs=3, hidden=12, seed=99)
         path = tmp_path / "train.cfg"
-        save_train_config(cfg, path)
-        assert load_train_config(path) == cfg
+        save_kv(train_config_to_kv(cfg), path)
+        assert train_config_from_kv(load_kv(path)) == cfg
+
+    def test_every_field_round_trips_through_kv_text(self):
+        # One key table declares every field; each field, set away from its
+        # default, comes back from the kv text unchanged.
+        assert sorted(field for field, _ in TRAIN_CONFIG_KEYS.values()) == sorted(
+            f.name for f in fields(TrainConfig))
+        cfg = TrainConfig(lam=0.125, ssls_enabled=False, k_rule="fixed:3", lr=0.02,
+                          weight_decay=0.0, epochs=3, batch_pairs=5, clamp_eps=1e-5,
+                          hidden=7, seed=11)
+        default = TrainConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(TrainConfig))
+        assert train_config_from_kv(parse_kv_text(format_kv(train_config_to_kv(cfg)))) == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "train.cfg"
         path.write_text("epochs=3\nmystery=1\n")
         with pytest.raises(ValidationError, match="mystery"):
-            load_train_config(path)
+            train_config_from_kv(load_kv(path))
 
     def test_learnable_lambda_key_rejected(self, tmp_path):
         # The scaling factor is fixed; a config that asks to learn it is refused.
         path = tmp_path / "train.cfg"
         path.write_text("lambda=0.5\nlambda_learnable=1\n")
         with pytest.raises(ValidationError, match="lambda_learnable"):
-            load_train_config(path)
+            train_config_from_kv(load_kv(path))
         with pytest.raises(TypeError):
             TrainConfig(lam_learnable=True)
 

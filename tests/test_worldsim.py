@@ -1,3 +1,6 @@
+import math
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from gvvad.evaluation import evaluate
 from gvvad.milcore import TrainConfig, train
 from gvvad.promptgen import build_repository, default_inventory
 from gvvad.worldsim import (
+    WORLD_CONFIG_KEYS,
     GenerationCounts,
     WorldConfig,
     element_perturbation,
@@ -61,6 +65,39 @@ class TestWorldConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown"):
             world_config_from_kv({"dim": "4", "bogus": "1"})
+
+    def test_every_field_round_trips_through_kv_text(self, tmp_path):
+        assert sorted(field for field, _ in WORLD_CONFIG_KEYS.values()) == sorted(
+            f.name for f in fields(WorldConfig))
+        cfg = WorldConfig(dim=3, clips_min=2, clips_max=5, clip_len=4, noise_sigma=0.75,
+                          anomaly_frac_min=0.1, anomaly_frac_max=0.9, element_effect_scale=0.3,
+                          normal_center=[0.5, -1.0, 0.1], anomaly_offset=[2.0, 0.0, 1e-3],
+                          domain_offset=[0.0, 1.25, -0.2])
+        path = tmp_path / "world.cfg"
+        save_world_config(cfg, path)
+        back = load_world_config(path)
+        for f in fields(WorldConfig):
+            np.testing.assert_array_equal(getattr(back, f.name), getattr(cfg, f.name))
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sigma", math.inf),
+        ("element_effect_scale", math.nan),
+        ("element_effect_scale", math.inf),
+    ])
+    def test_non_finite_setting_rejected_by_name(self, key, value):
+        with pytest.raises(ValidationError, match=key):
+            world(**{key: value})
+        with pytest.raises(ValidationError, match=key):
+            world_config_from_kv({"dim": "4", key: str(value)})
+
+    @pytest.mark.parametrize("value", ["2,,0,0,0", "2,0,0,0,", ",2,0,0,0", "2, ,0,0,0"])
+    def test_empty_vector_item_rejected(self, value):
+        with pytest.raises(ValidationError, match="anomaly_offset"):
+            world_config_from_kv({"dim": "4", "anomaly_offset": value})
+
+    def test_empty_vector_means_zeros(self):
+        cfg = world_config_from_kv({"dim": "4", "anomaly_offset": ""})
+        np.testing.assert_array_equal(cfg.anomaly_offset, np.zeros(4))
 
 
 class TestElementPerturbation:
