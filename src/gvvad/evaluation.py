@@ -22,7 +22,7 @@ from .milcore import (
     check_percentile,
     filter_synthetic,
     score_segments,
-    train,
+    train_runs,
 )
 from .numerics import derived_int_seed, is_binary
 from .worldsim import GenerationCounts, WorldConfig, generate_dataset
@@ -131,6 +131,15 @@ def evaluate(params: ScorerParams, samples, macro: bool = False) -> EvalResult:
 # ablation sweeps
 # ---------------------------------------------------------------------------
 
+def _first_duplicate(values):
+    seen = set()
+    for value in values:
+        if value in seen:
+            return value
+        seen.add(value)
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class AblationSpec:
     """One sweep: a grid of settings x seeds over a fixed world and trainer.
@@ -170,6 +179,10 @@ class AblationSpec:
                 "module_ablation": MODULE_GRID_DEFAULT,
             }
             object.__setattr__(self, "grid", defaults[self.kind])
+        for name, values in (("seed", self.seeds), ("grid entry", self.grid)):
+            duplicate = _first_duplicate(values)
+            if duplicate is not None:
+                raise ValidationError(f"duplicate {name} {duplicate!r}: each cell must train once")
         if self.kind != "module_ablation" and self.counts.real_anomalous * self.counts.real_normal == 0:
             raise ValidationError("sweep needs real videos in both classes")
 
@@ -255,12 +268,18 @@ def run_ablation(spec: AblationSpec) -> list:
     """Run the grid and return one AblationRow per (setting, seed).
 
     The generated pool and test set are shared across settings within a
-    seed, so per-seed comparisons between settings are paired.
+    seed, so per-seed comparisons between settings are paired. Every
+    (setting, seed) cell trains in one lockstep :func:`train_runs` call and
+    ends with the parameters it would reach trained alone.
     """
     settings = _expand_settings(spec)
-    rows = {}
+    runs = []
     for seed in spec.seeds:
         pool = generate_dataset(spec.world, spec.pairs, spec.counts, base_seed=("ablate-pool", seed))
+        runs.extend(_materialize_run(spec, pool, setting, seed) for setting in settings)
+    results = iter(train_runs(runs))
+    rows = {}
+    for seed in spec.seeds:
         test_sets = generate_dataset(
             spec.world, spec.pairs,
             GenerationCounts(real_anomalous=spec.test_counts[0], real_normal=spec.test_counts[1]),
@@ -268,9 +287,7 @@ def run_ablation(spec: AblationSpec) -> list:
         )
         test_samples = [*test_sets.real_anomalous, *test_sets.real_normal]
         for setting in settings:
-            dataset, config = _materialize_run(spec, pool, setting, seed)
-            result = train(dataset, config)
-            auc = evaluate(result.params, test_samples).auc
+            auc = evaluate(next(results).params, test_samples).auc
             rows[(setting, seed)] = AblationRow(setting, int(seed), auc)
     return [rows[(setting, seed)] for setting in settings for seed in spec.seeds]
 

@@ -9,11 +9,25 @@ summation, which bounds how hard the synthetic domain can pull on the model.
 
 Gradients are exact analytic derivatives of the scaled batch loss. The top-k
 selection is treated as constant within a step (the standard subgradient
-choice for max-pooling objectives), so gradient flows only to selected clips,
-and the backward pass runs over the selected rows only: one pass per source
-(real, synthetic) over the top-k clips of all its bags in the batch. The batch
-objective is built from :func:`topk_mean`, :func:`gvvad.numerics.bce` and
-:func:`ssls_scale`; no other code implements those rules.
+choice for max-pooling objectives), so gradient flows only to selected clips.
+The batch objective is built from :func:`topk_mean`,
+:func:`gvvad.numerics.bce` and :func:`ssls_scale`; no other code implements
+those rules.
+
+Training is lockstep: :func:`train_runs` trains R independent runs (the cells
+of a sweep) as one stacked program, and :func:`train` is its R = 1 case. The
+parameters of all runs live in one (R, P) array. A step casts the bags of
+all runs to float64 in chunks of at most ``_CHUNK_BYTES`` (or one bag), and
+runs each run's first layer over its own bags only: BLAS rounding depends on
+the matrix shape, so a matmul across runs would make a run's result depend
+on the others. Scores, top-k means, BCE and loss scaling then go through
+each rule once per chunk or step. The backward pass covers only the top-k
+rows, once per (run, source), and each run's gradient is
+``real + lambda * synthetic``. Runs are ordered by schedule length and a run
+leaves the stack when its schedule ends, so every stacked run takes every
+step: Adam updates the stack with one shared step count, and a finished
+run's count stays at its own number of steps. Each run ends bit-identical
+to the same run trained alone.
 """
 
 from __future__ import annotations
@@ -91,22 +105,19 @@ class ScorerParams:
         )
 
 
-def _forward(params: ScorerParams, features):
-    """(pre-activation, hidden activation, score) per clip; the float64 copy
-    of the features is freed on return."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.dim:
-        raise ShapeError(f"features {x.shape} do not match scorer dim {params.dim}")
-    z1 = x @ params.w1.T + params.b1
+def _layers(w1, b1, w2, b2, x):
+    """(pre-activation, hidden activation, logit) per row of the float64 features ``x``."""
+    z1 = x @ w1.T + b1
     h = np.maximum(z1, 0.0)
-    logits = h @ params.w2 + params.b2
-    scores = stable_sigmoid(logits)
-    return z1, h, scores
+    return z1, h, h @ w2 + b2
 
 
 def score_segments(params: ScorerParams, features) -> np.ndarray:
     """Anomaly score in (0,1) per clip; clips are scored independently."""
-    return _forward(params, features)[2]
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != params.dim:
+        raise ShapeError(f"features {x.shape} do not match scorer dim {params.dim}")
+    return stable_sigmoid(_layers(params.w1, params.b1, params.w2, params.b2, x)[2])
 
 
 @functools.lru_cache(maxsize=64)
@@ -127,6 +138,13 @@ def _param_views(vec: np.ndarray, dim: int, hidden: int) -> dict:
     if vec.size != layout[-1][3]:
         raise ShapeError(f"vector of size {vec.size} cannot fill a {dim}->{hidden}->1 scorer")
     return {name: vec[start:stop].reshape(shape) for name, shape, start, stop in layout}
+
+
+def _stacked_views(flat: np.ndarray, dim: int, hidden: int) -> list:
+    """Per-block views of stacked flat vectors ``flat`` (n, P), each block
+    with a leading run axis: (n, hidden, dim), (n, hidden), (n, hidden), (n,)."""
+    return [flat[:, start:stop].reshape(len(flat), *shape)
+            for _, shape, start, stop in _param_layout(dim, hidden)]
 
 
 def _rule_number(rule: str, arg: str, parse):
@@ -163,6 +181,12 @@ def resolve_k(rule: str, num_clips: int) -> int:
     raise ValidationError(f"unknown k rule {rule!r}")
 
 
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """Clip order by descending score along the last axis; ties keep the
+    lower clip index first."""
+    return np.argsort(-scores, axis=-1, kind="stable")
+
+
 def topk_indices(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores; ties keep the lower clip index first."""
     s = np.asarray(scores, dtype=np.float64)
@@ -170,40 +194,44 @@ def topk_indices(scores, k: int) -> np.ndarray:
         raise ShapeError(f"scores must be 1-D, got shape {s.shape}")
     if not 1 <= k <= s.shape[0]:
         raise ValidationError(f"k={k} out of range for {s.shape[0]} clips")
-    order = np.argsort(-s, kind="stable")
-    return order[:k]
+    return _descending(s)[:k]
 
 
-def topk_mean(scores, k: int, return_indices: bool = False):
+def topk_mean(scores, k, return_indices: bool = False):
     """Mean of the k largest scores, summed in descending-score order.
 
-    With ``return_indices`` it returns ``(mean, indices)``, the indices being
-    those of :func:`topk_indices` from the same single sort.
+    ``scores`` is one bag's 1-D clip scores and ``k`` an int, or a 2-D array
+    with one bag per row, padded with -inf, and ``k`` one int per row. Each
+    row's mean is bit-identical to the 1-D call on that bag: rows with k < 8
+    are summed over their first 7 ranked scores with zeros past k, which
+    numpy adds in order; rows with k >= 8, where numpy switches to its
+    unrolled pairwise sum, are summed as one (rows, k) block per k.
+
+    With ``return_indices`` it returns ``(mean, indices)``: for one bag the
+    indices of :func:`topk_indices` from the same single sort; for rows, each
+    row's clips in descending-score order, the first k of them selected.
     """
     s = np.asarray(scores, dtype=np.float64)
-    idx = topk_indices(s, k)
-    mean = float(s[idx].sum() / k)
-    return (mean, idx) if return_indices else mean
-
-
-def _selected_backward(params: ScorerParams, selected) -> np.ndarray:
-    """Flat parameter gradient of the selected clips of one source.
-
-    ``selected`` holds, per bag, the (features, pre-activation, hidden
-    activation, d loss / d logit) rows of its top-k clips; no other clip
-    reaches the gradient.
-    """
-    flat = np.zeros(_param_layout(params.dim, params.hidden)[-1][3])
-    if not selected:
-        return flat
-    x, z1, h, du = (np.concatenate(rows, dtype=np.float64) for rows in zip(*selected))
-    dz1 = np.outer(du, params.w2) * (z1 > 0.0)
-    g = _param_views(flat, params.dim, params.hidden)
-    np.matmul(dz1.T, x, out=g["w1"])
-    dz1.sum(axis=0, out=g["b1"])
-    np.matmul(h.T, du, out=g["w2"])
-    g["b2"][...] = du.sum()
-    return flat
+    if s.ndim != 2:
+        idx = topk_indices(s, k)
+        mean = float(s[idx].sum() / k)
+        return (mean, idx) if return_indices else mean
+    ks = np.asarray(k)
+    clips = (s > -np.inf).sum(axis=1)
+    if ks.shape != clips.shape or not ((ks >= 1) & (ks <= clips)).all():
+        raise ValidationError(f"k={ks} out of range for bags of {clips} clips")
+    order = _descending(s)
+    ranked = s[np.arange(len(s))[:, None], order]
+    if ks.min() < 8:
+        head = min(7, s.shape[1])
+        means = np.where(np.arange(head) < ks[:, None], ranked[:, :head], 0.0).sum(axis=1) / ks
+    else:
+        means = np.empty(len(ks))
+    if ks.max() >= 8:
+        for kk in sorted(set(ks[ks >= 8].tolist())):
+            rows = np.flatnonzero(ks == kk)
+            means[rows] = ranked[rows, :kk].sum(axis=1) / kk
+    return (means, order) if return_indices else means
 
 
 # ---------------------------------------------------------------------------
@@ -212,43 +240,48 @@ def _selected_backward(params: ScorerParams, selected) -> np.ndarray:
 
 @dataclass(eq=False)
 class LossBreakdown:
-    """Per-sample raw and scaled losses plus the summed training objective.
+    """Per-pair raw and scaled losses plus the summed training objective.
 
-    ``total`` is the left-to-right sum of ``scaled`` in ascending sample
-    order; scaled[i] equals raw[i] exactly for real samples and
-    lambda * raw[i] for synthetic ones.
+    scaled[..., i] equals raw[..., i] exactly for real pairs and
+    lambda * raw[..., i] for synthetic ones; ``total`` is the left-to-right
+    sum of ``scaled`` in pair order. One run has 1-D arrays and a float
+    total; R stacked runs have (R, pairs) arrays and R totals.
     """
 
     raw: np.ndarray
     scaled: np.ndarray
-    total: float
+    total: float | np.ndarray
     source_labels: np.ndarray
 
 
-def _left_fold_sum(values) -> float:
-    total = 0.0
-    for v in values:
-        total += float(v)
+def _left_fold(values: np.ndarray):
+    """Left-to-right sum over the last axis, starting from 0.0."""
+    total = np.zeros(values.shape[:-1])
+    for j in range(values.shape[-1]):
+        total += values[..., j]
     return total
 
 
-def ssls_scale(raw_losses, source_labels, lam: float) -> LossBreakdown:
-    """Apply the synthetic-sample scaling rule to a vector of raw losses."""
+def ssls_scale(raw_losses, source_labels, lam) -> LossBreakdown:
+    """Apply the synthetic-sample scaling rule to raw pair losses.
+
+    One run: 1-D losses and source labels with a float ``lam``. R stacked
+    runs: (R, pairs) losses and labels with one ``lam`` per run.
+    """
     raw = np.asarray(raw_losses, dtype=np.float64)
     ys = np.asarray(source_labels)
-    if raw.ndim != 1 or raw.shape != ys.shape:
-        raise ShapeError(f"losses {raw.shape} and source labels {ys.shape} must be equal-length vectors")
+    lam = np.asarray(lam, dtype=np.float64)
+    if raw.ndim not in (1, 2) or raw.shape != ys.shape:
+        raise ShapeError(f"losses {raw.shape} and source labels {ys.shape} must be equal-shape 1-D or 2-D arrays")
+    if lam.shape != raw.shape[:-1]:
+        raise ShapeError(f"scaling factors {lam.shape} do not match losses {raw.shape}")
     if not is_binary(ys):
         raise ValidationError("source labels must be 0 or 1")
-    if lam < 0:
+    if lam.min() < 0:
         raise ValidationError(f"scaling factor must be >= 0, got {lam}")
-    scaled = np.where(ys == 1, lam * raw, raw)
-    return LossBreakdown(
-        raw=raw.copy(),
-        scaled=scaled,
-        total=_left_fold_sum(scaled),
-        source_labels=ys.astype(np.int64),
-    )
+    scaled = np.where(ys == 1, lam[..., None] * raw, raw)
+    total = _left_fold(scaled)
+    return LossBreakdown(raw=raw, scaled=scaled, total=float(total) if raw.ndim == 1 else total, source_labels=ys)
 
 
 # ---------------------------------------------------------------------------
@@ -315,46 +348,200 @@ def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
 # batch objective
 # ---------------------------------------------------------------------------
 
-def total_loss_and_grads(params: ScorerParams, batch, config: TrainConfig):
+# Float64 features gathered per forward chunk: one 220-clip, 2048-dim bag
+# (3.6 MB) fits, two do not, so wide inputs never hold more than about one
+# bag's float64 copy at a time.
+_CHUNK_BYTES = 4 << 20
+
+
+@dataclass(eq=False)
+class _Plan:
+    """What the batch objective needs besides the parameters.
+
+    The bags of every run live in one table, one entry per (sample, k rule):
+    its features (not copied; ``feature_dtype`` holds them all), id, clip
+    count, resolved k, label and source.
+    Per run, in stack order: the effective lambda, the BCE clamp and how many
+    bags go into one float64 chunk.
+    """
+
+    features: list
+    feature_dtype: np.dtype
+    ids: list
+    clips: np.ndarray
+    k: np.ndarray
+    y: np.ndarray
+    synthetic: np.ndarray
+    lam: np.ndarray
+    clamp_eps: np.ndarray
+    chunk_bags: list
+    dim: int
+    hidden: int
+
+
+class _BagTable:
+    """Collects the distinct (sample, k rule) bags that a plan draws from."""
+
+    def __init__(self):
+        self.index = {}
+        self.samples = []
+        self.k = []
+
+    def add(self, sample, k_rule: str) -> int:
+        key = (id(sample), k_rule)
+        if key not in self.index:
+            self.index[key] = len(self.samples)
+            self.samples.append(sample)
+            self.k.append(resolve_k(k_rule, sample.num_clips))
+        return self.index[key]
+
+    def plan(self, configs, run_bags, dim: int, hidden: int) -> _Plan:
+        """The plan for runs with these configs, each drawing on the bag
+        indices in ``run_bags``."""
+        for s in self.samples:
+            if s.dim != dim:
+                raise ShapeError(f"features of {s.id!r} have dim {s.dim}, scorer has {dim}")
+        features = [np.asarray(s.features) for s in self.samples]
+        clips = np.array([len(f) for f in features])
+        bag_bytes = [int(clips[bags].max()) * dim * 8 for bags in run_bags]
+        return _Plan(
+            features=features,
+            feature_dtype=np.result_type(*{f.dtype for f in features}),
+            ids=[s.id for s in self.samples],
+            clips=clips,
+            k=np.array(self.k),
+            y=np.array([s.y for s in self.samples]),
+            synthetic=np.array([s.y_s == 1 for s in self.samples]),
+            lam=np.array([c.lam if c.ssls_enabled else 1.0 for c in configs]),
+            clamp_eps=np.array([c.clamp_eps for c in configs]),
+            chunk_bags=[max(1, _CHUNK_BYTES // b) for b in bag_bytes],
+            dim=dim,
+            hidden=hidden,
+        )
+
+
+def total_loss_and_grads(params, batch, config):
     """Scaled loss and exact gradients over a batch of (anomalous, normal) bag pairs.
 
     A pair counts as synthetic when either member is synthetic. Each bag
-    keeps only its top-k rows; after the forward passes, one backward pass
-    per source runs over those rows into a flat real and a flat synthetic
-    gradient, and the result is ``real + lambda * synthetic``; with scaling
-    disabled lambda is 1.0, so that path is the lambda = 1 path. Returns
-    (LossBreakdown, grads) where grads maps each scorer block to a view of
-    that one flat gradient (laid out as :func:`params_to_vector`).
+    keeps only its top-k rows; one backward pass per source runs over those
+    rows into a real and a synthetic gradient, and the result is
+    ``real + lambda * synthetic``. With scaling disabled lambda is 1.0, so
+    that path is the lambda = 1 path.
+
+    One run: ``params`` is a ScorerParams, ``batch`` a sequence of pairs and
+    ``config`` a TrainConfig. Returns (LossBreakdown, grads) where grads maps
+    each scorer block to a view of one flat gradient (laid out as
+    :func:`params_to_vector`). This is the R = 1 case of the stacked call.
+
+    R stacked runs, as :func:`train_runs` calls it: ``params`` is the (R, P)
+    array of flat parameter vectors, ``batch`` the step's (R, slots) bag
+    indices (-1 for no bag; pair j is slots 2j and 2j + 1) with its
+    (R, slots / 2) pair sources, and ``config`` the plan. Returns the
+    LossBreakdown of every run and the (R, P) gradient.
     """
+    if not isinstance(params, ScorerParams):
+        return _stacked_loss_and_grads(params, batch, config)
     batch = list(batch)
     if not batch:
         raise ValidationError("batch must contain at least one pair")
-    lam_eff = config.lam if config.ssls_enabled else 1.0
+    table = _BagTable()
+    bags = []
+    for a, n in batch:
+        if (a.y, n.y) != (1, 0):
+            raise ValidationError(f"pair ({a.id!r}, {n.id!r}) must be (anomalous, normal), got y=({a.y}, {n.y})")
+        bags += [table.add(a, config.k_rule), table.add(n, config.k_rule)]
+    plan = table.plan([config], [bags], params.dim, params.hidden)
+    bags = np.array([bags])
+    synthetic = (plan.synthetic[bags[:, 0::2]] | plan.synthetic[bags[:, 1::2]]).astype(np.int64)
+    breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], (bags, synthetic), plan)
+    one_run = LossBreakdown(breakdown.raw[0], breakdown.scaled[0], float(breakdown.total[0]),
+                            breakdown.source_labels[0])
+    return one_run, _param_views(grads[0].copy(), params.dim, params.hidden)
 
-    raw = np.zeros(len(batch))
-    ys = np.zeros(len(batch), dtype=np.int64)
-    selected = ([], [])  # per source (real, synthetic): the top-k rows of each bag
-    for i, pair in enumerate(batch):
-        if (pair[0].y, pair[1].y) != (1, 0):
-            raise ValidationError(
-                f"pair ({pair[0].id!r}, {pair[1].id!r}) must be (anomalous, normal), "
-                f"got y=({pair[0].y}, {pair[1].y})"
-            )
-        ys[i] = 1 if (pair[0].y_s == 1 or pair[1].y_s == 1) else 0
-        for sample in pair:
-            z1, h, scores = _forward(params, sample.features)
-            k = resolve_k(config.k_rule, scores.shape[0])
-            y_hat, idx = topk_mean(scores, k, return_indices=True)
-            loss, dy_hat = bce(sample.y, y_hat, config.clamp_eps, return_grad=True)
-            raw[i] += loss
-            s = scores[idx]
-            selected[ys[i]].append(
-                (np.asarray(sample.features)[idx], z1[idx], h[idx], dy_hat / k * s * (1.0 - s))
-            )
 
-    breakdown = ssls_scale(raw, ys, lam_eff)
-    real, synthetic = (_selected_backward(params, rows) for rows in selected)
-    return breakdown, _param_views(real + lam_eff * synthetic, params.dim, params.hidden)
+def _stacked_loss_and_grads(theta: np.ndarray, batch, plan: _Plan):
+    bags, pair_synthetic = batch
+    n_runs = len(bags)
+    w1, b1, w2, b2 = _stacked_views(theta, plan.dim, plan.hidden)
+    # Every bag of the step in (run, source) group order g = 2 * run + source,
+    # each group in slot order.
+    run_of_bag, slot_of_bag = (bags >= 0).nonzero()
+    group_of_bag = 2 * run_of_bag + pair_synthetic[run_of_bag, slot_of_bag // 2]
+    by_group = group_of_bag.argsort(kind="stable")
+    run_of_bag, slot_of_bag, group_of_bag = run_of_bag[by_group], slot_of_bag[by_group], group_of_bag[by_group]
+    videos = bags[run_of_bag, slot_of_bag]
+    clips, k = plan.clips[videos], plan.k[videos]
+    ends = clips.cumsum()
+    starts = ends - clips  # first clip row of each bag
+    rows_at = [0, *ends.tolist()]
+
+    # Chunks of whole bags with at most _CHUNK_BYTES of float64 features (or
+    # one bag): consecutive runs share a chunk, and a run with more splits
+    # into pieces of its own ``chunk_bags``. Each piece is one matmul, so a
+    # run's arithmetic does not depend on the other runs in the stack.
+    chunks, start = [[]], 0
+    for r, n in enumerate(np.bincount(run_of_bag, minlength=n_runs).tolist()):
+        for b in range(start, start + n, plan.chunk_bags[r]):
+            e = min(b + plan.chunk_bags[r], start + n)
+            if chunks[-1] and (rows_at[e] - rows_at[chunks[-1][0][1]]) * plan.dim * 8 > _CHUNK_BYTES:
+                chunks.append([])
+            chunks[-1].append((r, b, e))
+        start += n
+
+    videos_l = videos.tolist()
+    z1 = np.empty((rows_at[-1], plan.hidden))
+    logits = np.empty(rows_at[-1])
+    for chunk in chunks:
+        lo, hi = chunk[0][1], chunk[-1][2]
+        base = rows_at[lo]
+        features = np.concatenate([plan.features[v] for v in videos_l[lo:hi]], dtype=np.float64)
+        for r, b, e in chunk:
+            rows = slice(rows_at[b], rows_at[e])
+            z1[rows], _, logits[rows] = _layers(w1[r], b1[r], w2[r], b2[r],
+                                                features[rows_at[b] - base:rows_at[e] - base])
+        del features  # before the next chunk is gathered
+    scores = stable_sigmoid(logits)
+    if math.isnan(scores.sum()):
+        bad = videos_l[int(starts.searchsorted(np.flatnonzero(np.isnan(scores))[0], side="right")) - 1]
+        raise ValidationError(f"clip scores of video {plan.ids[bad]!r} are non-finite")
+
+    is_clip = np.arange(clips.max()) < clips[:, None]
+    padded = np.full(is_clip.shape, -np.inf)
+    padded[is_clip] = scores
+    y_hat, order = topk_mean(padded, k, return_indices=True)
+    # The top-k rows of every bag, bag by bag, in descending-score order; x
+    # comes from the features as stored, one bag at a time.
+    sel_bag, rank = (np.arange(order.shape[1]) < k[:, None]).nonzero()
+    rows = starts[sel_bag] + order[sel_bag, rank]
+    z1, s = z1[rows], scores[rows]
+    sel_at = [0, *k.cumsum().tolist()]
+    x = np.empty((len(rows), plan.dim), dtype=plan.feature_dtype)
+    for b, ranked in enumerate(order):
+        plan.features[videos_l[b]].take(ranked[:sel_at[b + 1] - sel_at[b]], axis=0,
+                                        out=x[sel_at[b]:sel_at[b + 1]], mode="clip")
+
+    loss, dy_hat = bce(plan.y[videos], y_hat, plan.clamp_eps[run_of_bag], return_grad=True)
+    bag_loss = np.zeros(bags.shape)
+    bag_loss[run_of_bag, slot_of_bag] = loss
+    breakdown = ssls_scale(bag_loss[:, 0::2] + bag_loss[:, 1::2], pair_synthetic, plan.lam[:n_runs])
+
+    # Backward once per (run, source) group, over its bags' top-k rows.
+    du = (dy_hat / k)[sel_bag] * s * (1.0 - s)
+    dz1 = du[:, None] * w2[run_of_bag[sel_bag]] * (z1 > 0.0)
+    h = np.maximum(z1, 0.0)
+    bounds = group_of_bag[sel_bag].searchsorted(np.arange(2 * n_runs + 1)).tolist()
+    grads = np.zeros((n_runs, 2, theta.shape[1]))
+    g_w1, g_b1, g_w2, g_b2 = _stacked_views(grads.reshape(2 * n_runs, -1), plan.dim, plan.hidden)
+    for g in range(2 * n_runs):
+        lo, hi = bounds[g], bounds[g + 1]
+        if lo == hi:
+            continue
+        np.matmul(dz1[lo:hi].T, np.asarray(x[lo:hi], dtype=np.float64), out=g_w1[g])
+        dz1[lo:hi].sum(axis=0, out=g_b1[g])
+        np.matmul(h[lo:hi].T, du[lo:hi], out=g_w2[g])
+        g_b2[g] = du[lo:hi].sum()
+    return breakdown, grads[:, 0] + plan.lam[:n_runs, None] * grads[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -455,33 +642,96 @@ def save_history(history, path) -> None:
     Path(path).write_text(history_to_csv(history), encoding="utf-8")
 
 
-def _shuffled(items, rng) -> list:
-    items = list(items)
-    return [items[i] for i in rng.permutation(len(items))]
-
-
-def _epoch_pairs(anomalous, normal, rng) -> list:
-    """Draw this epoch's bag pairs without replacement.
+def _epoch_pairs(real_a, synth_a, real_n, synth_n, rng):
+    """Draw this epoch's bag pairs without replacement, as (anomalous, normal)
+    arrays of bag indices.
 
     Same-source pairs are preferred (real with real, synthetic with
     synthetic); leftovers are paired across sources and inherit the synthetic
     label if either member is synthetic.
     """
-    real_a = _shuffled((s for s in anomalous if s.y_s == 0), rng)
-    synth_a = _shuffled((s for s in anomalous if s.y_s == 1), rng)
-    real_n = _shuffled((s for s in normal if s.y_s == 0), rng)
-    synth_n = _shuffled((s for s in normal if s.y_s == 1), rng)
-
-    pairs = []
+    real_a, synth_a, real_n, synth_n = (
+        group[rng.permutation(len(group))] for group in (real_a, synth_a, real_n, synth_n)
+    )
     n_real = min(len(real_a), len(real_n))
-    pairs.extend(zip(real_a[:n_real], real_n[:n_real]))
     n_synth = min(len(synth_a), len(synth_n))
-    pairs.extend(zip(synth_a[:n_synth], synth_n[:n_synth]))
-    rest_a = real_a[n_real:] + synth_a[n_synth:]
-    rest_n = real_n[n_real:] + synth_n[n_synth:]
+    rest_a = np.concatenate([real_a[n_real:], synth_a[n_synth:]])
+    rest_n = np.concatenate([real_n[n_real:], synth_n[n_synth:]])
     n_cross = min(len(rest_a), len(rest_n))
-    pairs.extend(zip(rest_a[:n_cross], rest_n[:n_cross]))
-    return [pairs[i] for i in rng.permutation(len(pairs))]
+    anomalous = np.concatenate([real_a[:n_real], synth_a[:n_synth], rest_a[:n_cross]])
+    normal = np.concatenate([real_n[:n_real], synth_n[:n_synth], rest_n[:n_cross]])
+    order = rng.permutation(len(anomalous))
+    return anomalous[order], normal[order]
+
+
+@dataclass(eq=False)
+class _Schedule:
+    """Every run's batches, runs in stack order (longest schedule first).
+
+    ``bags[t, r]`` holds run r's bag indices at lockstep step t (pair j in
+    slots 2j and 2j + 1, -1 where the run has no bag) and ``synthetic[t, r]``
+    its pair sources. At step t the first ``active[t]`` runs step.
+    """
+
+    bags: np.ndarray
+    synthetic: np.ndarray
+    active: np.ndarray
+    epoch_ends: dict  # step -> [(run, epoch, pairs in that epoch)]
+    order: list  # run in stack order -> its index in the caller's list
+
+
+def _lockstep_plan(runs):
+    """Plan and schedule of ``runs``; each run's pair RNG draws its epochs in
+    the order a run trained alone would."""
+    table = _BagTable()
+    drawn = []  # per run: (config, its bag indices, its epochs of pairs)
+    for dataset, config in runs:
+        anomalous = sorted(dataset.anomalous, key=lambda s: s.id)
+        normal = sorted(dataset.normal, key=lambda s: s.id)
+        if not anomalous or not normal:
+            raise ValidationError("training needs at least one sample per class")
+        dim = anomalous[0].dim
+        for s in (*anomalous, *normal):
+            if s.dim != dim:
+                raise ShapeError(f"sample {s.id!r} has dim {s.dim}, dataset has {dim}")
+        for pool, y in ((anomalous, 1), (normal, 0)):
+            for s in pool:
+                if s.y != y:
+                    raise ValidationError(f"sample {s.id!r} with y={s.y} in the {('normal', 'anomalous')[y]} pool")
+        sources = [
+            np.array([table.add(s, config.k_rule) for s in pool if s.y_s == y_s], dtype=np.int64)
+            for pool in (anomalous, normal) for y_s in (0, 1)
+        ]
+        rng = rng_from(config.seed, "pair-sampling")
+        epochs = [_epoch_pairs(*sources, rng) for _ in range(config.epochs)]
+        drawn.append((config, np.concatenate(sources), epochs))
+    if len({s.dim for s in table.samples}) > 1 or len({c.hidden for c, _, _ in drawn}) > 1:
+        raise ShapeError("runs trained together must share the feature dim and the hidden width")
+
+    steps_per_epoch = [math.ceil(len(epochs[0][0]) / c.batch_pairs) for c, _, epochs in drawn]
+    order = sorted(range(len(drawn)), key=lambda r: -steps_per_epoch[r] * drawn[r][0].epochs)
+    lengths = [steps_per_epoch[r] * drawn[r][0].epochs for r in order]
+    pairs_max = max(c.batch_pairs for c, _, _ in drawn)
+    bags = np.full((lengths[0], len(order), 2 * pairs_max), -1, dtype=np.int64)
+    synthetic = np.zeros((lengths[0], len(order), pairs_max), dtype=np.int64)
+    epoch_ends = {}
+    plan = table.plan([drawn[r][0] for r in order], [drawn[r][1] for r in order],
+                      table.samples[0].dim, drawn[0][0].hidden)
+    for pos, r in enumerate(order):
+        config, _, epochs = drawn[r]
+        per_epoch, width = steps_per_epoch[r], config.batch_pairs
+        for e, (anomalous, normal) in enumerate(epochs):
+            pairs = np.full((per_epoch * width, 2), -1, dtype=np.int64)
+            pairs[:len(anomalous)] = np.stack([anomalous, normal], axis=1)
+            steps = slice(e * per_epoch, (e + 1) * per_epoch)
+            bags[steps, pos, :2 * width] = pairs.reshape(per_epoch, 2 * width)
+            mixed = np.zeros(per_epoch * width, dtype=np.int64)
+            mixed[:len(anomalous)] = plan.synthetic[anomalous] | plan.synthetic[normal]
+            synthetic[steps, pos, :width] = mixed.reshape(per_epoch, width)
+            epoch_ends.setdefault((e + 1) * per_epoch - 1, []).append((pos, e + 1, len(anomalous)))
+    active = (np.array(lengths)[None, :] > np.arange(lengths[0])[:, None]).sum(axis=1)
+    schedule = _Schedule(bags, synthetic, active, epoch_ends, order)
+    return plan, schedule, [drawn[r][0] for r in order]
 
 
 def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
@@ -490,58 +740,71 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
     Samples are ordered by id before any seeded shuffling, so two datasets
     holding the same samples train identically regardless of construction
     order. Validation AUC is computed per epoch when ``val_samples`` carry
-    frame labels. Training stops with a ValidationError at the first step
-    whose loss or updated parameters are non-finite; numpy's floating-point
-    warnings are silenced while it runs, so that error is the only report.
+    frame labels. This is the one-run case of :func:`train_runs`.
     """
-    anomalous = sorted(dataset.anomalous, key=lambda s: s.id)
-    normal = sorted(dataset.normal, key=lambda s: s.id)
-    if not anomalous or not normal:
-        raise ValidationError("training needs at least one sample per class")
-    dim = anomalous[0].dim
-    for s in (*anomalous, *normal):
-        if s.dim != dim:
-            raise ShapeError(f"sample {s.id!r} has dim {s.dim}, dataset has {dim}")
+    return train_runs([(dataset, config)], val_samples)[0]
 
-    theta = params_to_vector(ScorerParams.init(dim, config.hidden, rng_from(config.seed, "scorer-init")))
-    params = vector_to_params(theta, dim, config.hidden)  # views: updating theta updates params
-    state = AdamState(lr=config.lr, weight_decay=config.weight_decay)
-    lam_eff = config.lam if config.ssls_enabled else 1.0
-    loop_rng = rng_from(config.seed, "pair-sampling")
 
-    history = []
+def train_runs(runs, val_samples=None) -> list:
+    """Train every (dataset, config) of ``runs`` in lockstep; one TrainResult each.
+
+    Each run draws the batches it would draw alone and ends with the
+    parameters it would reach alone, bit for bit. Runs must share the
+    feature dim and hidden width. Training stops with a ValidationError at
+    the first step with a non-finite clip score, loss or updated parameter;
+    numpy's floating-point warnings are silenced while it runs, so that error
+    is the only report.
+    """
+    runs = list(runs)
+    if not runs:
+        return []
+    plan, schedule, configs = _lockstep_plan(runs)
+    dim, hidden = plan.dim, plan.hidden
+    theta = np.stack([
+        params_to_vector(ScorerParams.init(dim, hidden, rng_from(c.seed, "scorer-init"))) for c in configs
+    ])
+    lr = np.array([[c.lr] for c in configs])
+    weight_decay = np.array([[c.weight_decay] for c in configs])
+    moments = np.zeros((2, *theta.shape))
+    total_sum = np.zeros(len(configs))
+    mil_sum = np.zeros(len(configs))
+    history = [[] for _ in configs]
+    state = AdamState(lr=lr, weight_decay=weight_decay, first_moment=moments[0], second_moment=moments[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(1, config.epochs + 1):
-            pairs = _epoch_pairs(anomalous, normal, loop_rng)
-            total_sum = 0.0
-            mil_sum = 0.0
-            n_pairs = 0
-            for start in range(0, len(pairs), config.batch_pairs):
-                batch = pairs[start:start + config.batch_pairs]
-                breakdown, grads = total_loss_and_grads(params, batch, config)
-                if not math.isfinite(breakdown.total):
-                    raise ValidationError(f"training loss is non-finite at epoch {epoch}")
-                flat_grad = grads["w1"].base  # every scorer block is a view of one flat gradient
-                theta[...] = adam_step(theta, flat_grad, state)
-                if not np.isfinite(theta).all():
-                    params.check_finite()  # names the block
-                total_sum += breakdown.total
-                mil_sum += _left_fold_sum(breakdown.raw)
-                n_pairs += len(batch)
-            val_auc = None
-            if val_samples is not None:
-                from .evaluation import evaluate  # local import: evaluation imports this module
+        for t, n in enumerate(schedule.active.tolist()):
+            if n < len(state.lr):  # runs whose schedule ended leave the stack; the others step on
+                state = AdamState(lr=lr[:n], weight_decay=weight_decay[:n], step=state.step,
+                                  first_moment=moments[0, :n], second_moment=moments[1, :n])
+            live = theta[:n]
+            breakdown, grads = total_loss_and_grads(live, (schedule.bags[t, :n], schedule.synthetic[t, :n]), plan)
+            if not np.isfinite(breakdown.total).all():
+                bad = int(np.argmin(np.isfinite(np.broadcast_to(breakdown.total, n))))
+                raise ValidationError(
+                    f"training loss is non-finite at epoch {len(history[bad]) + 1}")
+            live[...] = adam_step(live, grads, state)
+            if not np.isfinite(live).all():
+                vector_to_params(live[int(np.argmin(np.isfinite(live).all(axis=1)))], dim, hidden)  # names the block
+            total_sum[:n] += breakdown.total
+            mil_sum[:n] += _left_fold(breakdown.raw)
+            for r, epoch, n_pairs in schedule.epoch_ends.get(t, ()):
+                val_auc = None
+                if val_samples is not None:
+                    from .evaluation import evaluate  # local import: evaluation imports this module
 
-                val_auc = evaluate(params, val_samples).auc
-            history.append(EpochStats(
-                epoch=epoch,
-                total_loss=total_sum / n_pairs,
-                mil_mean=mil_sum / n_pairs,
-                val_auc=val_auc,
-                lambda_effective=lam_eff,
-            ))
+                    val_auc = evaluate(vector_to_params(theta[r], dim, hidden), val_samples).auc
+                history[r].append(EpochStats(
+                    epoch=epoch,
+                    total_loss=float(total_sum[r] / n_pairs),
+                    mil_mean=float(mil_sum[r] / n_pairs),
+                    val_auc=val_auc,
+                    lambda_effective=float(plan.lam[r]),
+                ))
+                total_sum[r] = mil_sum[r] = 0.0
 
-    return TrainResult(params=params, history=history)
+    results = [None] * len(runs)
+    for pos, r in enumerate(schedule.order):
+        results[r] = TrainResult(params=vector_to_params(theta[pos], dim, hidden), history=history[pos])
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ regenerated in isolation from its tokens.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -76,42 +75,48 @@ def stable_sigmoid(x):
     """
     arr = np.asarray(x, dtype=np.float64)
     ex = np.exp(-np.abs(arr))
-    out = np.where(arr >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
-    np.clip(out, _SIGMOID_FLOOR, _SIGMOID_CEIL, out=out)
+    denom = 1.0 + ex
+    out = np.where(arr >= 0, 1.0 / denom, ex / denom)
+    np.minimum(np.maximum(out, _SIGMOID_FLOOR, out=out), _SIGMOID_CEIL, out=out)
     return float(out) if arr.ndim == 0 else out
 
 
-def bce(y: int, y_hat: float, clamp_eps: float = DEFAULT_CLAMP_EPS, return_grad: bool = False):
+def bce(y, y_hat, clamp_eps=DEFAULT_CLAMP_EPS, return_grad: bool = False):
     """Binary cross-entropy with the prediction clamped to [eps, 1-eps].
 
     With ``return_grad`` it returns ``(loss, d loss / d y_hat)``. The clamp is
     part of the objective: outside it the loss is flat and the derivative 0.
+    Scalar arguments give floats; arrays (one entry per bag, ``clamp_eps``
+    scalar or per bag) give arrays of the same values elementwise.
     """
-    if y not in (0, 1):
+    labels = np.asarray(y)
+    if not is_binary(labels):
         raise ValidationError(f"label must be 0 or 1, got {y!r}")
-    if not 0.0 < clamp_eps < 0.5:
+    eps = np.asarray(clamp_eps, dtype=np.float64)
+    if not (eps.min() > 0.0 and eps.max() < 0.5):
         raise ValidationError(f"clamp_eps must be in (0, 0.5), got {clamp_eps}")
-    y_hat = float(y_hat)
-    p = min(max(y_hat, clamp_eps), 1.0 - clamp_eps)
-    if y == 1:
-        loss, grad = -math.log(p), -1.0 / p
-    else:
-        loss, grad = -math.log1p(-p), 1.0 / (1.0 - p)
-    if not return_grad:
-        return loss
-    return loss, (grad if p == y_hat else 0.0)
+    y_hat = np.asarray(y_hat, dtype=np.float64)
+    p = np.minimum(np.maximum(y_hat, eps), 1.0 - eps)
+    positive = labels == 1
+    loss = -np.where(positive, np.log(p), np.log1p(-p))
+    grad = np.where(p == y_hat, np.where(positive, -1.0 / p, 1.0 / (1.0 - p)), 0.0)
+    if loss.ndim == 0:
+        loss, grad = float(loss), float(grad)
+    return (loss, grad) if return_grad else loss
 
 
 @dataclass
 class AdamState:
     """Adam state with decoupled weight decay over one parameter array.
 
-    The moment buffers are created on the first step and afterwards must keep
-    matching the parameter shape.
+    For R runs stacked as an (R, P) array that step together, ``lr`` and
+    ``weight_decay`` may be (R, 1) arrays, one setting per run; ``step`` is
+    the count they share. The moment buffers are created on the first step
+    and afterwards must keep matching the parameter shape.
     """
 
-    lr: float = 0.001
-    weight_decay: float = 0.005
+    lr: float | np.ndarray = 0.001
+    weight_decay: float | np.ndarray = 0.005
     step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None
@@ -138,8 +143,10 @@ def adam_step(param, grad, state: AdamState) -> np.ndarray:
     c1 = 1.0 - _BETA1 ** state.step
     c2 = 1.0 - _BETA2 ** state.step
     p = p - state.lr * state.weight_decay * p
-    m[...] = _BETA1 * m + (1.0 - _BETA1) * g
-    v[...] = _BETA2 * v + (1.0 - _BETA2) * g * g
+    m *= _BETA1
+    m += (1.0 - _BETA1) * g
+    v *= _BETA2
+    v += (1.0 - _BETA2) * g * g
     return p - state.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
 
 

@@ -137,6 +137,29 @@ class TestCriterion3TopK:
                     expected = float(np.sum(np.array([v for v, _ in ranked[:k]])) / k)
                     assert topk_mean(scores, k) == expected
 
+    def test_batched_rows_match_the_sort_oracle(self):
+        with criterion("criterion 3: batched top-k oracle equivalence", 5.0):
+            # The trainer's form: many bags in one call, padded with -inf,
+            # each with its own k from 1 to 64 (k >= 8 takes numpy's unrolled
+            # sum); each mean and selection equals the sort oracle's for that
+            # bag alone.
+            rng = rng_from("acceptance-topk-batched")
+            for trial in range(300):
+                lengths = rng.integers(1, 65, size=int(rng.integers(1, 33)))
+                padded = np.full((lengths.size, lengths.max()), -np.inf)
+                ks = np.array([int(rng.integers(1, t + 1)) for t in lengths])
+                oracle = []
+                for i, (t, k) in enumerate(zip(lengths, ks)):
+                    scores = rng.uniform(size=t)
+                    if (trial + i) % 3 == 0:
+                        scores = np.round(scores, 1)  # tie-heavy
+                    padded[i, :t] = scores
+                    ranked = sorted(zip(scores, range(t)), key=lambda p: (-p[0], p[1]))[:k]
+                    oracle.append((float(np.sum(np.array([v for v, _ in ranked])) / k), [j for _, j in ranked]))
+                means, order = topk_mean(padded, ks, return_indices=True)
+                assert means.tolist() == [mean for mean, _ in oracle]
+                assert [order[i, :k].tolist() for i, k in enumerate(ks)] == [idx for _, idx in oracle]
+
 
 class TestCriterion4Auc:
     def test_pairwise_oracle_equivalence(self):

@@ -338,6 +338,20 @@ class TestAblate:
         assert main(["ablate", "--spec", str(spec), "--out", str(out)]) == 2
         assert not (out / "ablation.csv").exists()
 
+    @pytest.mark.parametrize("kind, bad, shown", [
+        ("lambda_sweep", "seeds=0,1,0", "duplicate seed 0"),
+        ("module_ablation", "seeds=0\ngrid=vg,baseline,vg", "duplicate grid entry 'vg'"),
+    ])
+    def test_duplicate_seed_or_grid_entry_exits_2(self, tmp_path, pipeline, capsys, kind, bad, shown):
+        _, prompts, _ = pipeline
+        spec = tmp_path / "dup-spec.cfg"
+        spec.write_text(f"kind={kind}\n{bad}\ncounts=2,2,2,2\ntest_counts=2,2\n"
+                        f"prompts={prompts}\nworld.dim=6\ntrain.epochs=1\n")
+        out = tmp_path / "o"
+        assert main(["ablate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert shown in capsys.readouterr().err
+        assert not (out / "ablation.csv").exists()
+
     def test_unknown_spec_key_exits_2(self, tmp_path, pipeline):
         _, prompts, _ = pipeline
         spec = tmp_path / "bad-spec.cfg"
@@ -424,6 +438,22 @@ class TestDivergence:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
         assert "non-finite" in lines[0]
+
+    def test_nan_clip_scores_exit_2_with_one_error_line(self, pipeline, capsys):
+        # At lr=1e100 some clip scores turn NaN while the loss is still
+        # finite; the run stops there with one error line naming the video.
+        tmp_path, prompts, _ = pipeline
+        world_cfg = tmp_path / "world-16.cfg"
+        world_cfg.write_text("dim=16\nclips_min=6\nclips_max=10\nclip_len=2\n")
+        data = tmp_path / "data"
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "4,4,0,0", "--seed", "4", "--out", str(data)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(data / "manifest.tsv"), "--set", "lr=1e100",
+                     "--set", "epochs=5", "--set", "batch_pairs=2", "--out", str(tmp_path / "model")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: clip scores of video "), lines
+        assert lines[0].endswith(" are non-finite")
 
 
 class TestConsoleEntry:

@@ -23,7 +23,8 @@ from gvvad.evaluation import (
     summarize_ablation,
     summary_to_csv,
 )
-from gvvad.milcore import ScorerParams, TrainConfig
+from gvvad import milcore
+from gvvad.milcore import ScorerParams, TrainConfig, train
 from gvvad.numerics import rng_from
 from gvvad.promptgen import build_repository, default_inventory
 from gvvad.worldsim import GenerationCounts, WorldConfig
@@ -252,11 +253,21 @@ class TestRunAblation:
     @pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
     def test_non_finite_lambda_rejected_before_training(self, monkeypatch, bad):
         calls = []
-        real_train = evaluation.train
-        monkeypatch.setattr(evaluation, "train", lambda *args: calls.append(args) or real_train(*args))
+        real_train = evaluation.train_runs
+        monkeypatch.setattr(evaluation, "train_runs", lambda *args: calls.append(args) or real_train(*args))
         with pytest.raises(ValidationError, match="finite and >= 0"):
             run_ablation(tiny_spec("lambda_sweep", grid=("0.5", "1.0", bad)))
         assert calls == []
+
+    @pytest.mark.parametrize("field, values, shown", [
+        ("seeds", (1, 2, 1), "seed 1"),
+        ("grid", ("baseline", "vg", "baseline"), "grid entry 'baseline'"),
+    ])
+    def test_duplicate_seed_or_grid_entry_rejected(self, field, values, shown):
+        # A repeated seed or setting would train the same cell twice and
+        # count it as two independent seeds.
+        with pytest.raises(ValidationError, match=f"duplicate {shown}"):
+            tiny_spec("module_ablation", **{field: values})
 
     def test_filter_percentile_validated_when_spec_is_built(self):
         # Every kind rejects a percentile outside (0, 100] before any training.
@@ -264,6 +275,49 @@ class TestRunAblation:
             for bad in (0.0, 101.0, -3.0):
                 with pytest.raises(ValidationError, match="percentile"):
                     tiny_spec(kind, filter_percentile=bad)
+
+
+class TestLockstep:
+    def test_each_cell_ends_as_if_trained_alone(self, monkeypatch):
+        # The cells of a sweep train in one stack, with schedules of unequal
+        # length (baseline 8 steps an epoch, vg 26). Each cell must end
+        # bit-identical to the same run trained alone, and its Adam step
+        # count must be its own number of steps.
+        spec = tiny_spec("module_ablation", seeds=(0, 1), counts=GenerationCounts(16, 16, 36, 36))
+        step_counts = []
+        exact_adam = milcore.adam_step
+
+        def counting_adam(param, grad, state):
+            out = exact_adam(param, grad, state)
+            step_counts.append((len(param), state.step))  # the stacked runs share one count
+            return out
+
+        captured, results = [], []
+        lockstep = evaluation.train_runs
+
+        def capturing(runs):
+            captured.extend(runs)
+            results.extend(lockstep(runs))
+            return results
+
+        monkeypatch.setattr(milcore, "adam_step", counting_adam)
+        monkeypatch.setattr(evaluation, "train_runs", capturing)
+        rows = run_ablation(spec)
+        assert len(captured) == len(rows) == 10
+        lockstep_steps = [max(step for stacked, step in step_counts if stacked > i)
+                          for i in range(len(captured))]
+        lockstep_calls = len(step_counts)
+
+        alone_steps = []
+        for (dataset, config), stacked in zip(captured, results):
+            step_counts.clear()
+            alone = train(dataset, config).params
+            alone_steps.append(len(step_counts))
+            for key in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(stacked.params, key), getattr(alone, key)), key
+        assert {16, 52} <= set(alone_steps)  # 2 epochs of 8 and of 26 steps
+        assert sorted(lockstep_steps) == sorted(alone_steps)
+        assert lockstep_calls == max(alone_steps)
 
 
 class TestScoreCurve:

@@ -26,6 +26,7 @@ from gvvad.milcore import (
     train,
     train_config_from_kv,
     train_config_to_kv,
+    train_runs,
     vector_to_params,
 )
 from gvvad.numerics import rng_from, stable_sigmoid
@@ -490,15 +491,16 @@ class TestTrain:
 
     def test_train_runs_the_tested_rules(self, monkeypatch):
         # Training must go through the top-k mean, BCE and loss scaling that
-        # the unit and acceptance tests check, not through private copies.
+        # the unit and acceptance tests check, not through private copies:
+        # one call of each per lockstep step, covering every bag and pair.
         import gvvad.milcore as milcore
         import gvvad.numerics as numerics
 
         assert milcore.bce is numerics.bce
-        calls = dict.fromkeys(("topk_mean", "bce", "ssls_scale"), 0)
+        calls = {name: [] for name in ("topk_mean", "bce", "ssls_scale")}
         for name in calls:
             def spy(*args, _name=name, _fn=getattr(milcore, name), **kwargs):
-                calls[_name] += 1
+                calls[_name].append(np.shape(args[0]))
                 return _fn(*args, **kwargs)
 
             monkeypatch.setattr(milcore, name, spy)
@@ -508,8 +510,29 @@ class TestTrain:
         dataset = mix_datasets(sets.real_anomalous, sets.real_normal,
                                sets.synth_anomalous, sets.synth_normal)
         train(dataset, TrainConfig(epochs=1, batch_pairs=2))
-        # 8 pairs (4 real, 4 synthetic) in 4 batches: one top-k and one BCE per bag.
-        assert calls == {"topk_mean": 16, "bce": 16, "ssls_scale": 4}
+        # 8 pairs (4 real, 4 synthetic) in 4 steps of 2 pairs: per step one
+        # top-k call and one BCE call over its 4 bags, one scaling call over its 2 pairs.
+        assert [shape[0] for shape in calls["topk_mean"]] == [4] * 4
+        assert calls["bce"] == [(4,)] * 4
+        assert calls["ssls_scale"] == [(1, 2)] * 4
+        for seen in calls.values():
+            seen.clear()
+        train_runs([(dataset, TrainConfig(epochs=1, batch_pairs=2, seed=seed)) for seed in (0, 1)])
+        # two runs in lockstep: the same calls, each covering both runs
+        assert [shape[0] for shape in calls["topk_mean"]] == [8] * 4
+        assert calls["bce"] == [(8,)] * 4
+        assert calls["ssls_scale"] == [(2, 2)] * 4
+
+    def test_nan_clip_scores_stop_training(self):
+        # At lr=1e100 the weights blow up until some clip scores are NaN
+        # while the loss, taken over the finite clips, is still finite. The
+        # batch objective must refuse that step rather than train on it.
+        pairs = build_repository(default_inventory(), limit=12, seed=3)
+        world = WorldConfig(dim=16, clips_min=6, clips_max=10, clip_len=2)
+        sets = generate_dataset(world, pairs, GenerationCounts(4, 4, 0, 0), base_seed=4)
+        dataset = mix_datasets(sets.real_anomalous, sets.real_normal, (), ())
+        with pytest.raises(ValidationError, match=r"clip scores of video '[^']+' are non-finite"):
+            train(dataset, TrainConfig(lr=1e100, epochs=5, batch_pairs=2))
 
 
 class TestParamsFile:
