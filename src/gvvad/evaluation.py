@@ -268,26 +268,25 @@ def run_ablation(spec: AblationSpec) -> list:
     """Run the grid and return one AblationRow per (setting, seed).
 
     The generated pool and test set are shared across settings within a
-    seed, so per-seed comparisons between settings are paired. Every
-    (setting, seed) cell trains in one lockstep :func:`train_runs` call and
-    ends with the parameters it would reach trained alone.
+    seed, so per-seed comparisons between settings are paired. A seed's
+    cells train in one lockstep :func:`train_runs` call, and each ends with
+    the parameters it would reach trained alone; only one seed's pool is
+    held at a time.
     """
     settings = _expand_settings(spec)
-    runs = []
-    for seed in spec.seeds:
-        pool = generate_dataset(spec.world, spec.pairs, spec.counts, base_seed=("ablate-pool", seed))
-        runs.extend(_materialize_run(spec, pool, setting, seed) for setting in settings)
-    results = iter(train_runs(runs))
     rows = {}
     for seed in spec.seeds:
+        pool = generate_dataset(spec.world, spec.pairs, spec.counts, base_seed=("ablate-pool", seed))
+        results = train_runs([_materialize_run(spec, pool, setting, seed) for setting in settings])
+        del pool  # before the next seed's pool is generated
         test_sets = generate_dataset(
             spec.world, spec.pairs,
             GenerationCounts(real_anomalous=spec.test_counts[0], real_normal=spec.test_counts[1]),
             base_seed=("ablate-test", seed),
         )
         test_samples = [*test_sets.real_anomalous, *test_sets.real_normal]
-        for setting in settings:
-            auc = evaluate(next(results).params, test_samples).auc
+        for setting, result in zip(settings, results):
+            auc = evaluate(result.params, test_samples).auc
             rows[(setting, seed)] = AblationRow(setting, int(seed), auc)
     return [rows[(setting, seed)] for setting in settings for seed in spec.seeds]
 

@@ -16,12 +16,12 @@ those rules.
 
 Training is lockstep: :func:`train_runs` trains R independent runs (the cells
 of a sweep) as one stacked program, and :func:`train` is its R = 1 case. The
-parameters of all runs live in one (R, P) array. A step casts the bags of
-all runs to float64 in chunks of at most ``_CHUNK_BYTES`` (or one bag), and
-runs each run's first layer over its own bags only: BLAS rounding depends on
+parameters of all runs live in one (R, P) array. A step casts each run's
+bags to float64 in pieces of at most ``_CHUNK_BYTES`` (or one bag) and runs
+the first layer once per piece, never across runs: BLAS rounding depends on
 the matrix shape, so a matmul across runs would make a run's result depend
 on the others. Scores, top-k means, BCE and loss scaling then go through
-each rule once per chunk or step. The backward pass covers only the top-k
+each rule once per step. The backward pass covers only the top-k
 rows, once per (run, source), and each run's gradient is
 ``real + lambda * synthetic``. Runs are ordered by schedule length and a run
 leaves the stack when its schedule ends, so every stacked run takes every
@@ -189,48 +189,48 @@ def _descending(scores: np.ndarray) -> np.ndarray:
 
 def topk_indices(scores, k: int) -> np.ndarray:
     """Indices of the k largest scores; ties keep the lower clip index first."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 1:
-        raise ShapeError(f"scores must be 1-D, got shape {s.shape}")
-    if not 1 <= k <= s.shape[0]:
-        raise ValidationError(f"k={k} out of range for {s.shape[0]} clips")
-    return _descending(s)[:k]
+    if np.ndim(scores) != 1:
+        raise ShapeError(f"scores must be 1-D, got shape {np.shape(scores)}")
+    return topk_mean(scores, k, return_indices=True)[1]
 
 
 def topk_mean(scores, k, return_indices: bool = False):
     """Mean of the k largest scores, summed in descending-score order.
 
     ``scores`` is one bag's 1-D clip scores and ``k`` an int, or a 2-D array
-    with one bag per row, padded with -inf, and ``k`` one int per row. Each
-    row's mean is bit-identical to the 1-D call on that bag: rows with k < 8
-    are summed over their first 7 ranked scores with zeros past k, which
-    numpy adds in order; rows with k >= 8, where numpy switches to its
-    unrolled pairwise sum, are summed as one (rows, k) block per k.
+    with one bag per row, padded with -inf, and ``k`` one int per row; one
+    bag is the one-row case. Each row's mean equals ``np.sum`` of its k
+    values in descending-score order: rows with k < 8 are summed over their
+    first 7 ranked scores with zeros past k, which numpy adds in order; rows
+    with k >= 8, where numpy switches to its unrolled pairwise sum, are
+    summed as one (rows, k) block per k.
 
     With ``return_indices`` it returns ``(mean, indices)``: for one bag the
-    indices of :func:`topk_indices` from the same single sort; for rows, each
-    row's clips in descending-score order, the first k of them selected.
+    indices of its k selected clips, for rows each row's clips in
+    descending-score order, the first k of them selected.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2:
-        idx = topk_indices(s, k)
-        mean = float(s[idx].sum() / k)
-        return (mean, idx) if return_indices else mean
-    ks = np.asarray(k)
-    clips = (s > -np.inf).sum(axis=1)
+    if s.ndim == 1:
+        rows, ks, clips = s[None], np.array([k]), np.array([len(s)])
+    elif s.ndim == 2:
+        rows, ks, clips = s, np.asarray(k), (s > -np.inf).sum(axis=1)
+    else:
+        raise ShapeError(f"scores must be 1-D or 2-D, got shape {s.shape}")
     if ks.shape != clips.shape or not ((ks >= 1) & (ks <= clips)).all():
-        raise ValidationError(f"k={ks} out of range for bags of {clips} clips")
-    order = _descending(s)
-    ranked = s[np.arange(len(s))[:, None], order]
+        raise ValidationError(f"k={k} out of range for {clips[0] if s.ndim == 1 else clips} clips")
+    order = _descending(rows)
+    ranked = rows[np.arange(len(rows))[:, None], order]
     if ks.min() < 8:
-        head = min(7, s.shape[1])
+        head = min(7, rows.shape[1])
         means = np.where(np.arange(head) < ks[:, None], ranked[:, :head], 0.0).sum(axis=1) / ks
     else:
         means = np.empty(len(ks))
     if ks.max() >= 8:
         for kk in sorted(set(ks[ks >= 8].tolist())):
-            rows = np.flatnonzero(ks == kk)
-            means[rows] = ranked[rows, :kk].sum(axis=1) / kk
+            at = np.flatnonzero(ks == kk)
+            means[at] = ranked[at, :kk].sum(axis=1) / kk
+    if s.ndim == 1:
+        means, order = float(means[0]), order[0, :k]
     return (means, order) if return_indices else means
 
 
@@ -476,31 +476,21 @@ def _stacked_loss_and_grads(theta: np.ndarray, batch, plan: _Plan):
     starts = ends - clips  # first clip row of each bag
     rows_at = [0, *ends.tolist()]
 
-    # Chunks of whole bags with at most _CHUNK_BYTES of float64 features (or
-    # one bag): consecutive runs share a chunk, and a run with more splits
-    # into pieces of its own ``chunk_bags``. Each piece is one matmul, so a
-    # run's arithmetic does not depend on the other runs in the stack.
-    chunks, start = [[]], 0
-    for r, n in enumerate(np.bincount(run_of_bag, minlength=n_runs).tolist()):
-        for b in range(start, start + n, plan.chunk_bags[r]):
-            e = min(b + plan.chunk_bags[r], start + n)
-            if chunks[-1] and (rows_at[e] - rows_at[chunks[-1][0][1]]) * plan.dim * 8 > _CHUNK_BYTES:
-                chunks.append([])
-            chunks[-1].append((r, b, e))
-        start += n
-
+    # Each run's bags in pieces of its own ``chunk_bags`` (at most
+    # _CHUNK_BYTES of float64 features, or one bag), one matmul per piece,
+    # so a run's arithmetic does not depend on the other runs in the stack.
     videos_l = videos.tolist()
     z1 = np.empty((rows_at[-1], plan.hidden))
     logits = np.empty(rows_at[-1])
-    for chunk in chunks:
-        lo, hi = chunk[0][1], chunk[-1][2]
-        base = rows_at[lo]
-        features = np.concatenate([plan.features[v] for v in videos_l[lo:hi]], dtype=np.float64)
-        for r, b, e in chunk:
+    start = 0
+    for r, n in enumerate(np.bincount(run_of_bag, minlength=n_runs).tolist()):
+        for b in range(start, start + n, plan.chunk_bags[r]):
+            e = min(b + plan.chunk_bags[r], start + n)
             rows = slice(rows_at[b], rows_at[e])
-            z1[rows], _, logits[rows] = _layers(w1[r], b1[r], w2[r], b2[r],
-                                                features[rows_at[b] - base:rows_at[e] - base])
-        del features  # before the next chunk is gathered
+            features = np.concatenate([plan.features[v] for v in videos_l[b:e]], dtype=np.float64)
+            z1[rows], _, logits[rows] = _layers(w1[r], b1[r], w2[r], b2[r], features)
+            del features  # before the next piece is gathered
+        start += n
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
         bad = videos_l[int(starts.searchsorted(np.flatnonzero(np.isnan(scores))[0], side="right")) - 1]

@@ -9,6 +9,7 @@ regenerated in isolation from its tokens.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,8 +87,9 @@ def bce(y, y_hat, clamp_eps=DEFAULT_CLAMP_EPS, return_grad: bool = False):
 
     With ``return_grad`` it returns ``(loss, d loss / d y_hat)``. The clamp is
     part of the objective: outside it the loss is flat and the derivative 0.
-    Scalar arguments give floats; arrays (one entry per bag, ``clamp_eps``
-    scalar or per bag) give arrays of the same values elementwise.
+    Scalar arguments give floats; equal-shape arrays of labels and
+    predictions (one entry per bag, ``clamp_eps`` scalar or per bag) give
+    arrays of the same values elementwise.
     """
     labels = np.asarray(y)
     if not is_binary(labels):
@@ -96,9 +98,14 @@ def bce(y, y_hat, clamp_eps=DEFAULT_CLAMP_EPS, return_grad: bool = False):
     if not (eps.min() > 0.0 and eps.max() < 0.5):
         raise ValidationError(f"clamp_eps must be in (0, 0.5), got {clamp_eps}")
     y_hat = np.asarray(y_hat, dtype=np.float64)
+    if labels.shape != y_hat.shape:
+        raise ShapeError(f"labels {labels.shape} and predictions {y_hat.shape} must have one shape")
     p = np.minimum(np.maximum(y_hat, eps), 1.0 - eps)
     positive = labels == 1
-    loss = -np.where(positive, np.log(p), np.log1p(-p))
+    # math.log per element, not np.log: numpy's float64 log may take a
+    # CPU-specific SIMD path, and a loss must not depend on the host.
+    loss = np.array([-math.log(q) if pos else -math.log1p(-q)
+                     for q, pos in zip(p.ravel().tolist(), positive.ravel().tolist())]).reshape(p.shape)
     grad = np.where(p == y_hat, np.where(positive, -1.0 / p, 1.0 / (1.0 - p)), 0.0)
     if loss.ndim == 0:
         loss, grad = float(loss), float(grad)

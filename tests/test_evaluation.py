@@ -279,7 +279,7 @@ class TestRunAblation:
 
 class TestLockstep:
     def test_each_cell_ends_as_if_trained_alone(self, monkeypatch):
-        # The cells of a sweep train in one stack, with schedules of unequal
+        # A seed's cells train in one stack, with schedules of unequal
         # length (baseline 8 steps an epoch, vg 26). Each cell must end
         # bit-identical to the same run trained alone, and its Adam step
         # count must be its own number of steps.
@@ -292,32 +292,33 @@ class TestLockstep:
             step_counts.append((len(param), state.step))  # the stacked runs share one count
             return out
 
-        captured, results = [], []
+        calls = []  # per lockstep call: its runs, their results and its Adam step counts
         lockstep = evaluation.train_runs
 
         def capturing(runs):
-            captured.extend(runs)
-            results.extend(lockstep(runs))
+            step_counts.clear()
+            results = lockstep(runs)
+            calls.append((list(runs), results, list(step_counts)))
             return results
 
         monkeypatch.setattr(milcore, "adam_step", counting_adam)
         monkeypatch.setattr(evaluation, "train_runs", capturing)
         rows = run_ablation(spec)
-        assert len(captured) == len(rows) == 10
-        lockstep_steps = [max(step for stacked, step in step_counts if stacked > i)
-                          for i in range(len(captured))]
-        lockstep_calls = len(step_counts)
+        assert len(rows) == 10
+        assert [len(runs) for runs, _, _ in calls] == [5, 5]  # one stack per seed
 
-        alone_steps = []
-        for (dataset, config), stacked in zip(captured, results):
-            step_counts.clear()
-            alone = train(dataset, config).params
-            alone_steps.append(len(step_counts))
-            for key in ("w1", "b1", "w2", "b2"):
-                assert np.array_equal(getattr(stacked.params, key), getattr(alone, key)), key
-        assert {16, 52} <= set(alone_steps)  # 2 epochs of 8 and of 26 steps
-        assert sorted(lockstep_steps) == sorted(alone_steps)
-        assert lockstep_calls == max(alone_steps)
+        for runs, results, counts in calls:
+            lockstep_steps = [max(step for stacked, step in counts if stacked > i) for i in range(len(runs))]
+            alone_steps = []
+            for (dataset, config), stacked in zip(runs, results):
+                step_counts.clear()
+                alone = train(dataset, config).params
+                alone_steps.append(len(step_counts))
+                for key in ("w1", "b1", "w2", "b2"):
+                    assert np.array_equal(getattr(stacked.params, key), getattr(alone, key)), key
+            assert {16, 52} <= set(alone_steps)  # 2 epochs of 8 and of 26 steps
+            assert sorted(lockstep_steps) == sorted(alone_steps)
+            assert len(counts) == max(alone_steps)
 
 
 class TestScoreCurve:

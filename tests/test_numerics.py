@@ -106,6 +106,19 @@ class TestBce:
             bce(2, 0.5)
         with pytest.raises(ValidationError):
             bce(1, 0.5, clamp_eps=0.7)
+        with pytest.raises(ShapeError):
+            bce(np.array([1, 0]), 0.5)
+
+    def test_array_losses_are_math_logs(self):
+        # Logs go through math.log/math.log1p, not numpy's CPU-specific SIMD
+        # ones, so a loss does not depend on the host or on the batch shape.
+        rng = rng_from(5, "bce-array")
+        y = rng.integers(0, 2, size=300)
+        y_hat = rng.uniform(0.01, 0.99, size=300)
+        loss, grad = bce(y, y_hat, return_grad=True)
+        assert loss.tolist() == [-math.log(q) if t else -math.log1p(-q) for t, q in zip(y.tolist(), y_hat.tolist())]
+        for i in range(300):
+            assert (loss[i], grad[i]) == bce(int(y[i]), float(y_hat[i]), return_grad=True)
 
 
 class TestAdam:
