@@ -1,10 +1,12 @@
 """Command-line pipeline driver.
 
 Commands: ``prompts`` (description repository), ``world`` (simulated dataset),
-``train``, ``eval``, ``ablate``, ``gradcheck``. Every command resolves its
-configuration as defaults <- config file <- flags, refuses unknown keys, and
-echoes the effective values (with per-key provenance) into ``resolved.cfg``
-inside its output directory. Nothing is written outside ``--out``.
+``train``, ``eval``, ``ablate``, ``gradcheck``. Every command but ``ablate``
+resolves its configuration as defaults <- config file <- flags, refuses
+unknown keys, and echoes the effective values (with per-key provenance) into
+``resolved.cfg`` inside its output directory. ``ablate`` takes only ``--spec``
+and ``--out``: the spec file is its whole configuration, copied to
+``spec.cfg``. Nothing is written outside ``--out``.
 
 Exit codes: 0 success, 1 numeric/assertion failure, 2 input validation,
 3 I/O failure.
@@ -323,13 +325,12 @@ def cmd_gradcheck(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, with_out: bool = True, out_required: bool = True):
+def _add_common(sub, out_required: bool = True):
     sub.add_argument("--config", default=None, help="key=value config file")
     sub.add_argument("--seed", default=None, help="seed override")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a single config key (repeatable)")
-    if with_out:
-        sub.add_argument("--out", required=out_required, help="output directory")
+    sub.add_argument("--out", required=out_required, help="output directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("ablate", help="run an ablation sweep from a spec file")
     p.add_argument("--spec", required=True, help="ablation spec file")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_ablate)
 
     p = subparsers.add_parser("gradcheck", help="compare analytic gradients against finite differences")

@@ -259,7 +259,7 @@ def _materialize_run(spec: AblationSpec, pool, setting: str, seed: int):
             pool.real_anomalous, pool.real_normal, synth_a, synth_n, spec.filter_percentile,
         )
     if "ssls" not in flags:
-        config = replace(config, ssls_enabled=False)
+        config = replace(config, lam=1.0)
     dataset = mix_datasets(pool.real_anomalous, pool.real_normal, synth_a, synth_n)
     return dataset, config
 

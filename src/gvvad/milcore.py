@@ -16,6 +16,7 @@ those rules.
 
 Training is lockstep: :func:`train_runs` trains R independent runs (the cells
 of a sweep) as one stacked program, and :func:`train` is its R = 1 case. The
+runs share one TrainConfig except for lambda and the seed, and the
 parameters of all runs live in one (R, P) array. A step casts each run's
 bags to float64 in pieces of at most ``_CHUNK_BYTES`` (or one bag) and runs
 the first layer once per piece, never across runs: BLAS rounding depends on
@@ -35,14 +36,14 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .datamodel import fnv1a64
 from .errors import DataFormatError, ShapeError, ValidationError
-from .kvformat import parse_bool, parse_float, parse_int, parse_str, read_fields, write_fields
+from .kvformat import parse_float, parse_int, parse_str, read_fields, write_fields
 from .numerics import (
     DEFAULT_CLAMP_EPS, AdamState, adam_step, bce, finite_diff_grad, is_binary, rng_from, stable_sigmoid,
 )
@@ -70,7 +71,10 @@ class ScorerParams:
         self.w1 = np.asarray(self.w1, dtype=np.float64)
         self.b1 = np.asarray(self.b1, dtype=np.float64)
         self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.b2 = np.asarray(self.b2, dtype=np.float64).reshape(())
+        b2 = np.asarray(self.b2, dtype=np.float64)
+        if b2.size != 1:
+            raise ShapeError(f"b2 must hold one value, got shape {b2.shape}")
+        self.b2 = b2.reshape(())
         if self.w1.ndim != 2:
             raise ShapeError(f"w1 must be 2-D, got shape {self.w1.shape}")
         hidden = self.w1.shape[0]
@@ -290,11 +294,11 @@ def ssls_scale(raw_losses, source_labels, lam) -> LossBreakdown:
 
 @dataclass
 class TrainConfig:
-    """Training knobs; ``lam`` is the synthetic-sample loss scale. The
-    optimizer and loss knobs default to Adam's and bce's own defaults."""
+    """Training knobs; ``lam`` is the synthetic-sample loss scale, and
+    ``lam = 1`` trains without scaling. The optimizer and loss knobs default
+    to Adam's and bce's own defaults."""
 
     lam: float = 0.5
-    ssls_enabled: bool = True
     k_rule: str = "div:16"
     lr: float = AdamState.lr
     weight_decay: float = AdamState.weight_decay
@@ -324,7 +328,6 @@ class TrainConfig:
 
 TRAIN_CONFIG_KEYS = {
     "lambda": ("lam", parse_float),
-    "ssls_enabled": ("ssls_enabled", parse_bool),
     "k_rule": ("k_rule", parse_str),
     "lr": ("lr", parse_float),
     "weight_decay": ("weight_decay", parse_float),
@@ -358,11 +361,10 @@ _CHUNK_BYTES = 4 << 20
 class _Plan:
     """What the batch objective needs besides the parameters.
 
-    The bags of every run live in one table, one entry per (sample, k rule):
-    its features (not copied; ``feature_dtype`` holds them all), id, clip
-    count, resolved k, label and source.
-    Per run, in stack order: the effective lambda, the BCE clamp and how many
-    bags go into one float64 chunk.
+    The bags of every run live in one table, one entry per sample: its
+    features (not copied; ``feature_dtype`` holds them all), id, clip count,
+    k, label and source. Per run, in stack order: lambda and how many bags
+    go into one float64 chunk. The BCE clamp is the runs' shared one.
     """
 
     features: list
@@ -373,31 +375,28 @@ class _Plan:
     y: np.ndarray
     synthetic: np.ndarray
     lam: np.ndarray
-    clamp_eps: np.ndarray
+    clamp_eps: float
     chunk_bags: list
     dim: int
     hidden: int
 
 
 class _BagTable:
-    """Collects the distinct (sample, k rule) bags that a plan draws from."""
+    """Collects the distinct samples that a plan draws from."""
 
     def __init__(self):
         self.index = {}
         self.samples = []
-        self.k = []
 
-    def add(self, sample, k_rule: str) -> int:
-        key = (id(sample), k_rule)
-        if key not in self.index:
-            self.index[key] = len(self.samples)
+    def add(self, sample) -> int:
+        if id(sample) not in self.index:
+            self.index[id(sample)] = len(self.samples)
             self.samples.append(sample)
-            self.k.append(resolve_k(k_rule, sample.num_clips))
-        return self.index[key]
+        return self.index[id(sample)]
 
-    def plan(self, configs, run_bags, dim: int, hidden: int) -> _Plan:
-        """The plan for runs with these configs, each drawing on the bag
-        indices in ``run_bags``."""
+    def plan(self, config, lam, run_bags, dim: int, hidden: int) -> _Plan:
+        """The plan for runs that share ``config``, with one lambda per run in
+        ``lam``, each drawing on the bag indices in ``run_bags``."""
         for s in self.samples:
             if s.dim != dim:
                 raise ShapeError(f"features of {s.id!r} have dim {s.dim}, scorer has {dim}")
@@ -409,11 +408,11 @@ class _BagTable:
             feature_dtype=np.result_type(*{f.dtype for f in features}),
             ids=[s.id for s in self.samples],
             clips=clips,
-            k=np.array(self.k),
+            k=np.array([resolve_k(config.k_rule, s.num_clips) for s in self.samples]),
             y=np.array([s.y for s in self.samples]),
             synthetic=np.array([s.y_s == 1 for s in self.samples]),
-            lam=np.array([c.lam if c.ssls_enabled else 1.0 for c in configs]),
-            clamp_eps=np.array([c.clamp_eps for c in configs]),
+            lam=np.array(lam, dtype=np.float64),
+            clamp_eps=config.clamp_eps,
             chunk_bags=[max(1, _CHUNK_BYTES // b) for b in bag_bytes],
             dim=dim,
             hidden=hidden,
@@ -426,8 +425,7 @@ def total_loss_and_grads(params, batch, config):
     A pair counts as synthetic when either member is synthetic. Each bag
     keeps only its top-k rows; one backward pass per source runs over those
     rows into a real and a synthetic gradient, and the result is
-    ``real + lambda * synthetic``. With scaling disabled lambda is 1.0, so
-    that path is the lambda = 1 path.
+    ``real + lambda * synthetic``; lambda = 1 trains without scaling.
 
     One run: ``params`` is a ScorerParams, ``batch`` a sequence of pairs and
     ``config`` a TrainConfig. Returns (LossBreakdown, grads) where grads maps
@@ -450,8 +448,8 @@ def total_loss_and_grads(params, batch, config):
     for a, n in batch:
         if (a.y, n.y) != (1, 0):
             raise ValidationError(f"pair ({a.id!r}, {n.id!r}) must be (anomalous, normal), got y=({a.y}, {n.y})")
-        bags += [table.add(a, config.k_rule), table.add(n, config.k_rule)]
-    plan = table.plan([config], [bags], params.dim, params.hidden)
+        bags += [table.add(a), table.add(n)]
+    plan = table.plan(config, [config.lam], [bags], params.dim, params.hidden)
     bags = np.array([bags])
     synthetic = (plan.synthetic[bags[:, 0::2]] | plan.synthetic[bags[:, 1::2]]).astype(np.int64)
     breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], (bags, synthetic), plan)
@@ -511,7 +509,7 @@ def _stacked_loss_and_grads(theta: np.ndarray, batch, plan: _Plan):
         plan.features[videos_l[b]].take(ranked[:sel_at[b + 1] - sel_at[b]], axis=0,
                                         out=x[sel_at[b]:sel_at[b + 1]], mode="clip")
 
-    loss, dy_hat = bce(plan.y[videos], y_hat, plan.clamp_eps[run_of_bag], return_grad=True)
+    loss, dy_hat = bce(plan.y[videos], y_hat, plan.clamp_eps, return_grad=True)
     bag_loss = np.zeros(bags.shape)
     bag_loss[run_of_bag, slot_of_bag] = loss
     breakdown = ssls_scale(bag_loss[:, 0::2] + bag_loss[:, 1::2], pair_synthetic, plan.lam[:n_runs])
@@ -606,7 +604,6 @@ class EpochStats:
     total_loss: float  # mean adjusted loss per pair
     mil_mean: float  # mean unscaled MIL loss per pair
     val_auc: float | None
-    lambda_effective: float
 
 
 @dataclass(eq=False)
@@ -615,16 +612,14 @@ class TrainResult:
     history: list
 
 
-HISTORY_HEADER = "epoch,L_total,L_MIL_mean,val_auc,lambda_effective"
+HISTORY_HEADER = "epoch,L_total,L_MIL_mean,val_auc"
 
 
 def history_to_csv(history) -> str:
     lines = [HISTORY_HEADER]
     for row in history:
         val = "" if row.val_auc is None else repr(row.val_auc)
-        lines.append(
-            f"{row.epoch},{row.total_loss!r},{row.mil_mean!r},{val},{row.lambda_effective!r}"
-        )
+        lines.append(f"{row.epoch},{row.total_loss!r},{row.mil_mean!r},{val}")
     return "\n".join(lines) + "\n"
 
 
@@ -670,47 +665,41 @@ class _Schedule:
     order: list  # run in stack order -> its index in the caller's list
 
 
-def _lockstep_plan(runs):
-    """Plan and schedule of ``runs``; each run's pair RNG draws its epochs in
-    the order a run trained alone would."""
+def _lockstep_plan(runs, config: TrainConfig):
+    """Plan and schedule of ``runs``, which share ``config`` but for lam and
+    seed; each run's pair RNG draws its epochs in the order a run trained
+    alone would."""
     table = _BagTable()
-    drawn = []  # per run: (config, its bag indices, its epochs of pairs)
-    for dataset, config in runs:
+    drawn = []  # per run: (its bag indices, its epochs of pairs)
+    for dataset, run_config in runs:
         anomalous = sorted(dataset.anomalous, key=lambda s: s.id)
         normal = sorted(dataset.normal, key=lambda s: s.id)
         if not anomalous or not normal:
             raise ValidationError("training needs at least one sample per class")
-        dim = anomalous[0].dim
-        for s in (*anomalous, *normal):
-            if s.dim != dim:
-                raise ShapeError(f"sample {s.id!r} has dim {s.dim}, dataset has {dim}")
         for pool, y in ((anomalous, 1), (normal, 0)):
             for s in pool:
                 if s.y != y:
                     raise ValidationError(f"sample {s.id!r} with y={s.y} in the {('normal', 'anomalous')[y]} pool")
         sources = [
-            np.array([table.add(s, config.k_rule) for s in pool if s.y_s == y_s], dtype=np.int64)
+            np.array([table.add(s) for s in pool if s.y_s == y_s], dtype=np.int64)
             for pool in (anomalous, normal) for y_s in (0, 1)
         ]
-        rng = rng_from(config.seed, "pair-sampling")
+        rng = rng_from(run_config.seed, "pair-sampling")
         epochs = [_epoch_pairs(*sources, rng) for _ in range(config.epochs)]
-        drawn.append((config, np.concatenate(sources), epochs))
-    if len({s.dim for s in table.samples}) > 1 or len({c.hidden for c, _, _ in drawn}) > 1:
-        raise ShapeError("runs trained together must share the feature dim and the hidden width")
+        drawn.append((np.concatenate(sources), epochs))
 
-    steps_per_epoch = [math.ceil(len(epochs[0][0]) / c.batch_pairs) for c, _, epochs in drawn]
-    order = sorted(range(len(drawn)), key=lambda r: -steps_per_epoch[r] * drawn[r][0].epochs)
-    lengths = [steps_per_epoch[r] * drawn[r][0].epochs for r in order]
-    pairs_max = max(c.batch_pairs for c, _, _ in drawn)
-    bags = np.full((lengths[0], len(order), 2 * pairs_max), -1, dtype=np.int64)
-    synthetic = np.zeros((lengths[0], len(order), pairs_max), dtype=np.int64)
+    width = config.batch_pairs
+    steps_per_epoch = [math.ceil(len(epochs[0][0]) / width) for _, epochs in drawn]
+    order = sorted(range(len(drawn)), key=lambda r: -steps_per_epoch[r])
+    lengths = [steps_per_epoch[r] * config.epochs for r in order]
+    bags = np.full((lengths[0], len(order), 2 * width), -1, dtype=np.int64)
+    synthetic = np.zeros((lengths[0], len(order), width), dtype=np.int64)
     epoch_ends = {}
-    plan = table.plan([drawn[r][0] for r in order], [drawn[r][1] for r in order],
-                      table.samples[0].dim, drawn[0][0].hidden)
+    plan = table.plan(config, [runs[r][1].lam for r in order], [drawn[r][0] for r in order],
+                      table.samples[0].dim, config.hidden)
     for pos, r in enumerate(order):
-        config, _, epochs = drawn[r]
-        per_epoch, width = steps_per_epoch[r], config.batch_pairs
-        for e, (anomalous, normal) in enumerate(epochs):
+        per_epoch = steps_per_epoch[r]
+        for e, (anomalous, normal) in enumerate(drawn[r][1]):
             pairs = np.full((per_epoch * width, 2), -1, dtype=np.int64)
             pairs[:len(anomalous)] = np.stack([anomalous, normal], axis=1)
             steps = slice(e * per_epoch, (e + 1) * per_epoch)
@@ -720,8 +709,7 @@ def _lockstep_plan(runs):
             synthetic[steps, pos, :width] = mixed.reshape(per_epoch, width)
             epoch_ends.setdefault((e + 1) * per_epoch - 1, []).append((pos, e + 1, len(anomalous)))
     active = (np.array(lengths)[None, :] > np.arange(lengths[0])[:, None]).sum(axis=1)
-    schedule = _Schedule(bags, synthetic, active, epoch_ends, order)
-    return plan, schedule, [drawn[r][0] for r in order]
+    return plan, _Schedule(bags, synthetic, active, epoch_ends, order)
 
 
 def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
@@ -739,8 +727,9 @@ def train_runs(runs, val_samples=None) -> list:
     """Train every (dataset, config) of ``runs`` in lockstep; one TrainResult each.
 
     Each run draws the batches it would draw alone and ends with the
-    parameters it would reach alone, bit for bit. Runs must share the
-    feature dim and hidden width. Training stops with a ValidationError at
+    parameters it would reach alone, bit for bit. The runs' configs must be
+    equal in every field but ``lam`` and ``seed``, or a ValidationError names
+    the first field that differs. Training stops with a ValidationError at
     the first step with a non-finite clip score, loss or updated parameter;
     numpy's floating-point warnings are silenced while it runs, so that error
     is the only report.
@@ -748,23 +737,26 @@ def train_runs(runs, val_samples=None) -> list:
     runs = list(runs)
     if not runs:
         return []
-    plan, schedule, configs = _lockstep_plan(runs)
+    config = runs[0][1]
+    for f in fields(TrainConfig):
+        if f.name not in ("lam", "seed") and len({getattr(c, f.name) for _, c in runs}) > 1:
+            raise ValidationError(f"runs trained together must share {f.name}; only lam and seed may differ")
+    plan, schedule = _lockstep_plan(runs, config)
     dim, hidden = plan.dim, plan.hidden
     theta = np.stack([
-        params_to_vector(ScorerParams.init(dim, hidden, rng_from(c.seed, "scorer-init"))) for c in configs
+        params_to_vector(ScorerParams.init(dim, hidden, rng_from(runs[r][1].seed, "scorer-init")))
+        for r in schedule.order
     ])
-    lr = np.array([[c.lr] for c in configs])
-    weight_decay = np.array([[c.weight_decay] for c in configs])
     moments = np.zeros((2, *theta.shape))
-    total_sum = np.zeros(len(configs))
-    mil_sum = np.zeros(len(configs))
-    history = [[] for _ in configs]
-    state = AdamState(lr=lr, weight_decay=weight_decay, first_moment=moments[0], second_moment=moments[1])
+    total_sum = np.zeros(len(runs))
+    mil_sum = np.zeros(len(runs))
+    history = [[] for _ in runs]
+    state = AdamState(lr=config.lr, weight_decay=config.weight_decay,
+                      first_moment=moments[0], second_moment=moments[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for t, n in enumerate(schedule.active.tolist()):
-            if n < len(state.lr):  # runs whose schedule ended leave the stack; the others step on
-                state = AdamState(lr=lr[:n], weight_decay=weight_decay[:n], step=state.step,
-                                  first_moment=moments[0, :n], second_moment=moments[1, :n])
+            if n < len(state.first_moment):  # runs whose schedule ended leave the stack; the others step on
+                state.first_moment, state.second_moment = moments[:, :n]
             live = theta[:n]
             breakdown, grads = total_loss_and_grads(live, (schedule.bags[t, :n], schedule.synthetic[t, :n]), plan)
             if not np.isfinite(breakdown.total).all():
@@ -787,7 +779,6 @@ def train_runs(runs, val_samples=None) -> list:
                     total_loss=float(total_sum[r] / n_pairs),
                     mil_mean=float(mil_sum[r] / n_pairs),
                     val_auc=val_auc,
-                    lambda_effective=float(plan.lam[r]),
                 ))
                 total_sum[r] = mil_sum[r] = 0.0
 
@@ -860,7 +851,10 @@ def load_params(path) -> ScorerParams:
         count = int(np.prod(shape, dtype=np.int64))
         values[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=cursor * 8).reshape(shape).copy()
         cursor += count
-    return ScorerParams(**values)
+    try:
+        return ScorerParams(**values)
+    except ShapeError as exc:
+        raise DataFormatError(f"{path}: bad block shape: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

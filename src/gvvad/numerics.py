@@ -82,25 +82,24 @@ def stable_sigmoid(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def bce(y, y_hat, clamp_eps=DEFAULT_CLAMP_EPS, return_grad: bool = False):
+def bce(y, y_hat, clamp_eps: float = DEFAULT_CLAMP_EPS, return_grad: bool = False):
     """Binary cross-entropy with the prediction clamped to [eps, 1-eps].
 
     With ``return_grad`` it returns ``(loss, d loss / d y_hat)``. The clamp is
     part of the objective: outside it the loss is flat and the derivative 0.
     Scalar arguments give floats; equal-shape arrays of labels and
-    predictions (one entry per bag, ``clamp_eps`` scalar or per bag) give
-    arrays of the same values elementwise.
+    predictions (one entry per bag) give arrays of the same values
+    elementwise, all under the one ``clamp_eps``.
     """
     labels = np.asarray(y)
     if not is_binary(labels):
         raise ValidationError(f"label must be 0 or 1, got {y!r}")
-    eps = np.asarray(clamp_eps, dtype=np.float64)
-    if not (eps.min() > 0.0 and eps.max() < 0.5):
+    if not 0.0 < clamp_eps < 0.5:
         raise ValidationError(f"clamp_eps must be in (0, 0.5), got {clamp_eps}")
     y_hat = np.asarray(y_hat, dtype=np.float64)
     if labels.shape != y_hat.shape:
         raise ShapeError(f"labels {labels.shape} and predictions {y_hat.shape} must have one shape")
-    p = np.minimum(np.maximum(y_hat, eps), 1.0 - eps)
+    p = np.minimum(np.maximum(y_hat, clamp_eps), 1.0 - clamp_eps)
     positive = labels == 1
     # math.log per element, not np.log: numpy's float64 log may take a
     # CPU-specific SIMD path, and a loss must not depend on the host.
@@ -116,14 +115,14 @@ def bce(y, y_hat, clamp_eps=DEFAULT_CLAMP_EPS, return_grad: bool = False):
 class AdamState:
     """Adam state with decoupled weight decay over one parameter array.
 
-    For R runs stacked as an (R, P) array that step together, ``lr`` and
-    ``weight_decay`` may be (R, 1) arrays, one setting per run; ``step`` is
-    the count they share. The moment buffers are created on the first step
-    and afterwards must keep matching the parameter shape.
+    R runs stacked as an (R, P) array step together under one ``lr`` and
+    ``weight_decay`` and share the ``step`` count. The moment buffers are
+    created on the first step and afterwards must keep matching the
+    parameter shape.
     """
 
-    lr: float | np.ndarray = 0.001
-    weight_decay: float | np.ndarray = 0.005
+    lr: float = 0.001
+    weight_decay: float = 0.005
     step: int = 0
     first_moment: np.ndarray | None = None
     second_moment: np.ndarray | None = None

@@ -174,7 +174,7 @@ class TestTrainEvalFlow:
         tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
         assert (model_dir / "params.gvpm").exists()
         history = (model_dir / "history.csv").read_text().splitlines()
-        assert history[0] == "epoch,L_total,L_MIL_mean,val_auc,lambda_effective"
+        assert history[0] == "epoch,L_total,L_MIL_mean,val_auc"
         assert len(history) == 4
 
         eval_dir = tmp_path / "eval"
@@ -250,6 +250,23 @@ class TestTrainEvalFlow:
         assert main(["eval", "--params", str(params_path),
                      "--manifest", str(test_dir / "manifest.tsv"),
                      "--out", str(tmp_path / "e2")]) == 2
+
+    def test_eval_rejects_wrong_b2_shape_with_one_error_line(self, pipeline, capsys):
+        # A params file whose b2 block holds two values, with a valid checksum.
+        from gvvad.milcore import ScorerParams, save_params
+        from gvvad.numerics import rng_from
+
+        tmp_path, test_dir, _ = self.run_pipeline(pipeline)
+        params = ScorerParams.init(6, 8, rng_from("cli-bad-b2"))
+        params.b2 = [0.0, 0.0]
+        bad = tmp_path / "bad.gvpm"
+        save_params(bad, params)
+        capsys.readouterr()
+        assert main(["eval", "--params", str(bad), "--manifest", str(test_dir / "manifest.tsv"),
+                     "--out", str(tmp_path / "e3")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "b2" in err[0]
+        assert not (tmp_path / "e3" / "metrics.txt").exists()
 
 
 class TestEndToEndDeterminism:
@@ -351,6 +368,19 @@ class TestAblate:
         assert main(["ablate", "--spec", str(spec), "--out", str(out)]) == 2
         assert shown in capsys.readouterr().err
         assert not (out / "ablation.csv").exists()
+
+    @pytest.mark.parametrize("flag", [["--seed", "99"], ["--set", "train.epochs=50"], ["--config", "/nonexistent"]])
+    def test_flags_besides_spec_and_out_exit_2(self, tmp_path, pipeline, capsys, flag):
+        # The spec file is the ablation's only configuration; argparse
+        # refuses every other flag before anything runs.
+        _, prompts, _ = pipeline
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"kind=lambda_sweep\ngrid=0.5\nseeds=0\ncounts=2,2,2,2\ntest_counts=2,2\n"
+                        f"prompts={prompts}\nworld.dim=6\ntrain.epochs=1\n")
+        out = tmp_path / "o"
+        assert main(["ablate", "--spec", str(spec), *flag, "--out", str(out)]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_spec_key_exits_2(self, tmp_path, pipeline):
         _, prompts, _ = pipeline

@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -242,15 +242,6 @@ class TestTotalLossAndGrads:
         assert bd.source_labels.tolist() == [1]
         assert bd.scaled[0] == pytest.approx(0.5 * bd.raw[0], abs=1e-15)
 
-    def test_disabled_path_bit_identical_to_lambda_one(self):
-        params = ScorerParams.init(5, 4, rng_from("tl4"))
-        batch = pair_batch(4, synth_mask=[False, True, True, False])
-        bd_one, g_one = total_loss_and_grads(params, batch, TrainConfig(lam=1.0))
-        bd_off, g_off = total_loss_and_grads(params, batch, TrainConfig(ssls_enabled=False))
-        assert bd_one.total == bd_off.total
-        assert np.array_equal(bd_one.scaled, bd_off.scaled)
-        assert all(np.array_equal(g_one[k], g_off[k]) for k in g_one)
-
     def test_topk_gradient_sparsity(self):
         # Only the k selected clips of each bag reach the gradient: moving a
         # clip outside its bag's top-k leaves every gradient bit-equal,
@@ -429,20 +420,6 @@ class TestTrain:
         b = train(reversed_ds, cfg).params
         assert np.array_equal(a.w1, b.w1)
 
-    def test_lambda_one_run_bit_identical_to_ssls_disabled(self):
-        dim = 16
-        a_off = np.zeros(dim)
-        a_off[0] = 2.0
-        world = WorldConfig(dim=dim, clips_min=6, clips_max=10, clip_len=2,
-                            anomaly_frac_min=0.3, anomaly_frac_max=0.6, anomaly_offset=a_off)
-        sets = generate_dataset(world, PAIRS, GenerationCounts(8, 8, 8, 8), base_seed=9)
-        dataset = mix_datasets(sets.real_anomalous, sets.real_normal,
-                               sets.synth_anomalous, sets.synth_normal)
-        one = train(dataset, TrainConfig(lam=1.0, epochs=5, seed=1, batch_pairs=2)).params
-        off = train(dataset, TrainConfig(ssls_enabled=False, epochs=5, seed=1, batch_pairs=2)).params
-        assert np.array_equal(one.w1, off.w1) and np.array_equal(one.b1, off.b1)
-        assert np.array_equal(one.w2, off.w2) and np.array_equal(one.b2, off.b2)
-
     def test_zero_signal_world_stays_near_chance(self):
         from gvvad.evaluation import evaluate
 
@@ -458,7 +435,7 @@ class TestTrain:
         assert all(row.val_auc is not None for row in result.history)
         csv_text = history_to_csv(result.history)
         lines = csv_text.strip().splitlines()
-        assert lines[0] == "epoch,L_total,L_MIL_mean,val_auc,lambda_effective"
+        assert lines[0] == "epoch,L_total,L_MIL_mean,val_auc"
         assert len(lines) == 4
 
     def test_empty_class_rejected(self):
@@ -523,6 +500,17 @@ class TestTrain:
         assert calls["bce"] == [(8,)] * 4
         assert calls["ssls_scale"] == [(2, 2)] * 4
 
+    @pytest.mark.parametrize("field, values", [("k_rule", ("frac:0.2", "fixed:2")), ("batch_pairs", (2, 3))])
+    def test_stacked_runs_share_one_config(self, field, values):
+        # Runs trained together may differ only in lambda and seed; any
+        # other difference is refused before training, naming the field.
+        dataset, _ = small_world_dataset(mag=2.0, n=8, seed=7)
+        runs = [(dataset, TrainConfig(lam=lam, seed=seed, epochs=1, **{field: value}))
+                for lam, seed, value in zip((0.5, 1.0), (0, 1), values)]
+        with pytest.raises(ValidationError, match=f"must share {field}; only lam and seed may differ"):
+            train_runs(runs)
+        assert len(train_runs([(dataset, replace(config, **{field: values[0]})) for _, config in runs])) == 2
+
     def test_nan_clip_scores_stop_training(self):
         # At lr=1e100 the weights blow up until some clip scores are NaN
         # while the loss, taken over the finite clips, is still finite. The
@@ -558,6 +546,19 @@ class TestParamsFile:
         with pytest.raises(DataFormatError):
             load_params(path)
 
+    def test_wrong_b2_shape_is_a_format_error(self, tmp_path):
+        # A file whose b2 block holds two values, with a valid checksum.
+        from gvvad.errors import DataFormatError
+
+        params = ScorerParams.init(3, 2, rng_from("pf3"))
+        params.b2 = np.zeros(2)
+        path = tmp_path / "params.gvpm"
+        save_params(path, params)
+        with pytest.raises(DataFormatError, match="b2 must hold one value, got shape \\(2,\\)"):
+            load_params(path)
+        with pytest.raises(ShapeError, match="b2"):
+            ScorerParams(w1=np.zeros((2, 3)), b1=np.zeros(2), w2=np.zeros(2), b2=np.zeros(2))
+
 
 class TestTrainConfigFile:
     def test_round_trip(self, tmp_path):
@@ -572,7 +573,7 @@ class TestTrainConfigFile:
         # default, comes back from the kv text unchanged.
         assert sorted(field for field, _ in TRAIN_CONFIG_KEYS.values()) == sorted(
             f.name for f in fields(TrainConfig))
-        cfg = TrainConfig(lam=0.125, ssls_enabled=False, k_rule="fixed:3", lr=0.02,
+        cfg = TrainConfig(lam=0.125, k_rule="fixed:3", lr=0.02,
                           weight_decay=0.0, epochs=3, batch_pairs=5, clamp_eps=1e-5,
                           hidden=7, seed=11)
         default = TrainConfig()
@@ -586,11 +587,13 @@ class TestTrainConfigFile:
             train_config_from_kv(load_kv(path))
 
     def test_learnable_lambda_key_rejected(self, tmp_path):
-        # The scaling factor is fixed; a config that asks to learn it is refused.
+        # The scaling factor is fixed and is the only scaling setting; a
+        # config that asks to learn it or to switch scaling off is refused.
         path = tmp_path / "train.cfg"
-        path.write_text("lambda=0.5\nlambda_learnable=1\n")
-        with pytest.raises(ValidationError, match="lambda_learnable"):
-            train_config_from_kv(load_kv(path))
+        for key in ("lambda_learnable=1", "ssls_enabled=0"):
+            path.write_text(f"lambda=0.5\n{key}\n")
+            with pytest.raises(ValidationError, match=key.split("=")[0]):
+                train_config_from_kv(load_kv(path))
         with pytest.raises(TypeError):
             TrainConfig(lam_learnable=True)
 
