@@ -2,11 +2,14 @@
 
 Commands: ``prompts`` (description repository), ``world`` (simulated dataset),
 ``train``, ``eval``, ``ablate``, ``gradcheck``. Every command but ``ablate``
-resolves its configuration as defaults <- config file <- flags, refuses
-unknown keys, and echoes the effective values (with per-key provenance) into
-``resolved.cfg`` inside its output directory. ``ablate`` takes only ``--spec``
-and ``--out``: the spec file is its whole configuration, copied to
-``spec.cfg``. Nothing is written outside ``--out``.
+resolves its configuration as defaults <- ``--config`` file <- its own flags
+<- ``--set`` in :func:`resolve_config`: each of its own flags stores under
+the config key it sets (its argparse ``dest``), so a flag and ``--set KEY=``
+name the same key and ``--set`` wins. It refuses unknown keys, checks every
+value before writing anything, and echoes the effective values (with
+per-key provenance) into ``resolved.cfg`` inside its output directory.
+``ablate`` takes only ``--spec`` and ``--out``: the spec file is its whole
+configuration, copied to ``spec.cfg``. Nothing is written outside ``--out``.
 
 Exit codes: 0 success, 1 numeric/assertion failure, 2 input validation,
 3 I/O failure.
@@ -71,33 +74,32 @@ class RunConfig:
         return value if value != "" else None
 
 
-def resolve_config(defaults: dict, config_path, overrides: dict) -> RunConfig:
-    values = dict(defaults)
-    sources = {key: "default" for key in defaults}
-    if config_path:
-        for key, value in load_kv(config_path).items():
-            if key not in defaults:
-                raise ValidationError(f"{config_path}: unknown config key {key!r}")
-            values[key] = value
-            sources[key] = "file"
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in defaults:
-            raise ValidationError(f"unknown config key {key!r}")
-        values[key] = str(value)
-        sources[key] = "flag"
-    return RunConfig(values, sources)
+def resolve_config(args, defaults: dict, required=()) -> RunConfig:
+    """Merge defaults <- ``--config`` file <- command flags <- ``--set``.
 
-
-def _parse_set_flags(pairs) -> dict:
-    out = {}
-    for item in pairs or ():
-        if "=" not in item:
+    A command flag is one whose argparse ``dest`` is a key of ``defaults``;
+    a repeated flag's values join with commas, as a list is written in a file.
+    """
+    flags = {key: getattr(args, key, None) for key in defaults}
+    flags = {key: ",".join(v) if isinstance(v, list) else v for key, v in flags.items() if v is not None}
+    for item in args.set or ():
+        key, eq, value = item.partition("=")
+        if not eq:
             raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+        flags[key.strip()] = value.strip()
+    values = dict(defaults)
+    sources = dict.fromkeys(defaults, "default")
+    file_kv = load_kv(args.config) if args.config else {}
+    for source, kv, origin in (("file", file_kv, f"{args.config}: "), ("flag", flags, "")):
+        for key, value in kv.items():
+            if key not in defaults:
+                raise ValidationError(f"{origin}unknown config key {key!r}")
+            values[key] = value
+            sources[key] = source
+    for key in required:
+        if values[key] == "":
+            raise ValidationError(f"missing required key {key!r} (flag or config file)")
+    return RunConfig(values, sources)
 
 
 def write_resolved(config: RunConfig, out_dir) -> None:
@@ -126,10 +128,7 @@ def _counts_from(value: str, key: str, n: int) -> list:
 
 def cmd_prompts(args) -> int:
     defaults = {"inventory": "", "limit": "", "seed": "0"}
-    config = resolve_config(defaults, args.config, {
-        "inventory": args.inventory, "limit": args.limit, "seed": args.seed,
-        **_parse_set_flags(args.set),
-    })
+    config = resolve_config(args, defaults)
     inventory_path = config.get_optional("inventory")
     inventory = load_inventory(inventory_path) if inventory_path else default_inventory()
     limit_raw = config.get_optional("limit")
@@ -146,13 +145,7 @@ def cmd_prompts(args) -> int:
 
 def cmd_world(args) -> int:
     defaults = {"world": "", "prompts": "", "counts": "", "seed": "0"}
-    config = resolve_config(defaults, args.config, {
-        "world": args.world, "prompts": args.prompts, "counts": args.counts, "seed": args.seed,
-        **_parse_set_flags(args.set),
-    })
-    for key in ("world", "prompts", "counts"):
-        if config.get_optional(key) is None:
-            raise ValidationError(f"missing required key {key!r} (flag or config file)")
+    config = resolve_config(args, defaults, required=("world", "prompts", "counts"))
     world = load_world_config(config.get("world"))
     pairs = load_repository(config.get("prompts"))
     ra, rn, va, vn = _counts_from(config.get("counts"), "counts", 4)
@@ -168,10 +161,6 @@ def cmd_world(args) -> int:
     return EXIT_OK
 
 
-def _train_defaults() -> dict:
-    return {"manifest": "", "val_manifest": "", **train_config_to_kv(TrainConfig())}
-
-
 def _split_by_class(samples) -> MixedDataset:
     return MixedDataset(
         anomalous=tuple(s for s in samples if s.y == 1),
@@ -180,17 +169,12 @@ def _split_by_class(samples) -> MixedDataset:
 
 
 def cmd_train(args) -> int:
-    config = resolve_config(_train_defaults(), args.config, {
-        "manifest": args.manifest, "val_manifest": args.val_manifest, "seed": args.seed,
-        **_parse_set_flags(args.set),
-    })
-    manifest_value = config.get_optional("manifest")
-    if manifest_value is None:
-        raise ValidationError("missing required key 'manifest' (flag or config file)")
+    defaults = {"manifest": "", "val_manifest": "", **train_config_to_kv(TrainConfig())}
+    config = resolve_config(args, defaults, required=("manifest",))
     train_kv = {k: v for k, v in config.values.items() if k not in ("manifest", "val_manifest")}
     train_config = train_config_from_kv(train_kv)
 
-    manifest_path = Path(manifest_value)
+    manifest_path = Path(config.get("manifest"))
     manifest = load_manifest(manifest_path)
     dataset = _split_by_class(load_samples(manifest, manifest_path.parent))
     val_samples = None
@@ -213,19 +197,17 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     defaults = {"params": "", "manifest": "", "macro": "0", "curves": "", "svg": "0"}
-    curves_flag = ",".join(args.curve) if args.curve else None
-    config = resolve_config(defaults, args.config, {
-        "params": args.params, "manifest": args.manifest,
-        "curves": curves_flag, "svg": "1" if args.svg else None,
-        **_parse_set_flags(args.set),
-    })
-    for key in ("params", "manifest"):
-        if config.get_optional(key) is None:
-            raise ValidationError(f"missing required key {key!r} (flag or config file)")
+    config = resolve_config(args, defaults, required=("params", "manifest"))
     params = load_params(config.get("params"))
     manifest_path = Path(config.get("manifest"))
     samples = load_samples(load_manifest(manifest_path), manifest_path.parent)
     macro = parse_bool(config.get("macro"), "macro")
+    curve_ids = parse_list(config.get("curves"), "curves")
+    want_svg = parse_bool(config.get("svg"), "svg")
+    known = {s.id for s in samples}
+    for video_id in curve_ids:
+        if video_id not in known:
+            raise ValidationError(f"unknown video id {video_id!r}")
 
     result = evaluate(params, samples, macro=macro)
     out = _out_dir(args)
@@ -236,12 +218,10 @@ def cmd_eval(args) -> int:
         f"num_videos {len(result.per_video)}",
     ]
     (out / "metrics.txt").write_text("\n".join(metrics) + "\n", encoding="utf-8")
-    curves_value = config.get_optional("curves")
-    if curves_value is not None:
+    if curve_ids:
         curve_dir = out / "curves"
         curve_dir.mkdir(exist_ok=True)
-        want_svg = parse_bool(config.get("svg"), "svg")
-        for video_id in parse_list(curves_value, "curves"):
+        for video_id in curve_ids:
             export_score_curve(
                 result, video_id,
                 curve_dir / f"{video_id}.csv",
@@ -294,20 +274,19 @@ def cmd_ablate(args) -> int:
     rows = run_ablation(spec)
     out = _out_dir(args)
     (out / "ablation.csv").write_text(rows_to_csv(rows), encoding="utf-8")
-    (out / "ablation_summary.csv").write_text(summary_to_csv(summarize_ablation(rows)), encoding="utf-8")
+    summaries = summarize_ablation(rows)
+    (out / "ablation_summary.csv").write_text(summary_to_csv(summaries), encoding="utf-8")
     (out / "spec.cfg").write_text(spec_path.read_text(encoding="utf-8"), encoding="utf-8")
     config = RunConfig({"spec": str(spec_path)}, {"spec": "flag"})
     write_resolved(config, out)
-    for summary in summarize_ablation(rows):
+    for summary in summaries:
         print(f"{summary.setting}: mean_auc={summary.mean_auc:.4f} std={summary.std_auc:.4f} n={summary.n_seeds}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
     defaults = {"seed": "0", "batches": "10"}
-    config = resolve_config(defaults, args.config, {
-        "seed": args.seed, "batches": args.batches, **_parse_set_flags(args.set),
-    })
+    config = resolve_config(args, defaults)
     report = gradient_check(
         seed=parse_int(config.get("seed"), "seed"),
         num_batches=parse_int(config.get("batches"), "batches"),
@@ -363,9 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("eval", help="frame-level evaluation of trained params")
     p.add_argument("--params", default=None, help="params file (.gvpm)")
     p.add_argument("--manifest", default=None, help="test manifest with frame labels")
-    p.add_argument("--curve", action="append", default=None, metavar="VIDEO_ID",
+    p.add_argument("--curve", dest="curves", action="append", default=None, metavar="VIDEO_ID",
                    help="export a score curve for this video (repeatable)")
-    p.add_argument("--svg", action="store_true", help="also render curve SVGs")
+    p.add_argument("--svg", action="store_const", const="1", default=None, help="also render curve SVGs")
     _add_common(p)
     p.set_defaults(func=cmd_eval)
 

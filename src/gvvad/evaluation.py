@@ -9,7 +9,7 @@ oracle bit for bit and ties contribute exactly one half.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -131,13 +131,11 @@ def evaluate(params: ScorerParams, samples, macro: bool = False) -> EvalResult:
 # ablation sweeps
 # ---------------------------------------------------------------------------
 
-def _first_duplicate(values):
-    seen = set()
-    for value in values:
-        if value in seen:
-            return value
-        seen.add(value)
-    return None
+def _grid_number(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValidationError(f"grid entry {raw!r} is not a number") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,6 +148,12 @@ class AblationSpec:
         runs a real-only arm and a with-synthetic arm on the same subsample.
       * ``module_ablation``: grid entries name module combinations out of
         {baseline, vg, vg+vf, vg+ssls, vg+vf+ssls}.
+
+    Building a spec checks every value. The grid is parsed once, into
+    ``cells``: one ``(setting, value)`` per run of a seed, in row order,
+    where the value is a lambda, a ``(fraction, with_synth)`` arm or a
+    frozenset of module flags. A bad grid entry fails here, before any
+    training.
     """
 
     kind: str
@@ -161,6 +165,7 @@ class AblationSpec:
     grid: tuple = ()
     test_counts: tuple = (40, 40)
     filter_percentile: float = 95.0
+    cells: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ABLATION_KINDS:
@@ -180,11 +185,31 @@ class AblationSpec:
             }
             object.__setattr__(self, "grid", defaults[self.kind])
         for name, values in (("seed", self.seeds), ("grid entry", self.grid)):
-            duplicate = _first_duplicate(values)
+            duplicate = next((v for i, v in enumerate(values) if v in values[:i]), None)
             if duplicate is not None:
                 raise ValidationError(f"duplicate {name} {duplicate!r}: each cell must train once")
+        object.__setattr__(self, "cells", self._parse_grid())
         if self.kind != "module_ablation" and self.counts.real_anomalous * self.counts.real_normal == 0:
             raise ValidationError("sweep needs real videos in both classes")
+
+    def _parse_grid(self) -> tuple:
+        if self.kind == "lambda_sweep":
+            # replace() applies TrainConfig's rule to each: finite and >= 0
+            lams = [replace(self.train, lam=_grid_number(raw)).lam for raw in self.grid]
+            return tuple((f"lambda={raw}", lam) for raw, lam in zip(self.grid, lams))
+        if self.kind == "data_scale_sweep":
+            cells = []
+            for raw in self.grid:
+                fraction = _grid_number(raw)
+                if not 0.0 < fraction <= 1.0:
+                    raise ValidationError(f"data scale {raw!r} outside (0, 1]")
+                cells.append((f"scale={raw}/real-only", (fraction, False)))
+                cells.append((f"scale={raw}/with-synth", (fraction, True)))
+            return tuple(cells)
+        for name in self.grid:
+            if name not in MODULE_GRID_DEFAULT:
+                raise ValidationError(f"unknown module configuration {name!r}")
+        return tuple((name, frozenset(name.split("+")) - {"baseline"}) for name in self.grid)
 
 
 @dataclass(frozen=True)
@@ -202,66 +227,31 @@ class AblationSummary:
     n_seeds: int
 
 
-def _expand_settings(spec: AblationSpec) -> list:
-    def as_number(raw):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ValidationError(f"grid entry {raw!r} is not a number") from None
-
-    if spec.kind == "lambda_sweep":
-        for value in spec.grid:
-            replace(spec.train, lam=as_number(value))  # TrainConfig's rule: finite and >= 0
-        return [f"lambda={v}" for v in spec.grid]
-    if spec.kind == "data_scale_sweep":
-        settings = []
-        for frac in spec.grid:
-            if not 0.0 < as_number(frac) <= 1.0:
-                raise ValidationError(f"data scale {frac!r} outside (0, 1]")
-            settings.append(f"scale={frac}/real-only")
-            settings.append(f"scale={frac}/with-synth")
-        return settings
-    for name in spec.grid:
-        if name not in MODULE_GRID_DEFAULT:
-            raise ValidationError(f"unknown module configuration {name!r}")
-    return list(spec.grid)
-
-
-def _materialize_run(spec: AblationSpec, pool, setting: str, seed: int):
-    """Build the (dataset, config) for one grid point on a shared pool."""
+def _seed_runs(spec: AblationSpec, pool, seed: int) -> list:
+    """The (dataset, config) of each of ``spec.cells`` on one seed's pool."""
     config = replace(spec.train, seed=derived_int_seed(spec.train.seed, "ablate-train", seed))
-
+    real = (pool.real_anomalous, pool.real_normal)
+    synth = (pool.synth_anomalous, pool.synth_normal)
+    no_synth = ((), ())
     if spec.kind == "lambda_sweep":
-        config = replace(config, lam=float(setting.split("=", 1)[1]))
-        dataset = mix_datasets(pool.real_anomalous, pool.real_normal,
-                               pool.synth_anomalous, pool.synth_normal)
-        return dataset, config
-
+        mixed = mix_datasets(*real, *synth)
+        return [(mixed, replace(config, lam=lam)) for _, lam in spec.cells]
     if spec.kind == "data_scale_sweep":
-        scale_part, arm = setting.split("/")
-        fraction = float(scale_part.split("=", 1)[1])
-        with_synth = arm == "with-synth"
-        dataset = mix_datasets(
-            pool.real_anomalous, pool.real_normal,
-            pool.synth_anomalous if with_synth else (),
-            pool.synth_normal if with_synth else (),
-        )
         # Subsample seed is arm-independent: both arms keep the same real videos.
-        dataset = subsample_real(dataset, fraction, derived_int_seed("ablate-scale", seed))
-        return dataset, config
-
-    flags = set(setting.split("+")) if setting != "baseline" else set()
-    synth_a, synth_n = pool.synth_anomalous, pool.synth_normal
-    if "vg" not in flags:
-        synth_a, synth_n = (), ()
-    elif "vf" in flags:
-        synth_a, synth_n, _ = filter_synthetic(
-            pool.real_anomalous, pool.real_normal, synth_a, synth_n, spec.filter_percentile,
-        )
-    if "ssls" not in flags:
-        config = replace(config, lam=1.0)
-    dataset = mix_datasets(pool.real_anomalous, pool.real_normal, synth_a, synth_n)
-    return dataset, config
+        scale_seed = derived_int_seed("ablate-scale", seed)
+        runs = []
+        for _, (fraction, with_synth) in spec.cells:
+            mixed = mix_datasets(*real, *(synth if with_synth else no_synth))
+            runs.append((subsample_real(mixed, fraction, scale_seed), config))
+        return runs
+    runs = []
+    for _, flags in spec.cells:
+        cell_synth = synth if "vg" in flags else no_synth
+        if "vf" in flags:  # every module combination with vf also has vg
+            cell_synth = filter_synthetic(*real, *synth, spec.filter_percentile)[:2]
+        cell_config = config if "ssls" in flags else replace(config, lam=1.0)
+        runs.append((mix_datasets(*real, *cell_synth), cell_config))
+    return runs
 
 
 def run_ablation(spec: AblationSpec) -> list:
@@ -273,11 +263,10 @@ def run_ablation(spec: AblationSpec) -> list:
     the parameters it would reach trained alone; only one seed's pool is
     held at a time.
     """
-    settings = _expand_settings(spec)
     rows = {}
     for seed in spec.seeds:
         pool = generate_dataset(spec.world, spec.pairs, spec.counts, base_seed=("ablate-pool", seed))
-        results = train_runs([_materialize_run(spec, pool, setting, seed) for setting in settings])
+        results = train_runs(_seed_runs(spec, pool, seed))
         del pool  # before the next seed's pool is generated
         test_sets = generate_dataset(
             spec.world, spec.pairs,
@@ -285,10 +274,10 @@ def run_ablation(spec: AblationSpec) -> list:
             base_seed=("ablate-test", seed),
         )
         test_samples = [*test_sets.real_anomalous, *test_sets.real_normal]
-        for setting, result in zip(settings, results):
+        for (setting, _), result in zip(spec.cells, results):
             auc = evaluate(result.params, test_samples).auc
             rows[(setting, seed)] = AblationRow(setting, int(seed), auc)
-    return [rows[(setting, seed)] for setting in settings for seed in spec.seeds]
+    return [rows[(setting, seed)] for setting, _ in spec.cells for seed in spec.seeds]
 
 
 def summarize_ablation(rows) -> list:

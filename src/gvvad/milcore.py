@@ -908,6 +908,8 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
     whose true gradient is dominated by finite-difference noise do not blow
     up the ratio.
     """
+    if num_batches < 1:
+        raise ValidationError(f"gradient check needs at least one batch, got {num_batches}")
     dim, hidden = 7, 5
     config = TrainConfig(lam=0.7, k_rule="frac:0.3", hidden=hidden)
     block_errors = dict.fromkeys(_PARAM_KEYS, 0.0)

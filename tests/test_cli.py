@@ -241,6 +241,21 @@ class TestTrainEvalFlow:
         assert tree_bytes(tmp_path) == before
         assert not (tmp_path / "ev").exists()
 
+    def test_eval_unknown_curve_id_leaves_no_out(self, pipeline, capsys):
+        # Every requested id is checked before anything is written, also
+        # when a valid id comes first.
+        tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
+        manifest = test_dir / "manifest.tsv"
+        video_id = manifest.read_text().splitlines()[1].split("\t")[0]
+        eval_dir = tmp_path / "ev" / "out"
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", "--params", str(model_dir / "params.gvpm"), "--manifest", str(manifest),
+                     "--curve", video_id, "--curve", "no-such-video", "--svg", "--out", str(eval_dir)]) == 2
+        assert capsys.readouterr().err == "error: unknown video id 'no-such-video'\n"
+        assert tree_bytes(tmp_path) == before
+        assert not (tmp_path / "ev").exists()
+
     def test_eval_rejects_corrupt_params_with_exit_2(self, pipeline):
         tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
         params_path = model_dir / "params.gvpm"
@@ -410,6 +425,16 @@ class TestGradcheck:
         monkeypatch.setattr(milcore, "total_loss_and_grads", corrupted)
         assert main(["gradcheck", "--seed", "0", "--batches", "2"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("batches", ["0", "-3"])
+    def test_no_batches_exits_2_with_one_error_line(self, tmp_path, capsys, batches):
+        out = tmp_path / "gc"
+        assert main(["gradcheck", "--batches", batches, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "at least one batch" in err[0]
+        assert not out.exists()
 
     def test_corrupt_flag_is_gone(self):
         assert main(["gradcheck", "--seed", "0", "--corrupt"]) == 2

@@ -321,6 +321,33 @@ class TestLockstep:
             assert len(counts) == max(alone_steps)
 
 
+    def test_cells_without_ssls_match_their_ssls_cells_at_lambda_one(self, monkeypatch):
+        # A module cell without ssls trains at lambda = 1, so at train.lam=1.0
+        # it must end with the same weights, bit for bit, as the same cell
+        # with ssls. Rank-based AUCs could hide a small difference in lambda.
+        grid = ("vg", "vg+ssls", "vg+vf", "vg+vf+ssls")
+        spec = tiny_spec("module_ablation", grid=grid, seeds=(0, 1),
+                         train=TrainConfig(lam=1.0, epochs=2, batch_pairs=2, k_rule="frac:0.25"))
+        calls = []
+        lockstep = evaluation.train_runs
+
+        def capturing(runs):
+            results = lockstep(runs)
+            calls.append(dict(zip(grid, zip(runs, results))))
+            return results
+
+        monkeypatch.setattr(evaluation, "train_runs", capturing)
+        run_ablation(spec)
+        assert len(calls) == 2  # one stack per seed
+        for cells in calls:
+            (filtered, _), _ = cells["vg+vf"]
+            assert any(s.y_s == 1 for s in filtered.anomalous + filtered.normal)  # vf keeps synthetic videos
+            for plain, scaled in (("vg", "vg+ssls"), ("vg+vf", "vg+vf+ssls")):
+                plain_params, scaled_params = cells[plain][1].params, cells[scaled][1].params
+                for key in ("w1", "b1", "w2", "b2"):
+                    assert np.array_equal(getattr(plain_params, key), getattr(scaled_params, key)), (plain, key)
+
+
 class TestScoreCurve:
     def result(self):
         return evaluate(oracle_params(), [oracle_sample("vid-a", [0, 1, 0]),

@@ -307,6 +307,12 @@ class TestGradientCheck:
             assert name in text
         assert "PASS" in text
 
+    @pytest.mark.parametrize("num_batches", [0, -3])
+    def test_no_batches_rejected(self, num_batches):
+        # Zero batches would leave every error at 0.0 and report PASS.
+        with pytest.raises(ValidationError, match="at least one batch"):
+            gradient_check(seed=0, num_batches=num_batches)
+
     def test_mil_gradient_matches_finite_differences_through_topk(self):
         from gvvad.numerics import finite_diff_grad
 
