@@ -306,7 +306,6 @@ def cmd_gradcheck(args) -> int:
 
 def _add_common(sub, out_required: bool = True):
     sub.add_argument("--config", default=None, help="key=value config file")
-    sub.add_argument("--seed", default=None, help="seed override")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a single config key (repeatable)")
     sub.add_argument("--out", required=out_required, help="output directory")
@@ -322,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subparsers.add_parser("prompts", help="compile a description repository")
     p.add_argument("--inventory", default=None, help="element inventory file (built-in when omitted)")
     p.add_argument("--limit", default=None, help="sample this many pairs instead of the full product")
+    p.add_argument("--seed", default=None, help="seed override")
     _add_common(p)
     p.set_defaults(func=cmd_prompts)
 
@@ -330,12 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompts", default=None, help="description repository file")
     p.add_argument("--counts", default=None, metavar="RA,RN,VA,VN",
                    help="video counts: real-anomalous,real-normal,synth-anomalous,synth-normal")
+    p.add_argument("--seed", default=None, help="seed override")
     _add_common(p)
     p.set_defaults(func=cmd_world)
 
     p = subparsers.add_parser("train", help="train the clip scorer on a manifest")
     p.add_argument("--manifest", default=None, help="training manifest")
     p.add_argument("--val-manifest", dest="val_manifest", default=None, help="validation manifest")
+    p.add_argument("--seed", default=None, help="seed override")
     _add_common(p)
     p.set_defaults(func=cmd_train)
 
@@ -355,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subparsers.add_parser("gradcheck", help="compare analytic gradients against finite differences")
     p.add_argument("--batches", default=None, help="number of seeded batches")
+    p.add_argument("--seed", default=None, help="seed override")
     _add_common(p, out_required=False)
     p.set_defaults(func=cmd_gradcheck)
 

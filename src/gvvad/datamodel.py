@@ -2,15 +2,18 @@
 
 A dataset is a UTF-8 text manifest plus one small binary file per video for
 the clip-feature matrix (magic ``GVFT``) and, optionally, per-frame ground
-truth labels (magic ``GVLB``). Binary files carry a trailing 64-bit FNV-1a
-checksum over the payload. Mixing and subsampling never mutate their inputs.
+truth labels (magic ``GVLB``); trained scorer weights are a third binary file
+(magic ``GVPM``, see :mod:`gvvad.milcore`). Mixing and subsampling never
+mutate their inputs. Every binary file has one envelope, written by
+:func:`write_checked` and read by :func:`read_checked` (integers little-endian):
 
-Layout of the binary envelope (all integers little-endian):
+    magic (4 bytes)  u32 version  format header  payload  u64 fnv1a(payload)
 
-    magic (4 bytes)  u32 version  u32 T  u32 D  payload  u64 fnv1a(payload)
-
-Feature payloads are T*D float32 row-major; label payloads are T bytes of
-0/1 with D fixed to 1.
+GVFT's header is u32 T, u32 D and its payload T*D float32 row-major; GVLB's
+is the same with D fixed to 1 and T bytes of 0/1. GVPM's header is a u32
+block count, then per block a u32 name length, the name, a u32 ndim and
+ndim u32 dims, for w1, b1, w2 and b2 (stored as shape (1,)); its payload is
+the flat float64 parameter vector in that order.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ FEATURE_MAGIC = b"GVFT"
 LABEL_MAGIC = b"GVLB"
 FORMAT_VERSION = 1
 
-_HEADER = struct.Struct("<4sIII")
+_PREFIX = struct.Struct("<4sI")  # magic, version
+_DIMS = struct.Struct("<II")  # T, D of feature and label files
 _CHECKSUM = struct.Struct("<Q")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -123,6 +127,68 @@ def _fnv1a64_vectorized(data) -> int:
 # binary feature / label files
 # ---------------------------------------------------------------------------
 
+def write_checked(path, magic: bytes, header: bytes, payload) -> None:
+    """Write one checked file: ``magic``, the version, the format's ``header``
+    bytes, the C-contiguous array ``payload`` and the payload's checksum."""
+    data = memoryview(payload).cast("B")  # hashed and written without a bytes copy
+    with open(path, "wb") as fh:
+        fh.write(_PREFIX.pack(magic, FORMAT_VERSION) + header)
+        fh.write(data)
+        fh.write(_CHECKSUM.pack(fnv1a64(data)))
+
+
+def _read_head(fh, path, magic: bytes, itemsize: int, read_header) -> tuple:
+    """(header, payload item count) of ``fh``, left at the payload, if the file has the size they imply."""
+    size = os.fstat(fh.fileno()).st_size
+    left = size - _CHECKSUM.size  # header reads stay within the file
+
+    def take(n: int) -> bytes:
+        nonlocal left
+        raw = fh.read(n) if n <= left else b""
+        if len(raw) != n:
+            raise DataFormatError(f"truncated file ({size} bytes)")
+        left -= n
+        return raw
+
+    try:
+        got_magic, version = _PREFIX.unpack(take(_PREFIX.size))
+        if got_magic != magic:
+            raise DataFormatError(f"bad magic {got_magic!r}, expected {magic!r}")
+        if version != FORMAT_VERSION:
+            raise DataFormatError(f"unsupported format version {version}")
+        header, count = read_header(take)
+        if left != count * itemsize:
+            raise DataFormatError(f"expected {size - left + count * itemsize} bytes, found {size}")
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+    return header, count
+
+
+def read_checked(path, magic: bytes, dtype, read_header) -> tuple:
+    """(header, flat payload array) of a checked file, the payload read straight into
+    the array. ``read_header(take)`` returns the format's header and its payload item
+    count, reading the header through ``take(n)``, which returns the next n bytes."""
+    with open(path, "rb") as fh:
+        header, count = _read_head(fh, path, magic, np.dtype(dtype).itemsize, read_header)
+        values = np.empty(count, dtype=dtype)
+        payload = values.view(np.uint8).data
+        got = fh.readinto(payload)
+        stored = fh.read(_CHECKSUM.size)
+    if got != len(payload) or len(stored) != _CHECKSUM.size:  # the file shrank after fstat
+        raise DataFormatError(f"{path}: truncated file")
+    if fnv1a64(payload) != _CHECKSUM.unpack(stored)[0]:
+        raise DataFormatError(f"{path}: checksum mismatch")
+    return header, values
+
+
+def _read_dims(take) -> tuple:
+    """(T, D) header of a feature or label file, and its T*D payload items."""
+    t, d = _DIMS.unpack(take(_DIMS.size))
+    if t < 1 or d < 1:
+        raise DataFormatError(f"invalid dimensions {t}x{d}")
+    return (t, d), t * d
+
+
 def write_features(path, values) -> None:
     """Write a T x D float32 clip-feature matrix to ``path``."""
     arr = np.asarray(values)
@@ -131,65 +197,19 @@ def write_features(path, values) -> None:
     t, d = arr.shape
     if t < 1 or d < 1:
         raise ValidationError(f"feature sequence needs T,D >= 1, got {t}x{d}")
-    payload_arr = np.ascontiguousarray(arr, dtype="<f4")
-    if not np.all(np.isfinite(payload_arr)):
+    payload = np.ascontiguousarray(arr, dtype="<f4")
+    if not np.all(np.isfinite(payload)):
         raise ValidationError("feature sequence contains non-finite values")
-    payload = payload_arr.data.cast("B")  # hashed and written without a bytes copy
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(FEATURE_MAGIC, FORMAT_VERSION, t, d))
-        fh.write(payload)
-        fh.write(_CHECKSUM.pack(fnv1a64(payload)))
-
-
-def _read_header(fh, path, magic: bytes) -> tuple:
-    raw = fh.read(_HEADER.size)
-    if len(raw) < _HEADER.size:
-        raise DataFormatError(f"{path}: truncated header")
-    got_magic, version, t, d = _HEADER.unpack(raw)
-    if got_magic != magic:
-        raise DataFormatError(f"{path}: bad magic {got_magic!r}, expected {magic!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"{path}: unsupported format version {version}")
-    return t, d
-
-
-def _read_envelope(path, magic: bytes, dtype):
-    """(T, D, flat payload array), read straight into the array that is returned."""
-    dtype = np.dtype(dtype)
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _HEADER.size + _CHECKSUM.size:
-            raise DataFormatError(f"{path}: truncated file ({size} bytes)")
-        t, d = _read_header(fh, path, magic)
-        if t < 1 or d < 1:
-            raise DataFormatError(f"{path}: invalid dimensions {t}x{d}")
-        expected = _HEADER.size + t * d * dtype.itemsize + _CHECKSUM.size
-        if size != expected:
-            raise DataFormatError(f"{path}: expected {expected} bytes, found {size}")
-        values = np.empty(t * d, dtype=dtype)
-        payload = values.view(np.uint8).data
-        got = fh.readinto(payload)
-        stored = fh.read(_CHECKSUM.size)
-    if got != len(payload) or len(stored) != _CHECKSUM.size:  # the file shrank after fstat
-        raise DataFormatError(f"{path}: truncated file")
-    if fnv1a64(payload) != _CHECKSUM.unpack(stored)[0]:
-        raise DataFormatError(f"{path}: checksum mismatch")
-    return t, d, values
+    write_checked(path, FEATURE_MAGIC, _DIMS.pack(t, d), payload)
 
 
 def read_features(path) -> np.ndarray:
     """Read a feature file back as a (T, D) float32 array."""
-    t, d, values = _read_envelope(path, FEATURE_MAGIC, "<f4")
-    arr = values.reshape(t, d)
+    shape, values = read_checked(path, FEATURE_MAGIC, "<f4", _read_dims)
+    arr = values.reshape(shape)
     if not np.all(np.isfinite(arr)):
         raise DataFormatError(f"{path}: non-finite feature values")
     return arr
-
-
-def read_feature_header(path) -> tuple:
-    """Read just (T, D) from a feature file without loading the payload."""
-    with open(path, "rb") as fh:
-        return _read_header(fh, path, FEATURE_MAGIC)
 
 
 def write_frame_labels(path, labels) -> None:
@@ -199,16 +219,12 @@ def write_frame_labels(path, labels) -> None:
         raise ValidationError(f"frame labels must be a non-empty 1-D vector, got shape {arr.shape}")
     if not is_binary(arr):
         raise ValidationError("frame labels must be 0 or 1")
-    payload = np.ascontiguousarray(arr, dtype=np.uint8).tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(LABEL_MAGIC, FORMAT_VERSION, arr.size, 1))
-        fh.write(payload)
-        fh.write(_CHECKSUM.pack(fnv1a64(payload)))
+    write_checked(path, LABEL_MAGIC, _DIMS.pack(arr.size, 1), np.ascontiguousarray(arr, dtype=np.uint8))
 
 
 def read_frame_labels(path) -> np.ndarray:
     """Read a label file back as a (n,) uint8 array of 0/1."""
-    _, d, arr = _read_envelope(path, LABEL_MAGIC, np.uint8)
+    (_, d), arr = read_checked(path, LABEL_MAGIC, np.uint8, _read_dims)
     if d != 1:
         raise DataFormatError(f"{path}: label files must have D=1, got {d}")
     if not is_binary(arr):
@@ -318,6 +334,8 @@ def load_manifest(path) -> DatasetManifest:
         raise DataFormatError(f"{path}:1: bad header {lines[0]!r}")
     dim = int(header.group(1))
     clip_len = int(header.group(2))
+    if dim < 1 or clip_len < 1:
+        raise DataFormatError(f"{path}:1: manifest dims must be >= 1, got dim={dim} clip_len={clip_len}")
     entries = []
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
@@ -341,7 +359,8 @@ def load_manifest(path) -> DatasetManifest:
         fpath = base / e.feature_path
         if not fpath.is_file():
             raise DataFormatError(f"{path}: entry {e.id!r} references missing file {e.feature_path!r}")
-        _, file_dim = read_feature_header(fpath)
+        with open(fpath, "rb") as fh:  # the header alone, checked against the file size
+            (_, file_dim), _ = _read_head(fh, fpath, FEATURE_MAGIC, 4, _read_dims)
         if file_dim != dim:
             raise DataFormatError(
                 f"{path}: entry {e.id!r} has feature dim {file_dim}, manifest declares {dim}"

@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import fnv1a64
+from .datamodel import fnv1a64, read_checked, write_checked  # fnv1a64 unused: perfbench's checksum test patches it
 from .errors import DataFormatError, ShapeError, ValidationError
 from .kvformat import parse_float, parse_int, parse_str, read_fields, write_fields
 from .numerics import (
@@ -49,7 +49,6 @@ from .numerics import (
 )
 
 PARAMS_MAGIC = b"GVPM"
-PARAMS_VERSION = 1
 
 _PARAM_KEYS = ("w1", "b1", "w2", "b2")
 
@@ -793,66 +792,35 @@ def train_runs(runs, val_samples=None) -> list:
 # ---------------------------------------------------------------------------
 
 def save_params(path, params: ScorerParams) -> None:
-    """Write scorer weights as float64 blocks with a trailing checksum."""
-    blocks = [(name, np.ascontiguousarray(getattr(params, name), dtype="<f8")) for name in _PARAM_KEYS]
-    meta = bytearray()
-    meta += struct.pack("<4sII", PARAMS_MAGIC, PARAMS_VERSION, len(blocks))
-    payload = bytearray()
-    for name, arr in blocks:
-        encoded = name.encode("ascii")
-        meta += struct.pack("<I", len(encoded)) + encoded
-        meta += struct.pack("<I", arr.ndim)
-        meta += struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b""
-        payload += arr.data
-    with open(path, "wb") as fh:
-        fh.write(meta)
-        fh.write(payload)
-        fh.write(struct.pack("<Q", fnv1a64(payload)))
+    """Write scorer weights as a GVPM file (layout in :mod:`gvvad.datamodel`)."""
+    header = bytearray(struct.pack("<I", len(_PARAM_KEYS)))
+    for name in _PARAM_KEYS:
+        shape = np.shape(getattr(params, name)) or (1,)  # the scalar b2 is stored as (1,)
+        header += struct.pack(f"<I{len(name)}sI{len(shape)}I", len(name), name.encode("ascii"), len(shape), *shape)
+    write_checked(path, PARAMS_MAGIC, bytes(header), np.asarray(params_to_vector(params), dtype="<f8"))
+
+
+def _read_blocks(take) -> tuple:
+    """Block shapes of a GVPM header, in ``_PARAM_KEYS`` order, and their total item count."""
+    (n_blocks,) = struct.unpack("<I", take(4))
+    if n_blocks != len(_PARAM_KEYS):
+        raise DataFormatError(f"expected {len(_PARAM_KEYS)} parameter blocks, found {n_blocks}")
+    shapes = []
+    for name in _PARAM_KEYS:
+        got = take(struct.unpack("<I", take(4))[0])
+        if got != name.encode("ascii"):
+            raise DataFormatError(f"parameter block {len(shapes)} is {got!r}, expected {name!r}")
+        (ndim,) = struct.unpack("<I", take(4))
+        shapes.append(struct.unpack(f"<{ndim}I", take(4 * ndim)))
+    return shapes, sum(math.prod(shape) for shape in shapes)
 
 
 def load_params(path) -> ScorerParams:
-    raw = Path(path).read_bytes()
-    if len(raw) < 12:
-        raise DataFormatError(f"{path}: truncated file")
-    magic, version, n_blocks = struct.unpack_from("<4sII", raw, 0)
-    if magic != PARAMS_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {magic!r}, expected {PARAMS_MAGIC!r}")
-    if version != PARAMS_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    offset = 12
-    shapes = []
+    """Read a GVPM file; the blocks are views of one float64 array."""
+    shapes, flat = read_checked(path, PARAMS_MAGIC, "<f8", _read_blocks)
+    blocks = np.split(flat, np.cumsum([math.prod(shape) for shape in shapes[:-1]]))
     try:
-        for _ in range(n_blocks):
-            (name_len,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            name = raw[offset:offset + name_len].decode("ascii")
-            offset += name_len
-            (ndim,) = struct.unpack_from("<I", raw, offset)
-            offset += 4
-            shape = struct.unpack_from(f"<{ndim}I", raw, offset) if ndim else ()
-            offset += 4 * ndim
-            shapes.append((name, shape))
-    except (struct.error, UnicodeDecodeError):
-        raise DataFormatError(f"{path}: truncated or corrupt block header") from None
-    names = [name for name, _ in shapes]
-    if names != list(_PARAM_KEYS):
-        raise DataFormatError(f"{path}: unexpected parameter blocks {names}")
-    total = sum(int(np.prod(shape, dtype=np.int64)) for _, shape in shapes)
-    expected = offset + total * 8 + 8
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    payload = memoryview(raw)[offset:-8]
-    (stored,) = struct.unpack_from("<Q", raw, len(raw) - 8)
-    if fnv1a64(payload) != stored:
-        raise DataFormatError(f"{path}: checksum mismatch")
-    values = {}
-    cursor = 0
-    for name, shape in shapes:
-        count = int(np.prod(shape, dtype=np.int64))
-        values[name] = np.frombuffer(payload, dtype="<f8", count=count, offset=cursor * 8).reshape(shape).copy()
-        cursor += count
-    try:
-        return ScorerParams(**values)
+        return ScorerParams(**{name: b.reshape(s) for name, b, s in zip(_PARAM_KEYS, blocks, shapes)})
     except ShapeError as exc:
         raise DataFormatError(f"{path}: bad block shape: {exc}") from None
 
@@ -862,7 +830,7 @@ def load_params(path) -> ScorerParams:
 # ---------------------------------------------------------------------------
 
 def params_to_vector(params: ScorerParams) -> np.ndarray:
-    return np.concatenate([getattr(params, k).ravel() for k in _PARAM_KEYS])
+    return np.concatenate([np.ravel(getattr(params, k)) for k in _PARAM_KEYS])
 
 
 def vector_to_params(vec: np.ndarray, dim: int, hidden: int) -> ScorerParams:

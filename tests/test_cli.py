@@ -283,6 +283,16 @@ class TestTrainEvalFlow:
         assert len(err) == 1 and err[0].startswith("error: ") and "b2" in err[0]
         assert not (tmp_path / "e3" / "metrics.txt").exists()
 
+    def test_eval_seed_flag_exits_2(self, pipeline, capsys):
+        # eval's configuration has no seed key, so --seed is not one of its flags.
+        tmp_path, test_dir, model_dir = self.run_pipeline(pipeline)
+        out = tmp_path / "e4"
+        capsys.readouterr()
+        assert main(["eval", "--params", str(model_dir / "params.gvpm"), "--manifest", str(test_dir / "manifest.tsv"),
+                     "--seed", "3", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEndToEndDeterminism:
     def test_full_pipeline_twice_is_byte_identical(self, tmp_path):

@@ -248,6 +248,13 @@ class TestManifest:
         assert manifest.feature_dim == 16
         assert manifest.clip_len == 16
 
+    @pytest.mark.parametrize("dims", [(0, 2), (4, 0)], ids=["dim", "clip_len"])
+    def test_zero_dims_name_the_header_line(self, tmp_path, dims):
+        path = tmp_path / "m.tsv"
+        path.write_text(self.header(*dims) + "\n")
+        with pytest.raises(DataFormatError, match=r"m\.tsv:1: manifest dims must be >= 1"):
+            load_manifest(path)
+
     def test_bad_y_value_names_field_and_line(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text(self.header() + "\nvid1\tf.gvft\t2\t0\t-\n")

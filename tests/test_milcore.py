@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -564,6 +566,40 @@ class TestParamsFile:
             load_params(path)
         with pytest.raises(ShapeError, match="b2"):
             ScorerParams(w1=np.zeros((2, 3)), b1=np.zeros(2), w2=np.zeros(2), b2=np.zeros(2))
+
+    # Header of a 3 -> 2 scorer: magic, version, block count at 8, then w1's
+    # name length at 12, name at 16 and ndim at 18.
+    MALFORMED = {
+        "truncated-12": lambda raw: raw[:12],
+        "truncated-30": lambda raw: raw[:30],
+        "bad-magic": lambda raw: b"GVPX" + raw[4:],
+        "version-2": lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+        "renamed-block": lambda raw: raw[:16] + b"v1" + raw[18:],
+        "huge-block-count": lambda raw: raw[:8] + b"\xff" * 4 + raw[12:],
+        "huge-name-length": lambda raw: raw[:12] + b"\xff" * 4 + raw[16:],
+        "huge-ndim": lambda raw: raw[:18] + b"\xff" * 4 + raw[22:],
+        "trailing-byte": lambda raw: raw + b"\x00",
+        "empty": lambda raw: b"",
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_file_is_a_format_error_naming_it(self, tmp_path, case):
+        from gvvad.errors import DataFormatError
+
+        path = tmp_path / "params.gvpm"
+        save_params(path, ScorerParams.init(3, 2, rng_from("pf4")))
+        raw = path.read_bytes()
+        assert raw[16:18] == b"w1" and int.from_bytes(raw[18:22], "little") == 2
+        path.write_bytes(self.MALFORMED[case](raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataFormatError, match=re.escape(str(path))):
+                load_params(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if case.startswith("huge-"):
+            assert peak < 1 << 20
 
 
 class TestTrainConfigFile:
