@@ -1,10 +1,18 @@
 """Frame-level ROC-AUC, score-curve export, and ablation sweeps.
 
-The default evaluation protocol is micro-averaged: every test video's clip
-scores are expanded to frame scores, all frames are concatenated in ascending
-video-id order, and a single ROC is computed. Rank sums use exact integer
-arithmetic (twice the midranks), so the result matches a pairwise count
-oracle bit for bit and ties contribute exactly one half.
+The default evaluation protocol is micro-averaged: one ROC over every frame
+of every test video, videos in ascending id order. A frame's score is its
+clip's score, so the AUC is computed over clips, each standing for its
+frames: a clip contributes its count of positive and of negative frames.
+Rank sums use exact integer arithmetic over groups of tied scores, so the
+result matches a pairwise count over the frames bit for bit and ties
+contribute exactly one half.
+
+A :class:`PreparedTestSet` lays a test set out once (samples in id order,
+per-clip frame counts, forward chunks) and scores any number of scorers on
+it, each chunk cast to float64 once per call. Validation during training
+and ablation sweeps read only its AUCs; :func:`evaluate` also expands clip
+scores to frame scores, for the per-video curves.
 """
 
 from __future__ import annotations
@@ -19,12 +27,13 @@ from .errors import ShapeError, ValidationError
 from .milcore import (
     ScorerParams,
     TrainConfig,
+    _chunk_bags,
+    _forward,
     check_percentile,
     filter_synthetic,
-    score_segments,
     train_runs,
 )
-from .numerics import derived_int_seed, is_binary
+from .numerics import derived_int_seed, is_binary, stable_sigmoid
 from .worldsim import GenerationCounts, WorldConfig, generate_dataset
 
 LAMBDA_GRID_DEFAULT = ("0.1", "0.25", "0.5", "1.0", "2.0")
@@ -44,12 +53,16 @@ def clip_to_frame_scores(clip_scores, clip_len: int) -> np.ndarray:
     return np.repeat(s, clip_len)
 
 
-def roc_auc(scores, labels) -> float:
+def roc_auc(scores, labels, counts=None) -> float:
     """Rank-based (Mann-Whitney) AUC with midrank tie handling.
 
-    Equivalent to the fraction of (positive, negative) pairs ranked
-    correctly, counting ties as one half; exact because rank sums are
-    accumulated as integers.
+    Without ``counts`` item i is one frame and ``labels[i]`` its 0/1 label.
+    With integer ``counts``, item i stands for ``counts[i]`` frames sharing
+    its score, ``labels[i]`` of them positive. Equivalent to the fraction of
+    (positive, negative) frame pairs ranked correctly, counting ties as one
+    half; exact because the pair count is accumulated as an integer: each
+    positive beats the negatives of every lower tie group and ties with the
+    negatives of its own.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
@@ -59,24 +72,31 @@ def roc_auc(scores, labels) -> float:
         raise ValidationError("cannot compute AUC of empty inputs")
     if not np.all(np.isfinite(s)):
         raise ValidationError("scores contain non-finite values")
-    if not is_binary(y):
-        raise ValidationError("labels must be 0 or 1")
-    p = int(y.sum())
-    n = int(y.size - p)
+    if counts is None:
+        if not is_binary(y):
+            raise ValidationError("labels must be 0 or 1")
+        pos = y.astype(np.int64)
+        neg = 1 - pos
+    else:
+        c = np.asarray(counts)
+        if c.shape != s.shape:
+            raise ShapeError(f"counts {c.shape} must match scores {s.shape}")
+        if not (y.dtype.kind in "iu" and c.dtype.kind in "iu" and (y >= 0).all() and (y <= c).all()):
+            raise ValidationError("with counts, labels must be integers from 0 to each item's count")
+        pos = y.astype(np.int64)
+        neg = c.astype(np.int64) - pos
+    p = int(pos.sum())
+    n = int(neg.sum())
     if p == 0 or n == 0:
         raise ValidationError("AUC undefined: only one label class present")
 
-    order = np.argsort(s, kind="stable")
+    order = np.argsort(s)
     ss = s[order]
-    ys = y[order]
-    uniq = np.unique(ss)
-    first = np.searchsorted(ss, uniq, side="left")
-    last = np.searchsorted(ss, uniq, side="right") - 1
-    rank2 = first + last + 2  # twice the midrank of each tie group (1-based ranks)
-    group = np.searchsorted(uniq, ss)
-    pos_counts = np.bincount(group[ys == 1], minlength=uniq.size)
-    rank2_sum_pos = int((pos_counts * rank2).sum())
-    num2 = rank2_sum_pos - p * (p + 1)
+    groups = np.flatnonzero(np.concatenate(([True], ss[1:] != ss[:-1])))  # first item of each tie group
+    pos_g = np.add.reduceat(pos[order], groups)
+    neg_g = np.add.reduceat(neg[order], groups)
+    below = neg_g.cumsum() - neg_g  # negatives in lower groups
+    num2 = int((pos_g * (2 * below + neg_g)).sum())
     return num2 / (2 * p * n)
 
 
@@ -94,37 +114,84 @@ class EvalResult:
     per_video: tuple
 
 
+class PreparedTestSet:
+    """A labelled test set laid out once, to score many scorers on.
+
+    Holds the samples in ascending id order, each clip's positive and total
+    frame counts, and the forward chunks: the trainer's rule, at most
+    ``_CHUNK_BYTES`` of float64 features or one bag per chunk. The features
+    are not copied; each scoring call casts every chunk to float64 once and
+    runs it through one matmul per scorer. Building it fails on an empty
+    set, a sample without frame labels or of a feature dim other than
+    ``dim``, and a set whose frames are all of one class.
+    """
+
+    def __init__(self, samples, dim: int):
+        self.samples = sorted(samples, key=lambda v: v.id)
+        if not self.samples:
+            raise ValidationError("evaluation needs at least one sample")
+        for s in self.samples:
+            if s.frame_labels is None:
+                raise ValidationError(f"sample {s.id!r} has no frame labels")
+            if s.dim != dim:
+                raise ShapeError(f"features of {s.id!r} have dim {s.dim}, scorer has {dim}")
+        self.dim = dim
+        self.features = [np.asarray(s.features) for s in self.samples]
+        clips = np.array([len(f) for f in self.features])
+        self.clip_bounds = [0, *clips.cumsum().tolist()]  # video v owns clips [bounds[v], bounds[v + 1])
+        frames = [np.asarray(s.frame_labels).reshape(len(f), -1) for s, f in zip(self.samples, self.features)]
+        self.clip_frames = np.concatenate([np.full(len(f), f.shape[1]) for f in frames])
+        self.clip_positives = np.concatenate([f.sum(axis=1, dtype=np.int64) for f in frames])
+        self.num_frames = int(self.clip_frames.sum())
+        if not 0 < int(self.clip_positives.sum()) < self.num_frames:
+            raise ValidationError("AUC undefined: only one label class present")
+        self.chunk_bags = _chunk_bags(int(clips.max()), dim)
+
+    def clip_scores(self, params) -> np.ndarray:
+        """(len(params), clips) score of every clip, in id order, under each
+        ScorerParams of ``params``."""
+        for p in params:
+            if p.dim != self.dim:
+                raise ShapeError(f"scorer dim {p.dim} does not match the test set's {self.dim}")
+        logits = np.empty((len(params), self.clip_bounds[-1]))
+        _forward(self.features, self.chunk_bags, [(p.w1, p.b1, p.w2, p.b2) for p in params], logits)
+        return stable_sigmoid(logits)
+
+    def auc(self, clip_scores, macro: bool = False) -> float:
+        """AUC of one scorer's clip scores: micro over all frames, or with
+        ``macro`` the mean AUC of the videos whose frames hold both classes."""
+        if not macro:
+            return roc_auc(clip_scores, self.clip_positives, self.clip_frames)
+        aucs = []
+        for lo, hi in zip(self.clip_bounds, self.clip_bounds[1:]):
+            if 0 < self.clip_positives[lo:hi].sum() < self.clip_frames[lo:hi].sum():
+                aucs.append(roc_auc(clip_scores[lo:hi], self.clip_positives[lo:hi], self.clip_frames[lo:hi]))
+        if not aucs:
+            raise ValidationError("macro AUC undefined: no video has both label classes")
+        return float(np.mean(aucs))
+
+    def aucs(self, params, macro: bool = False) -> list:
+        """The AUC of each ScorerParams of ``params``, scored in one pass."""
+        return [self.auc(scores, macro) for scores in self.clip_scores(params)]
+
+
 def evaluate(params: ScorerParams, samples, macro: bool = False) -> EvalResult:
     """Score every test video and compute frame-level AUC.
 
-    ``macro=True`` averages per-video AUCs over the videos whose frame labels
-    contain both classes instead of pooling all frames.
+    The AUC is computed over clips, each standing for its frames, and equals
+    the ROC-AUC over the frames bit for bit. ``macro=True`` averages
+    per-video AUCs over the videos whose frame labels contain both classes
+    instead of pooling all frames. Frame scores (each clip's score repeated
+    over its frames) are built only for ``per_video``.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValidationError("evaluation needs at least one sample")
-    per = []
-    for s in sorted(samples, key=lambda v: v.id):
-        if s.frame_labels is None:
-            raise ValidationError(f"sample {s.id!r} has no frame labels")
-        labels = np.asarray(s.frame_labels, dtype=np.uint8)
-        clip_len = labels.size // s.num_clips
-        frame_scores = clip_to_frame_scores(score_segments(params, s.features), clip_len)
-        per.append(VideoScores(s.id, frame_scores, labels))
-    all_scores = np.concatenate([v.frame_scores for v in per])
-    all_labels = np.concatenate([v.frame_labels for v in per])
-    if macro:
-        aucs = [
-            roc_auc(v.frame_scores, v.frame_labels)
-            for v in per
-            if 0 < int(v.frame_labels.sum()) < v.frame_labels.size
-        ]
-        if not aucs:
-            raise ValidationError("macro AUC undefined: no video has both label classes")
-        auc = float(np.mean(aucs))
-    else:
-        auc = roc_auc(all_scores, all_labels)
-    return EvalResult(auc=auc, num_frames=int(all_scores.size), per_video=tuple(per))
+    test_set = PreparedTestSet(samples, params.dim)
+    scores = test_set.clip_scores([params])[0]
+    per_video = tuple(
+        VideoScores(s.id, clip_to_frame_scores(scores[lo:hi], int(test_set.clip_frames[lo])),
+                    np.asarray(s.frame_labels, dtype=np.uint8))
+        for s, lo, hi in zip(test_set.samples, test_set.clip_bounds, test_set.clip_bounds[1:])
+    )
+    return EvalResult(auc=test_set.auc(scores, macro), num_frames=test_set.num_frames, per_video=per_video)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +327,9 @@ def run_ablation(spec: AblationSpec) -> list:
     The generated pool and test set are shared across settings within a
     seed, so per-seed comparisons between settings are paired. A seed's
     cells train in one lockstep :func:`train_runs` call, and each ends with
-    the parameters it would reach trained alone; only one seed's pool is
-    held at a time.
+    the parameters it would reach trained alone; its test set is prepared
+    once and scores every cell, each AUC equal to :func:`evaluate`'s. Only
+    one seed's pool is held at a time.
     """
     rows = {}
     for seed in spec.seeds:
@@ -273,9 +341,8 @@ def run_ablation(spec: AblationSpec) -> list:
             GenerationCounts(real_anomalous=spec.test_counts[0], real_normal=spec.test_counts[1]),
             base_seed=("ablate-test", seed),
         )
-        test_samples = [*test_sets.real_anomalous, *test_sets.real_normal]
-        for (setting, _), result in zip(spec.cells, results):
-            auc = evaluate(result.params, test_samples).auc
+        test_set = PreparedTestSet([*test_sets.real_anomalous, *test_sets.real_normal], spec.world.dim)
+        for (setting, _), auc in zip(spec.cells, test_set.aucs([result.params for result in results])):
             rows[(setting, seed)] = AblationRow(setting, int(seed), auc)
     return [rows[(setting, seed)] for setting, _ in spec.cells for seed in spec.seeds]
 

@@ -34,6 +34,7 @@ to the same run trained alone.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -188,13 +189,6 @@ def _descending(scores: np.ndarray) -> np.ndarray:
     """Clip order by descending score along the last axis; ties keep the
     lower clip index first."""
     return np.argsort(-scores, axis=-1, kind="stable")
-
-
-def topk_indices(scores, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties keep the lower clip index first."""
-    if np.ndim(scores) != 1:
-        raise ShapeError(f"scores must be 1-D, got shape {np.shape(scores)}")
-    return topk_mean(scores, k, return_indices=True)[1]
 
 
 def topk_mean(scores, k, return_indices: bool = False):
@@ -356,6 +350,34 @@ def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
 _CHUNK_BYTES = 4 << 20
 
 
+def _chunk_bags(max_clips: int, dim: int) -> int:
+    """Bags per forward chunk when the largest bag has ``max_clips`` clips:
+    at most ``_CHUNK_BYTES`` of float64 features, or one bag."""
+    return max(1, _CHUNK_BYTES // (max_clips * dim * 8))
+
+
+def _forward(bags: list, chunk_bags: int, param_sets, logits, z1=None) -> None:
+    """Write the logit of every clip of ``bags`` (feature arrays, in order)
+    under each ``(w1, b1, w2, b2)`` of ``param_sets`` into the rows of
+    ``logits`` (sets, clips), and with one set its pre-activations into ``z1``.
+
+    The bags are cast to float64 ``chunk_bags`` at a time, once per chunk,
+    and each chunk goes through one matmul per set, never one across sets:
+    BLAS rounding depends on the matrix shape, so a matmul across sets would
+    make one set's result depend on the others.
+    """
+    rows_at = [0, *itertools.accumulate(map(len, bags))]
+    for b in range(0, len(bags), chunk_bags):
+        e = min(b + chunk_bags, len(bags))
+        rows = slice(rows_at[b], rows_at[e])
+        features = np.concatenate(bags[b:e], dtype=np.float64)
+        for r, (w1, b1, w2, b2) in enumerate(param_sets):
+            pre, _, logits[r, rows] = _layers(w1, b1, w2, b2, features)
+            if z1 is not None:
+                z1[rows] = pre
+        del features  # before the next chunk is gathered
+
+
 @dataclass(eq=False)
 class _Plan:
     """What the batch objective needs besides the parameters.
@@ -401,7 +423,6 @@ class _BagTable:
                 raise ShapeError(f"features of {s.id!r} have dim {s.dim}, scorer has {dim}")
         features = [np.asarray(s.features) for s in self.samples]
         clips = np.array([len(f) for f in features])
-        bag_bytes = [int(clips[bags].max()) * dim * 8 for bags in run_bags]
         return _Plan(
             features=features,
             feature_dtype=np.result_type(*{f.dtype for f in features}),
@@ -412,7 +433,7 @@ class _BagTable:
             synthetic=np.array([s.y_s == 1 for s in self.samples]),
             lam=np.array(lam, dtype=np.float64),
             clamp_eps=config.clamp_eps,
-            chunk_bags=[max(1, _CHUNK_BYTES // b) for b in bag_bytes],
+            chunk_bags=[_chunk_bags(int(clips[bags].max()), dim) for bags in run_bags],
             dim=dim,
             hidden=hidden,
         )
@@ -473,20 +494,16 @@ def _stacked_loss_and_grads(theta: np.ndarray, batch, plan: _Plan):
     starts = ends - clips  # first clip row of each bag
     rows_at = [0, *ends.tolist()]
 
-    # Each run's bags in pieces of its own ``chunk_bags`` (at most
-    # _CHUNK_BYTES of float64 features, or one bag), one matmul per piece,
-    # so a run's arithmetic does not depend on the other runs in the stack.
+    # Each run's bags in its own chunks, so a run's arithmetic does not
+    # depend on the other runs in the stack.
     videos_l = videos.tolist()
     z1 = np.empty((rows_at[-1], plan.hidden))
     logits = np.empty(rows_at[-1])
     start = 0
     for r, n in enumerate(np.bincount(run_of_bag, minlength=n_runs).tolist()):
-        for b in range(start, start + n, plan.chunk_bags[r]):
-            e = min(b + plan.chunk_bags[r], start + n)
-            rows = slice(rows_at[b], rows_at[e])
-            features = np.concatenate([plan.features[v] for v in videos_l[b:e]], dtype=np.float64)
-            z1[rows], _, logits[rows] = _layers(w1[r], b1[r], w2[r], b2[r], features)
-            del features  # before the next piece is gathered
+        rows = slice(rows_at[start], rows_at[start + n])
+        _forward([plan.features[v] for v in videos_l[start:start + n]], plan.chunk_bags[r],
+                 [(w1[r], b1[r], w2[r], b2[r])], logits[None, rows], z1[rows])
         start += n
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
@@ -716,8 +733,9 @@ def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
 
     Samples are ordered by id before any seeded shuffling, so two datasets
     holding the same samples train identically regardless of construction
-    order. Validation AUC is computed per epoch when ``val_samples`` carry
-    frame labels. This is the one-run case of :func:`train_runs`.
+    order. With ``val_samples``, every epoch records the AUC that
+    :func:`gvvad.evaluation.evaluate` gives its parameters on them. This is
+    the one-run case of :func:`train_runs`.
     """
     return train_runs([(dataset, config)], val_samples)[0]
 
@@ -728,7 +746,10 @@ def train_runs(runs, val_samples=None) -> list:
     Each run draws the batches it would draw alone and ends with the
     parameters it would reach alone, bit for bit. The runs' configs must be
     equal in every field but ``lam`` and ``seed``, or a ValidationError names
-    the first field that differs. Training stops with a ValidationError at
+    the first field that differs. ``val_samples`` are laid out once, as a
+    :class:`gvvad.evaluation.PreparedTestSet`, before the first step, so a
+    sample without frame labels or of another feature dim fails before any
+    training. Training stops with a ValidationError at
     the first step with a non-finite clip score, loss or updated parameter;
     numpy's floating-point warnings are silenced while it runs, so that error
     is the only report.
@@ -742,6 +763,11 @@ def train_runs(runs, val_samples=None) -> list:
             raise ValidationError(f"runs trained together must share {f.name}; only lam and seed may differ")
     plan, schedule = _lockstep_plan(runs, config)
     dim, hidden = plan.dim, plan.hidden
+    val_set = None
+    if val_samples is not None:
+        from .evaluation import PreparedTestSet  # local import: evaluation imports this module
+
+        val_set = PreparedTestSet(val_samples, dim)  # a bad val set fails before the first step
     theta = np.stack([
         params_to_vector(ScorerParams.init(dim, hidden, rng_from(runs[r][1].seed, "scorer-init")))
         for r in schedule.order
@@ -768,16 +794,11 @@ def train_runs(runs, val_samples=None) -> list:
             total_sum[:n] += breakdown.total
             mil_sum[:n] += _left_fold(breakdown.raw)
             for r, epoch, n_pairs in schedule.epoch_ends.get(t, ()):
-                val_auc = None
-                if val_samples is not None:
-                    from .evaluation import evaluate  # local import: evaluation imports this module
-
-                    val_auc = evaluate(vector_to_params(theta[r], dim, hidden), val_samples).auc
                 history[r].append(EpochStats(
                     epoch=epoch,
                     total_loss=float(total_sum[r] / n_pairs),
                     mil_mean=float(mil_sum[r] / n_pairs),
-                    val_auc=val_auc,
+                    val_auc=None if val_set is None else val_set.aucs([vector_to_params(theta[r], dim, hidden)])[0],
                 ))
                 total_sum[r] = mil_sum[r] = 0.0
 
@@ -823,6 +844,8 @@ def load_params(path) -> ScorerParams:
         return ScorerParams(**{name: b.reshape(s) for name, b, s in zip(_PARAM_KEYS, blocks, shapes)})
     except ShapeError as exc:
         raise DataFormatError(f"{path}: bad block shape: {exc}") from None
+    except ValidationError as exc:  # a non-finite weight
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

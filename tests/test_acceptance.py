@@ -200,6 +200,85 @@ class TestCriterion4Auc:
             assert abs(roc_auc(scores ** 3, labels) - base) < 1e-12
 
 
+def pairwise_frame_auc(scores, labels):
+    """Integer pairwise count over frames: 2 per positive above a negative, 1 per tie."""
+    neg = np.sort(scores[labels == 0])
+    pos = scores[labels == 1]
+    below = np.searchsorted(neg, pos, side="left")
+    tied = np.searchsorted(neg, pos, side="right") - below
+    return int((2 * below + tied).sum()) / (2 * len(pos) * len(neg))
+
+
+def ragged_test_set(rng, i):
+    """Videos of 1-12 clips, each with its own clip_len in 1..19, frame labels
+    that change inside clips, and tie-heavy clip scores on every other trial."""
+    scores, labels, clip_lens = [], [], []
+    for _ in range(int(rng.integers(1, 8))):
+        t, clip_len = int(rng.integers(1, 13)), int(rng.integers(1, 20))
+        frames = (rng.uniform(size=t * clip_len) < rng.uniform(0.1, 0.6)).astype(np.uint8)
+        clip = rng.integers(0, 3, size=t) / 3.0 if i % 2 == 0 else rng.uniform(size=t)
+        scores.append(clip)
+        labels.append(frames)
+        clip_lens.append(clip_len)
+    return scores, labels, clip_lens
+
+
+def clip_counts(labels, clip_lens):
+    positives = np.concatenate([f.reshape(-1, n).sum(axis=1) for f, n in zip(labels, clip_lens)])
+    frames = np.concatenate([np.full(f.size // n, n) for f, n in zip(labels, clip_lens)])
+    return positives, frames
+
+
+class TestCriterion4ClipCountAuc:
+    def test_clip_counts_equal_the_expanded_frames(self):
+        with criterion("criterion 4: clip-count AUC equals the frame AUC", 10.0):
+            rng = rng_from("acceptance-clip-auc")
+            checked_micro = checked_macro = 0
+            for i in range(300):
+                scores, labels, clip_lens = ragged_test_set(rng, i)
+                frame_scores = [np.repeat(s, n) for s, n in zip(scores, clip_lens)]
+                all_frames = np.concatenate(frame_scores)
+                all_labels = np.concatenate(labels)
+                if 0 < all_labels.sum() < all_labels.size:
+                    positives, frames = clip_counts(labels, clip_lens)
+                    auc = roc_auc(np.concatenate(scores), positives, frames)
+                    assert auc == roc_auc(all_frames, all_labels)
+                    assert auc == pairwise_frame_auc(all_frames, all_labels)
+                    checked_micro += 1
+                for s, f, n, fs in zip(scores, labels, clip_lens, frame_scores):
+                    if 0 < f.sum() < f.size:
+                        positives, frames = clip_counts([f], [n])
+                        auc = roc_auc(s, positives, frames)
+                        assert auc == roc_auc(fs, f) == pairwise_frame_auc(fs, f)
+                        checked_macro += 1
+            assert checked_micro > 250 and checked_macro > 500
+
+    def test_evaluate_equals_the_frame_auc_of_its_frame_scores(self):
+        with criterion("criterion 4: evaluate equals the frame AUC", 10.0):
+            rng = rng_from("acceptance-evaluate-auc")
+            for i in range(60):
+                _, labels, clip_lens = ragged_test_set(rng, i)
+                samples = [
+                    VideoSample(f"v{j:02d}", rng.normal(size=(f.size // n, 6)).astype(np.float32),
+                                int(f.any()), 0, f)
+                    for j, (f, n) in enumerate(zip(labels, clip_lens))
+                ]
+                frames = np.concatenate(labels)
+                if not 0 < frames.sum() < frames.size:
+                    continue
+                params = ScorerParams.init(6, 4, rng_from("acceptance-evaluate-auc", i))
+                if i % 2 == 0:  # few distinct scores: most clips tie
+                    params.w1[:] = np.round(params.w1)
+                    params.w2[:] = np.round(params.w2)
+                micro = evaluate(params, samples)
+                assert micro.auc == roc_auc(np.concatenate([v.frame_scores for v in micro.per_video]),
+                                            np.concatenate([v.frame_labels for v in micro.per_video]))
+                mixed = [v for v in micro.per_video if 0 < v.frame_labels.sum() < v.frame_labels.size]
+                if mixed:
+                    macro = evaluate(params, samples, macro=True)
+                    assert macro.auc == float(np.mean([roc_auc(v.frame_scores, v.frame_labels) for v in mixed]))
+
+
 class TestCriterion5DataScaleTrend:
     def test_synthetic_data_helps_most_when_real_data_is_scarce(self):
         with criterion("criterion 5: data-scale trend", 300.0):

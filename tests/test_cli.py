@@ -2,6 +2,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gvvad.cli import main
@@ -282,6 +283,46 @@ class TestTrainEvalFlow:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "b2" in err[0]
         assert not (tmp_path / "e3" / "metrics.txt").exists()
+
+    def test_eval_rejects_non_finite_params_naming_the_file(self, pipeline, capsys):
+        # A params file whose w1 holds a NaN, with a valid checksum.
+        from gvvad.milcore import ScorerParams, save_params
+        from gvvad.numerics import rng_from
+
+        tmp_path, test_dir, _ = self.run_pipeline(pipeline)
+        params = ScorerParams.init(6, 8, rng_from("cli-nan"))
+        params.w1[0, 0] = np.nan
+        bad = tmp_path / "nan.gvpm"
+        save_params(bad, params)
+        capsys.readouterr()
+        assert main(["eval", "--params", str(bad), "--manifest", str(test_dir / "manifest.tsv"),
+                     "--out", str(tmp_path / "e5")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(bad) in err[0] and "non-finite" in err[0]
+        assert not (tmp_path / "e5").exists()
+
+    @pytest.mark.parametrize("bad", ["no frame labels", "wrong dim"])
+    def test_train_with_a_bad_val_set_writes_nothing(self, pipeline, capsys, bad):
+        from gvvad.datamodel import VideoSample, load_manifest, load_samples, write_dataset
+
+        tmp_path, prompts, world_cfg = pipeline
+        train_dir, val_dir = tmp_path / "data-train", tmp_path / "data-val"
+        assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                     "--counts", "4,4,0,0", "--seed", "1", "--out", str(train_dir)]) == 0
+        if bad == "wrong dim":
+            write_world_config(world_cfg, dim=5)
+            assert main(["world", "--world", str(world_cfg), "--prompts", str(prompts),
+                         "--counts", "4,4,0,0", "--seed", "2", "--out", str(val_dir)]) == 0
+        else:
+            manifest = load_manifest(train_dir / "manifest.tsv")
+            unlabelled = [VideoSample(s.id, s.features, s.y, s.y_s) for s in load_samples(manifest, train_dir)]
+            write_dataset(val_dir, unlabelled, manifest.feature_dim, manifest.clip_len)
+        model_dir = tmp_path / "model"
+        capsys.readouterr()
+        assert main(["train", "--manifest", str(train_dir / "manifest.tsv"),
+                     "--val-manifest", str(val_dir / "manifest.tsv"), "--out", str(model_dir)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not model_dir.exists()
 
     def test_eval_seed_flag_exits_2(self, pipeline, capsys):
         # eval's configuration has no seed key, so --seed is not one of its flags.

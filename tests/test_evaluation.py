@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gvvad import evaluation
-from gvvad.datamodel import VideoSample
+from gvvad.datamodel import VideoSample, mix_datasets
 from gvvad.errors import ShapeError, ValidationError
 from gvvad.evaluation import (
     DATA_SCALE_GRID_DEFAULT,
@@ -12,6 +12,7 @@ from gvvad.evaluation import (
     MODULE_GRID_DEFAULT,
     AblationSpec,
     EvalResult,
+    PreparedTestSet,
     VideoScores,
     clip_to_frame_scores,
     evaluate,
@@ -27,7 +28,7 @@ from gvvad import milcore
 from gvvad.milcore import ScorerParams, TrainConfig, train
 from gvvad.numerics import rng_from
 from gvvad.promptgen import build_repository, default_inventory
-from gvvad.worldsim import GenerationCounts, WorldConfig
+from gvvad.worldsim import GenerationCounts, WorldConfig, generate_dataset
 
 PAIRS = tuple(build_repository(default_inventory(), limit=16, seed=7))
 
@@ -114,6 +115,24 @@ class TestRocAuc:
         with pytest.raises(ValidationError, match="labels must be 0 or 1"):
             roc_auc([0.9, 0.1], labels)
 
+    def test_counts_weigh_each_item_by_its_frames(self):
+        # Item 0 is 3 frames (1 positive), item 1 is 2 frames (both negative).
+        assert roc_auc([0.9, 0.1], [1, 0], [3, 2]) == roc_auc([0.9] * 3 + [0.1] * 2, [1, 0, 0, 0, 0])
+
+    @pytest.mark.parametrize("labels, counts", [
+        ([1, 0], [1.0, 2.0]),  # counts must be integers
+        ([1.0, 0.0], [1, 2]),  # and so must the positives
+        ([2, 0], [1, 2]),  # more positives than frames
+        ([-1, 1], [1, 2]),
+    ])
+    def test_bad_counts_rejected(self, labels, counts):
+        with pytest.raises(ValidationError, match="with counts"):
+            roc_auc([0.9, 0.1], np.array(labels), np.array(counts))
+
+    def test_counts_shape_checked(self):
+        with pytest.raises(ShapeError):
+            roc_auc([0.9, 0.1], [1, 0], [1, 1, 1])
+
 
 def oracle_sample(sample_id, clip_labels, clip_len=4, y_s=0, dim=3):
     clip_labels = np.asarray(clip_labels, dtype=np.uint8)
@@ -169,6 +188,80 @@ class TestEvaluate:
         bad = VideoSample("x", np.zeros((2, 3), dtype=np.float32), 0, 0)
         with pytest.raises(ValidationError, match="frame labels"):
             evaluate(oracle_params(), [bad])
+
+
+class TestPreparedTestSet:
+    def test_scores_every_scorer_as_evaluate_does(self):
+        samples = [oracle_sample("b", [0, 1, 1, 0], clip_len=3), oracle_sample("a", [0, 0], clip_len=5)]
+        prepared = PreparedTestSet(samples, 3)
+        scorers = [oracle_params(gain=g) for g in (1.0, 0.3, -1.0)]
+        aucs = prepared.aucs(scorers)
+        assert aucs == [evaluate(p, samples).auc for p in scorers] == [1.0, 1.0, 0.0]
+        assert prepared.num_frames == 4 * 3 + 2 * 5
+        assert [s.id for s in prepared.samples] == ["a", "b"]
+
+    def test_one_chunk_per_bag_when_a_bag_fills_the_chunk(self):
+        wide = VideoSample("w", np.zeros((300, 2048), dtype=np.float32), 1, 0, np.repeat([1, 0] * 150, 2))
+        assert PreparedTestSet([wide], 2048).chunk_bags == 1
+        assert PreparedTestSet(TestEvaluate().samples(), 3).chunk_bags > 3
+
+    def test_bad_sets_fail_when_prepared(self):
+        with pytest.raises(ShapeError, match="dim"):
+            PreparedTestSet(TestEvaluate().samples(), 4)
+        with pytest.raises(ValidationError, match="one label class"):
+            PreparedTestSet([oracle_sample("n", [0, 0])], 3)
+        with pytest.raises(ValidationError, match="at least one sample"):
+            PreparedTestSet([], 3)
+
+    def test_scorer_dim_checked(self):
+        with pytest.raises(ShapeError, match="dim"):
+            PreparedTestSet(TestEvaluate().samples(), 3).clip_scores([oracle_params(dim=4)])
+
+
+class TestValidationIsEvaluation:
+    def test_val_auc_of_epoch_e_is_the_auc_of_e_epochs_of_training(self):
+        # The pair RNG draws epochs in order, so the first e epochs of a longer
+        # run are the whole of an e-epoch run.
+        world = tiny_spec("lambda_sweep").world
+        sets = generate_dataset(world, PAIRS, GenerationCounts(6, 6, 3, 3), base_seed="val-train")
+        val = generate_dataset(world, PAIRS, GenerationCounts(8, 8), base_seed="val-test")
+        dataset = mix_datasets(sets.real_anomalous, sets.real_normal, sets.synth_anomalous, sets.synth_normal)
+        val_samples = [*val.real_anomalous, *val.real_normal]
+
+        def cfg(epochs):
+            return TrainConfig(epochs=epochs, batch_pairs=2, k_rule="frac:0.25", hidden=8, seed=4)
+
+        history = train(dataset, cfg(3), val_samples).history
+        for e in (1, 2, 3):
+            assert history[e - 1].val_auc == evaluate(train(dataset, cfg(e)).params, val_samples).auc
+
+
+class TestSweepRowsAreEvaluation:
+    @pytest.mark.parametrize("kind", ["module_ablation", "lambda_sweep"])
+    def test_each_row_is_the_evaluate_auc_of_its_cell(self, monkeypatch, kind):
+        spec = tiny_spec(kind, seeds=(0, 1))
+        trained, test_sets = [], {}
+        lockstep, generate = evaluation.train_runs, evaluation.generate_dataset
+
+        def capturing_train(runs):
+            trained.append(lockstep(runs))
+            return trained[-1]
+
+        def capturing_generate(*args, base_seed, **kwargs):
+            sets = generate(*args, base_seed=base_seed, **kwargs)
+            test_sets[base_seed] = sets
+            return sets
+
+        monkeypatch.setattr(evaluation, "train_runs", capturing_train)
+        monkeypatch.setattr(evaluation, "generate_dataset", capturing_generate)
+        rows = run_ablation(spec)
+        assert len(trained) == 2
+        for seed, results in zip(spec.seeds, trained):
+            test = test_sets[("ablate-test", seed)]
+            samples = [*test.real_anomalous, *test.real_normal]
+            by_setting = {row.setting: row.auc for row in rows if row.seed == seed}
+            for (setting, _), result in zip(spec.cells, results):
+                assert by_setting[setting] == evaluate(result.params, samples).auc, setting
 
 
 def tiny_spec(kind, grid=(), seeds=(0,), **overrides):

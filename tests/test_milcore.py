@@ -22,7 +22,6 @@ from gvvad.milcore import (
     save_params,
     score_segments,
     ssls_scale,
-    topk_indices,
     topk_mean,
     total_loss_and_grads,
     train,
@@ -119,11 +118,9 @@ class TestTopK:
                 assert topk_mean(scores, k) == expected
 
     def test_ties_break_toward_lower_index(self):
-        from gvvad.milcore import topk_indices
-
         scores = np.array([0.5, 0.9, 0.5, 0.9])
-        np.testing.assert_array_equal(topk_indices(scores, 2), [1, 3])
-        np.testing.assert_array_equal(topk_indices(scores, 3), [1, 3, 0])
+        np.testing.assert_array_equal(topk_mean(scores, 2, return_indices=True)[1], [1, 3])
+        np.testing.assert_array_equal(topk_mean(scores, 3, return_indices=True)[1], [1, 3, 0])
 
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
@@ -258,14 +255,14 @@ class TestTotalLossAndGrads:
             feats = pair[bag].features.copy()
             feats[clip] += np.float32(0.01)
             moved[bag] = VideoSample(pair[bag].id, feats, pair[bag].y, pair[bag].y_s)
-            before = topk_indices(score_segments(params, pair[bag].features), 2)
-            after = topk_indices(score_segments(params, feats), 2)
+            before = topk_mean(score_segments(params, pair[bag].features), 2, return_indices=True)[1]
+            after = topk_mean(score_segments(params, feats), 2, return_indices=True)[1]
             np.testing.assert_array_equal(before, after)  # the selection itself is unchanged
             return total_loss_and_grads(params, [tuple(moved)], cfg)[1]
 
         for bag in (0, 1):
             scores = score_segments(params, pair[bag].features)
-            selected = topk_indices(scores, 2)
+            selected = topk_mean(scores, 2, return_indices=True)[1]
             outside = int(np.argmin(scores))
             assert outside not in selected
             moved = grads_with_moved_clip(bag, outside)
@@ -446,6 +443,23 @@ class TestTrain:
         assert lines[0] == "epoch,L_total,L_MIL_mean,val_auc"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("bad", ["no frame labels", "wrong dim"])
+    def test_bad_val_set_fails_before_the_first_step(self, monkeypatch, bad):
+        from gvvad import milcore
+
+        dataset, test = small_world_dataset(mag=2.0, n=8, seed=5)
+        odd = test[0]
+        if bad == "no frame labels":
+            odd = VideoSample(odd.id, odd.features, odd.y, odd.y_s)
+        else:
+            odd = VideoSample(odd.id, odd.features[:, :-1], odd.y, odd.y_s, odd.frame_labels)
+        steps = []
+        exact = milcore.total_loss_and_grads
+        monkeypatch.setattr(milcore, "total_loss_and_grads", lambda *args: steps.append(1) or exact(*args))
+        with pytest.raises(ValidationError, match="frame labels" if bad == "no frame labels" else "dim"):
+            train(dataset, TrainConfig(epochs=2, seed=0, batch_pairs=2), val_samples=[*test[1:], odd])
+        assert steps == []
+
     def test_empty_class_rejected(self):
         with pytest.raises(ValidationError):
             train(MixedDataset((), (sample("n", 0),)), TrainConfig(epochs=1))
@@ -552,6 +566,17 @@ class TestParamsFile:
         raw[-12] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError):
+            load_params(path)
+
+    def test_non_finite_weight_is_a_format_error_naming_the_file(self, tmp_path):
+        # A file whose w1 holds a NaN, with a valid checksum.
+        from gvvad.errors import DataFormatError
+
+        params = ScorerParams.init(3, 2, rng_from("pf-nan"))
+        params.w1[0, 0] = np.nan
+        path = tmp_path / "nan.gvpm"
+        save_params(path, params)
+        with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*w1 contains non-finite"):
             load_params(path)
 
     def test_wrong_b2_shape_is_a_format_error(self, tmp_path):
