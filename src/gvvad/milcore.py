@@ -17,14 +17,19 @@ those rules.
 Training is lockstep: :func:`train_runs` trains R independent runs (the cells
 of a sweep) as one stacked program, and :func:`train` is its R = 1 case. The
 runs share one TrainConfig except for lambda and the seed, and the
-parameters of all runs live in one (R, P) array. A step casts each run's
+parameters of all runs live in one (R, P) array. What a step needs of the
+schedule alone (which bag belongs to which run and (run, source) group, each
+bag's clip rows, k and label, the top-k row positions, the group bounds and
+where each bag's loss goes) is laid out ahead of the steps, in one
+vectorized pass per window of ``_LAYOUT_STEPS`` steps (:func:`_layout_window`).
+A step then does only what depends on the parameters. It casts each run's
 bags to float64 in pieces of at most ``_CHUNK_BYTES`` (or one bag) and runs
 the first layer once per piece, never across runs: BLAS rounding depends on
 the matrix shape, so a matmul across runs would make a run's result depend
-on the others. Scores, top-k means, BCE and loss scaling then go through
-each rule once per step. The backward pass covers only the top-k
-rows, once per (run, source), and each run's gradient is
-``real + lambda * synthetic``. Runs are ordered by schedule length and a run
+on the others. Sigmoid and the NaN check follow, then top-k means, BCE and
+loss scaling, each rule called once per step, and the gather of the top-k
+rows. The backward pass covers only those rows, once per (run, source), and
+each run's gradient is ``real + lambda * synthetic``. Runs are ordered by schedule length and a run
 leaves the stack when its schedule ends, so every stacked run takes every
 step: Adam updates the stack with one shared step count, and a finished
 run's count stays at its own number of steps. Each run ends bit-identical
@@ -439,6 +444,104 @@ class _BagTable:
         )
 
 
+# Lockstep steps whose layouts are built in one pass: enough to spread the
+# pass's few dozen numpy calls thin, few enough that a window holds a few
+# hundred kilobytes (about 180 KB for 32 steps of five runs of 2 pairs).
+_LAYOUT_STEPS = 32
+
+
+@dataclass(eq=False)
+class _StepLayout:
+    """The part of one lockstep step that depends on the schedule alone.
+
+    Bags are in (run, source) group order g = 2 * run + source, each group
+    in slot order; rows count the step's clips, bag by bag, from 0. The
+    selected rows are every bag's first k ranks, bag by bag.
+    """
+
+    runs: list  # per stacked run: (its bags' features, bags per chunk, its rows)
+    gather: list  # per bag: (features, first and end selected row)
+    videos: np.ndarray  # per bag: its index in the plan's table
+    n_rows: int
+    is_clip: np.ndarray  # (bags, most clips in a bag): the padded entries that hold a clip
+    k: np.ndarray
+    y: np.ndarray
+    loss_at: np.ndarray  # per bag: its flat index in the (runs, slots) bag losses
+    slots: tuple  # (runs, slots)
+    synthetic: np.ndarray  # (runs, pairs) pair sources
+    lam: np.ndarray  # per run
+    sel_bag: np.ndarray  # per selected row: its bag
+    sel_order: np.ndarray  # per selected row: its flat index in the padded clip order
+    sel_start: np.ndarray  # per selected row: its bag's first row
+    sel_run: np.ndarray  # per selected row: its run
+    groups: list  # (group, first, end) of each group's selected rows, empty groups left out
+
+
+def _layout_window(plan: _Plan, bags: np.ndarray, synthetic: np.ndarray, active: list) -> list:
+    """The :class:`_StepLayout` of each step of a window, built in one pass
+    over ``bags`` (steps, runs, slots), ``synthetic`` (steps, runs, pairs)
+    and the number of stacked runs of each step, ``active``."""
+    n_steps, n_runs, n_slots = bags.shape
+    step, run, slot = (bags >= 0).nonzero()
+    group = 2 * run + synthetic[step, run, slot // 2]
+    by_group = (2 * n_runs * step + group).argsort(kind="stable")
+    step, run, slot, group = step[by_group], run[by_group], slot[by_group], group[by_group]
+    videos = bags[step, run, slot]
+    clips, k = plan.clips[videos], plan.k[videos]
+    # First bag of each step and of each (step, run); first row and first
+    # selected row of each bag and of each step; all counted over the window.
+    bag_at = step.searchsorted(np.arange(n_steps + 1))
+    run_at = (n_runs * step + run).searchsorted(np.arange(n_steps * n_runs + 1))
+    row_at = np.concatenate(([0], clips.cumsum()))
+    sel_at = np.concatenate(([0], k.cumsum()))
+    step_row, step_sel = row_at[bag_at], sel_at[bag_at]
+    widths = np.maximum.reduceat(clips, bag_at[:-1])
+    is_clip = np.arange(widths.max()) < clips[:, None]
+    sel_bag = np.repeat(np.arange(len(videos)), k)
+    sel_step = step[sel_bag]
+    sel_start = row_at[sel_bag] - step_row[sel_step]
+    sel_order = (sel_bag - bag_at[sel_step]) * widths[sel_step] + np.arange(len(sel_bag)) - sel_at[sel_bag]
+    bounds = (2 * n_runs * sel_step + group[sel_bag]).searchsorted(
+        2 * n_runs * np.arange(n_steps)[:, None] + np.arange(2 * n_runs + 1)) - step_sel[:-1, None]
+    group_step, group_id = (bounds[:, :-1] < bounds[:, 1:]).nonzero()
+    group_at = group_step.searchsorted(np.arange(n_steps + 1)).tolist()
+    groups = list(zip(group_id.tolist(), bounds[group_step, group_id].tolist(),
+                      bounds[group_step, group_id + 1].tolist()))
+    sel_run, loss_at, y = run[sel_bag], n_slots * run + slot, plan.y[videos]
+    sel_bag -= bag_at[sel_step]  # step-local, like the rows
+
+    features = [plan.features[v] for v in videos.tolist()]
+    first_sel = sel_at[:-1] - step_sel[step]
+    gather = list(zip(features, first_sel.tolist(), (first_sel + k).tolist()))
+    run_row = np.repeat(step_row[:-1], n_runs)
+    run_rows = map(slice, (row_at[run_at[:-1]] - run_row).tolist(), (row_at[run_at[1:]] - run_row).tolist())
+    run_at = run_at.tolist()
+    runs = list(zip([features[lo:hi] for lo, hi in zip(run_at, run_at[1:])], plan.chunk_bags * n_steps, run_rows))
+    n_rows, bag_at, step_sel, widths = np.diff(step_row).tolist(), bag_at.tolist(), step_sel.tolist(), widths.tolist()
+    layouts = []
+    for t, n in enumerate(active):
+        b0, b1, s0, s1 = bag_at[t], bag_at[t + 1], step_sel[t], step_sel[t + 1]
+        layouts.append(_StepLayout(
+            runs=runs[t * n_runs:t * n_runs + n],
+            gather=gather[b0:b1],
+            videos=videos[b0:b1],
+            n_rows=n_rows[t],
+            is_clip=is_clip[b0:b1, :widths[t]],
+            k=k[b0:b1],
+            y=y[b0:b1],
+            loss_at=loss_at[b0:b1],
+            slots=(n, n_slots),
+            synthetic=synthetic[t, :n],
+            lam=plan.lam[:n],
+            sel_bag=sel_bag[s0:s1],
+            sel_order=sel_order[s0:s1],
+            sel_start=sel_start[s0:s1],
+            sel_run=sel_run[s0:s1],
+            groups=groups[group_at[t]:group_at[t + 1]],
+        ))
+    return layouts
+
+
 def total_loss_and_grads(params, batch, config):
     """Scaled loss and exact gradients over a batch of (anomalous, normal) bag pairs.
 
@@ -450,13 +553,13 @@ def total_loss_and_grads(params, batch, config):
     One run: ``params`` is a ScorerParams, ``batch`` a sequence of pairs and
     ``config`` a TrainConfig. Returns (LossBreakdown, grads) where grads maps
     each scorer block to a view of one flat gradient (laid out as
-    :func:`params_to_vector`). This is the R = 1 case of the stacked call.
+    :func:`params_to_vector`). This is the R = 1 case of the stacked call,
+    its one step laid out by the same builder.
 
     R stacked runs, as :func:`train_runs` calls it: ``params`` is the (R, P)
-    array of flat parameter vectors, ``batch`` the step's (R, slots) bag
-    indices (-1 for no bag; pair j is slots 2j and 2j + 1) with its
-    (R, slots / 2) pair sources, and ``config`` the plan. Returns the
-    LossBreakdown of every run and the (R, P) gradient.
+    array of flat parameter vectors, ``batch`` the step's
+    :class:`_StepLayout` and ``config`` the plan. Returns the LossBreakdown
+    of every run and the (R, P) gradient.
     """
     if not isinstance(params, ScorerParams):
         return _stacked_loss_and_grads(params, batch, config)
@@ -470,82 +573,58 @@ def total_loss_and_grads(params, batch, config):
             raise ValidationError(f"pair ({a.id!r}, {n.id!r}) must be (anomalous, normal), got y=({a.y}, {n.y})")
         bags += [table.add(a), table.add(n)]
     plan = table.plan(config, [config.lam], [bags], params.dim, params.hidden)
-    bags = np.array([bags])
-    synthetic = (plan.synthetic[bags[:, 0::2]] | plan.synthetic[bags[:, 1::2]]).astype(np.int64)
-    breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], (bags, synthetic), plan)
+    bags = np.array([[bags]])
+    synthetic = (plan.synthetic[bags[..., 0::2]] | plan.synthetic[bags[..., 1::2]]).astype(np.int64)
+    (step,) = _layout_window(plan, bags, synthetic, [1])
+    breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], step, plan)
     one_run = LossBreakdown(breakdown.raw[0], breakdown.scaled[0], float(breakdown.total[0]),
                             breakdown.source_labels[0])
     return one_run, _param_views(grads[0].copy(), params.dim, params.hidden)
 
 
-def _stacked_loss_and_grads(theta: np.ndarray, batch, plan: _Plan):
-    bags, pair_synthetic = batch
-    n_runs = len(bags)
+def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
+    n_runs = len(theta)
     w1, b1, w2, b2 = _stacked_views(theta, plan.dim, plan.hidden)
-    # Every bag of the step in (run, source) group order g = 2 * run + source,
-    # each group in slot order.
-    run_of_bag, slot_of_bag = (bags >= 0).nonzero()
-    group_of_bag = 2 * run_of_bag + pair_synthetic[run_of_bag, slot_of_bag // 2]
-    by_group = group_of_bag.argsort(kind="stable")
-    run_of_bag, slot_of_bag, group_of_bag = run_of_bag[by_group], slot_of_bag[by_group], group_of_bag[by_group]
-    videos = bags[run_of_bag, slot_of_bag]
-    clips, k = plan.clips[videos], plan.k[videos]
-    ends = clips.cumsum()
-    starts = ends - clips  # first clip row of each bag
-    rows_at = [0, *ends.tolist()]
-
     # Each run's bags in its own chunks, so a run's arithmetic does not
     # depend on the other runs in the stack.
-    videos_l = videos.tolist()
-    z1 = np.empty((rows_at[-1], plan.hidden))
-    logits = np.empty(rows_at[-1])
-    start = 0
-    for r, n in enumerate(np.bincount(run_of_bag, minlength=n_runs).tolist()):
-        rows = slice(rows_at[start], rows_at[start + n])
-        _forward([plan.features[v] for v in videos_l[start:start + n]], plan.chunk_bags[r],
-                 [(w1[r], b1[r], w2[r], b2[r])], logits[None, rows], z1[rows])
-        start += n
+    z1 = np.empty((step.n_rows, plan.hidden))
+    logits = np.empty(step.n_rows)
+    for r, (features, chunk_bags, rows) in enumerate(step.runs):
+        _forward(features, chunk_bags, [(w1[r], b1[r], w2[r], b2[r])], logits[None, rows], z1[rows])
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
-        bad = videos_l[int(starts.searchsorted(np.flatnonzero(np.isnan(scores))[0], side="right")) - 1]
+        bag_at = step.is_clip.sum(axis=1).cumsum()  # each bag's end row
+        bad = step.videos[int(bag_at.searchsorted(np.flatnonzero(np.isnan(scores))[0], side="right"))]
         raise ValidationError(f"clip scores of video {plan.ids[bad]!r} are non-finite")
 
-    is_clip = np.arange(clips.max()) < clips[:, None]
-    padded = np.full(is_clip.shape, -np.inf)
-    padded[is_clip] = scores
-    y_hat, order = topk_mean(padded, k, return_indices=True)
+    padded = np.full(step.is_clip.shape, -np.inf)
+    padded[step.is_clip] = scores
+    y_hat, order = topk_mean(padded, step.k, return_indices=True)
     # The top-k rows of every bag, bag by bag, in descending-score order; x
     # comes from the features as stored, one bag at a time.
-    sel_bag, rank = (np.arange(order.shape[1]) < k[:, None]).nonzero()
-    rows = starts[sel_bag] + order[sel_bag, rank]
+    rows = step.sel_start + order.take(step.sel_order)
     z1, s = z1[rows], scores[rows]
-    sel_at = [0, *k.cumsum().tolist()]
     x = np.empty((len(rows), plan.dim), dtype=plan.feature_dtype)
-    for b, ranked in enumerate(order):
-        plan.features[videos_l[b]].take(ranked[:sel_at[b + 1] - sel_at[b]], axis=0,
-                                        out=x[sel_at[b]:sel_at[b + 1]], mode="clip")
+    for (features, lo, hi), ranked in zip(step.gather, order):
+        features.take(ranked[:hi - lo], axis=0, out=x[lo:hi], mode="clip")
 
-    loss, dy_hat = bce(plan.y[videos], y_hat, plan.clamp_eps, return_grad=True)
-    bag_loss = np.zeros(bags.shape)
-    bag_loss[run_of_bag, slot_of_bag] = loss
-    breakdown = ssls_scale(bag_loss[:, 0::2] + bag_loss[:, 1::2], pair_synthetic, plan.lam[:n_runs])
+    loss, dy_hat = bce(step.y, y_hat, plan.clamp_eps, return_grad=True)
+    bag_loss = np.zeros(step.slots)
+    bag_loss.ravel()[step.loss_at] = loss
+    breakdown = ssls_scale(bag_loss[:, 0::2] + bag_loss[:, 1::2], step.synthetic, step.lam)
 
     # Backward once per (run, source) group, over its bags' top-k rows.
-    du = (dy_hat / k)[sel_bag] * s * (1.0 - s)
-    dz1 = du[:, None] * w2[run_of_bag[sel_bag]] * (z1 > 0.0)
+    du = (dy_hat / step.k)[step.sel_bag] * s * (1.0 - s)
+    dz1 = du[:, None] * w2[step.sel_run] * (z1 > 0.0)
     h = np.maximum(z1, 0.0)
-    bounds = group_of_bag[sel_bag].searchsorted(np.arange(2 * n_runs + 1)).tolist()
     grads = np.zeros((n_runs, 2, theta.shape[1]))
     g_w1, g_b1, g_w2, g_b2 = _stacked_views(grads.reshape(2 * n_runs, -1), plan.dim, plan.hidden)
-    for g in range(2 * n_runs):
-        lo, hi = bounds[g], bounds[g + 1]
-        if lo == hi:
-            continue
+    for g, lo, hi in step.groups:
         np.matmul(dz1[lo:hi].T, np.asarray(x[lo:hi], dtype=np.float64), out=g_w1[g])
         dz1[lo:hi].sum(axis=0, out=g_b1[g])
         np.matmul(h[lo:hi].T, du[lo:hi], out=g_w2[g])
         g_b2[g] = du[lo:hi].sum()
-    return breakdown, grads[:, 0] + plan.lam[:n_runs, None] * grads[:, 1]
+    return breakdown, grads[:, 0] + step.lam[:, None] * grads[:, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -780,10 +859,14 @@ def train_runs(runs, val_samples=None) -> list:
                       first_moment=moments[0], second_moment=moments[1])
     with np.errstate(over="ignore", invalid="ignore"):
         for t, n in enumerate(schedule.active.tolist()):
+            if t % _LAYOUT_STEPS == 0:
+                window = slice(t, t + _LAYOUT_STEPS)
+                layouts = _layout_window(plan, schedule.bags[window], schedule.synthetic[window],
+                                         schedule.active[window].tolist())
             if n < len(state.first_moment):  # runs whose schedule ended leave the stack; the others step on
                 state.first_moment, state.second_moment = moments[:, :n]
             live = theta[:n]
-            breakdown, grads = total_loss_and_grads(live, (schedule.bags[t, :n], schedule.synthetic[t, :n]), plan)
+            breakdown, grads = total_loss_and_grads(live, layouts[t % _LAYOUT_STEPS], plan)
             if not np.isfinite(breakdown.total).all():
                 bad = int(np.argmin(np.isfinite(np.broadcast_to(breakdown.total, n))))
                 raise ValidationError(

@@ -435,6 +435,18 @@ class TestAblate:
         assert shown in capsys.readouterr().err
         assert not (out / "ablation.csv").exists()
 
+    def test_module_cell_without_real_videos_exits_2(self, tmp_path, pipeline, capsys):
+        # baseline trains on real videos alone; with none in a class the
+        # spec is refused, naming the cell, before anything is generated.
+        _, prompts, _ = pipeline
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"kind=module_ablation\ngrid=baseline,vg\nseeds=0\ncounts=0,0,4,4\ntest_counts=2,2\n"
+                        f"prompts={prompts}\nworld.dim=6\ntrain.epochs=1\n")
+        out = tmp_path / "o"
+        assert main(["ablate", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "module configuration 'baseline' needs real videos in both classes" in capsys.readouterr().err
+        assert not (out / "ablation.csv").exists()
+
     @pytest.mark.parametrize("flag", [["--seed", "99"], ["--set", "train.epochs=50"], ["--config", "/nonexistent"]])
     def test_flags_besides_spec_and_out_exit_2(self, tmp_path, pipeline, capsys, flag):
         # The spec file is the ablation's only configuration; argparse

@@ -362,6 +362,21 @@ class TestRunAblation:
         with pytest.raises(ValidationError, match=f"duplicate {shown}"):
             tiny_spec("module_ablation", **{field: values})
 
+    @pytest.mark.parametrize("counts, grid, shown", [
+        ((0, 0, 4, 4), ("baseline", "vg"), "'baseline' needs real videos in both classes; counts give 0 anomalous"),
+        ((4, 0, 4, 4), ("vg", "vg+vf"), "'vg\\+vf' needs real videos in both classes; counts give 4 anomalous and 0"),
+        ((0, 4, 0, 4), ("vg",), "'vg' needs videos in both classes; counts give 0 anomalous and 8 normal"),
+    ])
+    def test_module_cell_that_cannot_train_rejected_when_spec_is_built(self, counts, grid, shown):
+        # A cell that would meet an empty class in training is refused when
+        # the spec is built, naming the cell, before any pool is generated.
+        with pytest.raises(ValidationError, match=shown):
+            tiny_spec("module_ablation", grid=grid, counts=GenerationCounts(*counts))
+
+    def test_vg_without_real_videos_trains(self):
+        rows = run_ablation(tiny_spec("module_ablation", grid=("vg", "vg+ssls"), counts=GenerationCounts(0, 0, 4, 4)))
+        assert [r.setting for r in rows] == ["vg", "vg+ssls"]
+
     def test_filter_percentile_validated_when_spec_is_built(self):
         # Every kind rejects a percentile outside (0, 100] before any training.
         for kind in ("lambda_sweep", "data_scale_sweep", "module_ablation"):

@@ -522,6 +522,88 @@ class TestTrain:
         assert calls["bce"] == [(8,)] * 4
         assert calls["ssls_scale"] == [(2, 2)] * 4
 
+    def test_runs_stay_isolated_across_layout_windows(self, monkeypatch):
+        # Step layouts are built a window of steps at a time. A run that
+        # leaves the stack inside a window and a longest run that crosses at
+        # least three windows must each end bit-identical to the run
+        # trained alone, with its own Adam step count, and to the stack
+        # trained with one step per window.
+        import gvvad.milcore as milcore
+
+        window = milcore._LAYOUT_STEPS
+        step_counts = []
+        exact_adam = milcore.adam_step
+
+        def counting_adam(param, grad, state):
+            out = exact_adam(param, grad, state)
+            step_counts.append((len(param), state.step))  # the stacked runs share one count
+            return out
+
+        monkeypatch.setattr(milcore, "adam_step", counting_adam)
+
+        def run(tag, real, synth, lam, seed):
+            # one step per pair at batch_pairs=1: real + synth pairs an epoch
+            def pool(y):
+                return tuple(sample(f"{tag}-{y}{i}", y, y_s=int(i >= real), t=4 + i % 5)
+                             for i in range(real + synth))
+            return MixedDataset(pool(1), pool(0)), TrainConfig(lam=lam, epochs=2, batch_pairs=1, hidden=4, seed=seed)
+
+        runs = [run("long", window, window + 3, 0.5, 1), run("mid", window // 2, window // 4 + 1, 2.0, 2),
+                run("short", 2, 1, 0.5, 3)]
+        lengths = [2 * len(data.anomalous) for data, _ in runs]
+        assert lengths[0] > 2 * window and lengths[1] % window and lengths[2] % window
+        stacked = train_runs(runs)
+        assert [max(step for n, step in step_counts if n > i) for i in range(3)] == lengths
+        with monkeypatch.context() as patch:
+            patch.setattr(milcore, "_LAYOUT_STEPS", 1)
+            step_by_step = train_runs(runs)
+        for (data, config), result, single, length in zip(runs, stacked, step_by_step, lengths):
+            step_counts.clear()
+            alone = train(data, config)
+            assert len(step_counts) == length
+            for other in (alone, single):
+                for key in ("w1", "b1", "w2", "b2"):
+                    assert np.array_equal(getattr(result.params, key), getattr(other.params, key)), key
+                assert result.history == other.history
+
+    def test_layouts_come_from_one_builder_a_window_at_a_time(self, monkeypatch):
+        # Training builds its step layouts a window of steps per call, and a
+        # one-run batch call (as gradient_check makes) goes through the same
+        # builder, one build per call.
+        import gvvad.milcore as milcore
+
+        builds, calls = [], []
+        build, exact = milcore._layout_window, milcore.total_loss_and_grads
+        monkeypatch.setattr(milcore, "_layout_window", lambda *args: builds.append(len(args[1])) or build(*args))
+        monkeypatch.setattr(milcore, "total_loss_and_grads", lambda *args: calls.append(1) or exact(*args))
+        dataset, _ = small_world_dataset(mag=2.0, n=8, seed=5)
+        train(dataset, TrainConfig(epochs=10, batch_pairs=1))
+        assert len(calls) == 80 == sum(builds)
+        assert len(builds) == math.ceil(80 / milcore._LAYOUT_STEPS) < len(calls)
+        builds.clear(), calls.clear()
+        assert gradient_check(num_batches=1).passed
+        assert builds == [1] * len(calls) and len(calls) > 1
+
+    def test_nan_clip_score_names_a_video_of_its_run(self, monkeypatch):
+        # Rows are counted per step across the stacked runs: a NaN clip
+        # score of run 1 must name one of run 1's videos. Run 1's weights are
+        # finite but overflow: a clip whose hidden activation reaches inf
+        # meets w2 = 0 and scores inf * 0 = NaN.
+        import gvvad.milcore as milcore
+
+        exact = milcore.total_loss_and_grads
+        overflowing = params_to_vector(ScorerParams(w1=np.full((2, 5), 1e308), b1=np.zeros(2), w2=np.zeros(2), b2=0.0))
+
+        def run_1_overflows(theta, step, plan):
+            return exact(np.stack([theta[0], overflowing]), step, plan)
+
+        monkeypatch.setattr(milcore, "total_loss_and_grads", run_1_overflows)
+        runs = [(MixedDataset(tuple(sample(f"run{r}-a{i}", 1, seed=r) for i in range(4)),
+                              tuple(sample(f"run{r}-n{i}", 0, seed=r) for i in range(4))),
+                 TrainConfig(epochs=1, batch_pairs=2, hidden=2, seed=r)) for r in (0, 1)]
+        with pytest.raises(ValidationError, match=r"clip scores of video 'run1-[an]\d' are non-finite"):
+            train_runs(runs)
+
     @pytest.mark.parametrize("field, values", [("k_rule", ("frac:0.2", "fixed:2")), ("batch_pairs", (2, 3))])
     def test_stacked_runs_share_one_config(self, field, values):
         # Runs trained together may differ only in lambda and seed; any
