@@ -256,17 +256,17 @@ class AblationSpec:
             if duplicate is not None:
                 raise ValidationError(f"duplicate {name} {duplicate!r}: each cell must train once")
         object.__setattr__(self, "cells", self._parse_grid())
-        real = (self.counts.real_anomalous, self.counts.real_normal)
-        if self.kind != "module_ablation" and min(real) == 0:
+        c = self.counts
+        if self.kind != "module_ablation" and min(c.real_anomalous, c.real_normal) == 0:
             raise ValidationError("sweep needs real videos in both classes")
         for setting, flags in self.cells if self.kind == "module_ablation" else ():
             # baseline trains on real videos alone and vf filters against them
             only_real = "vg" not in flags or "vf" in flags
-            synth = (0, 0) if only_real else (self.counts.synth_anomalous, self.counts.synth_normal)
-            if min(r + s for r, s in zip(real, synth)) == 0:
-                raise ValidationError(
-                    f"module configuration {setting!r} needs {'real ' if only_real else ''}videos in both "
-                    f"classes; counts give {real[0] + synth[0]} anomalous and {real[1] + synth[1]} normal")
+            videos = (c.real_anomalous, c.real_normal) if only_real else (
+                c.real_anomalous + c.synth_anomalous, c.real_normal + c.synth_normal)
+            if min(videos) == 0:
+                raise ValidationError(f"module configuration {setting!r} needs {'real ' * only_real}videos in both "
+                                      f"classes; counts give {videos[0]} anomalous and {videos[1]} normal")
 
     def _parse_grid(self) -> tuple:
         if self.kind == "lambda_sweep":

@@ -18,18 +18,20 @@ Training is lockstep: :func:`train_runs` trains R independent runs (the cells
 of a sweep) as one stacked program, and :func:`train` is its R = 1 case. The
 runs share one TrainConfig except for lambda and the seed, and the
 parameters of all runs live in one (R, P) array. What a step needs of the
-schedule alone (which bag belongs to which run and (run, source) group, each
-bag's clip rows, k and label, the top-k row positions, the group bounds and
-where each bag's loss goes) is laid out ahead of the steps, in one
-vectorized pass per window of ``_LAYOUT_STEPS`` steps (:func:`_layout_window`).
-A step then does only what depends on the parameters. It casts each run's
-bags to float64 in pieces of at most ``_CHUNK_BYTES`` (or one bag) and runs
-the first layer once per piece, never across runs: BLAS rounding depends on
-the matrix shape, so a matmul across runs would make a run's result depend
-on the others. Sigmoid and the NaN check follow, then top-k means, BCE and
-loss scaling, each rule called once per step, and the gather of the top-k
-rows. The backward pass covers only those rows, once per (run, source), and
-each run's gradient is ``real + lambda * synthetic``. Runs are ordered by schedule length and a run
+schedule alone (which bag belongs to which run and (run, source) group,
+each bag's clip rows, k, label and pair source, the top-k row positions,
+the group bounds and where each bag's loss goes) is laid out ahead of the
+steps by :func:`_layout_window`, in one vectorized pass per window of
+``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays out
+its one step the same way. A step then does only what depends on the
+parameters. It casts each run's bags to float64 in pieces of at most
+``_CHUNK_BYTES`` (or one bag) and runs the first layer once per piece, never
+across runs: BLAS rounding depends on the matrix shape, so a matmul across
+runs would make a run's result depend on the others. Sigmoid and the NaN
+check follow, then top-k means, BCE and loss scaling, each rule called once
+per step over all runs, and the gather of the top-k rows. The backward pass
+covers only those rows, once per (run, source), and each run's gradient is
+``real + lambda * synthetic``. Runs are ordered by schedule length and a run
 leaves the stack when its schedule ends, so every stacked run takes every
 step: Adam updates the stack with one shared step count, and a finished
 run's count stays at its own number of steps. Each run ends bit-identical
@@ -445,9 +447,9 @@ class _BagTable:
 
 
 # Lockstep steps whose layouts are built in one pass: enough to spread the
-# pass's few dozen numpy calls thin, few enough that a window holds a few
-# hundred kilobytes (about 180 KB for 32 steps of five runs of 2 pairs).
-_LAYOUT_STEPS = 32
+# pass's few dozen numpy calls thin, few enough that a window stays small
+# (about 100 KB for 16 steps of five runs of 2 pairs).
+_LAYOUT_STEPS = 16
 
 
 @dataclass(eq=False)
@@ -477,12 +479,16 @@ class _StepLayout:
     groups: list  # (group, first, end) of each group's selected rows, empty groups left out
 
 
-def _layout_window(plan: _Plan, bags: np.ndarray, synthetic: np.ndarray, active: list) -> list:
-    """The :class:`_StepLayout` of each step of a window, built in one pass
-    over ``bags`` (steps, runs, slots), ``synthetic`` (steps, runs, pairs)
-    and the number of stacked runs of each step, ``active``."""
+def _layout_window(plan: _Plan, bags: np.ndarray):
+    """Yield the :class:`_StepLayout` of each step of ``bags`` (steps, runs,
+    slots; pair j in slots 2j and 2j + 1, -1 for no bag), all built in one
+    pass. A pair is synthetic when either bag is; the runs that step are
+    the ones with a bag in slot 0."""
     n_steps, n_runs, n_slots = bags.shape
-    step, run, slot = (bags >= 0).nonzero()
+    has_bag = bags >= 0
+    from_synthetic = plan.synthetic[bags] & has_bag
+    synthetic = (from_synthetic[..., 0::2] | from_synthetic[..., 1::2]).astype(np.int64)
+    step, run, slot = has_bag.nonzero()
     group = 2 * run + synthetic[step, run, slot // 2]
     by_group = (2 * n_runs * step + group).argsort(kind="stable")
     step, run, slot, group = step[by_group], run[by_group], slot[by_group], group[by_group]
@@ -518,10 +524,9 @@ def _layout_window(plan: _Plan, bags: np.ndarray, synthetic: np.ndarray, active:
     run_at = run_at.tolist()
     runs = list(zip([features[lo:hi] for lo, hi in zip(run_at, run_at[1:])], plan.chunk_bags * n_steps, run_rows))
     n_rows, bag_at, step_sel, widths = np.diff(step_row).tolist(), bag_at.tolist(), step_sel.tolist(), widths.tolist()
-    layouts = []
-    for t, n in enumerate(active):
+    for t, n in enumerate(has_bag[:, :, 0].sum(axis=1).tolist()):
         b0, b1, s0, s1 = bag_at[t], bag_at[t + 1], step_sel[t], step_sel[t + 1]
-        layouts.append(_StepLayout(
+        yield _StepLayout(
             runs=runs[t * n_runs:t * n_runs + n],
             gather=gather[b0:b1],
             videos=videos[b0:b1],
@@ -538,8 +543,7 @@ def _layout_window(plan: _Plan, bags: np.ndarray, synthetic: np.ndarray, active:
             sel_start=sel_start[s0:s1],
             sel_run=sel_run[s0:s1],
             groups=groups[group_at[t]:group_at[t + 1]],
-        ))
-    return layouts
+        )
 
 
 def total_loss_and_grads(params, batch, config):
@@ -573,9 +577,7 @@ def total_loss_and_grads(params, batch, config):
             raise ValidationError(f"pair ({a.id!r}, {n.id!r}) must be (anomalous, normal), got y=({a.y}, {n.y})")
         bags += [table.add(a), table.add(n)]
     plan = table.plan(config, [config.lam], [bags], params.dim, params.hidden)
-    bags = np.array([[bags]])
-    synthetic = (plan.synthetic[bags[..., 0::2]] | plan.synthetic[bags[..., 1::2]]).astype(np.int64)
-    (step,) = _layout_window(plan, bags, synthetic, [1])
+    (step,) = _layout_window(plan, np.array([[bags]]))
     breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], step, plan)
     one_run = LossBreakdown(breakdown.raw[0], breakdown.scaled[0], float(breakdown.total[0]),
                             breakdown.source_labels[0])
@@ -749,13 +751,11 @@ class _Schedule:
     """Every run's batches, runs in stack order (longest schedule first).
 
     ``bags[t, r]`` holds run r's bag indices at lockstep step t (pair j in
-    slots 2j and 2j + 1, -1 where the run has no bag) and ``synthetic[t, r]``
-    its pair sources. At step t the first ``active[t]`` runs step.
+    slots 2j and 2j + 1, -1 where the run has no bag). At step t the runs
+    with a bag in slot 0 step; they are the first ones.
     """
 
     bags: np.ndarray
-    synthetic: np.ndarray
-    active: np.ndarray
     epoch_ends: dict  # step -> [(run, epoch, pairs in that epoch)]
     order: list  # run in stack order -> its index in the caller's list
 
@@ -786,9 +786,7 @@ def _lockstep_plan(runs, config: TrainConfig):
     width = config.batch_pairs
     steps_per_epoch = [math.ceil(len(epochs[0][0]) / width) for _, epochs in drawn]
     order = sorted(range(len(drawn)), key=lambda r: -steps_per_epoch[r])
-    lengths = [steps_per_epoch[r] * config.epochs for r in order]
-    bags = np.full((lengths[0], len(order), 2 * width), -1, dtype=np.int64)
-    synthetic = np.zeros((lengths[0], len(order), width), dtype=np.int64)
+    bags = np.full((steps_per_epoch[order[0]] * config.epochs, len(order), 2 * width), -1, dtype=np.int64)
     epoch_ends = {}
     plan = table.plan(config, [runs[r][1].lam for r in order], [drawn[r][0] for r in order],
                       table.samples[0].dim, config.hidden)
@@ -799,12 +797,8 @@ def _lockstep_plan(runs, config: TrainConfig):
             pairs[:len(anomalous)] = np.stack([anomalous, normal], axis=1)
             steps = slice(e * per_epoch, (e + 1) * per_epoch)
             bags[steps, pos, :2 * width] = pairs.reshape(per_epoch, 2 * width)
-            mixed = np.zeros(per_epoch * width, dtype=np.int64)
-            mixed[:len(anomalous)] = plan.synthetic[anomalous] | plan.synthetic[normal]
-            synthetic[steps, pos, :width] = mixed.reshape(per_epoch, width)
             epoch_ends.setdefault((e + 1) * per_epoch - 1, []).append((pos, e + 1, len(anomalous)))
-    active = (np.array(lengths)[None, :] > np.arange(lengths[0])[:, None]).sum(axis=1)
-    return plan, _Schedule(bags, synthetic, active, epoch_ends, order)
+    return plan, _Schedule(bags, epoch_ends, order)
 
 
 def train(dataset, config: TrainConfig, val_samples=None) -> TrainResult:
@@ -857,16 +851,15 @@ def train_runs(runs, val_samples=None) -> list:
     history = [[] for _ in runs]
     state = AdamState(lr=config.lr, weight_decay=config.weight_decay,
                       first_moment=moments[0], second_moment=moments[1])
+    layouts = itertools.chain.from_iterable(
+        _layout_window(plan, schedule.bags[t:t + _LAYOUT_STEPS]) for t in range(0, len(schedule.bags), _LAYOUT_STEPS))
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, n in enumerate(schedule.active.tolist()):
-            if t % _LAYOUT_STEPS == 0:
-                window = slice(t, t + _LAYOUT_STEPS)
-                layouts = _layout_window(plan, schedule.bags[window], schedule.synthetic[window],
-                                         schedule.active[window].tolist())
+        for t, step in enumerate(layouts):
+            n = len(step.runs)
             if n < len(state.first_moment):  # runs whose schedule ended leave the stack; the others step on
                 state.first_moment, state.second_moment = moments[:, :n]
             live = theta[:n]
-            breakdown, grads = total_loss_and_grads(live, layouts[t % _LAYOUT_STEPS], plan)
+            breakdown, grads = total_loss_and_grads(live, step, plan)
             if not np.isfinite(breakdown.total).all():
                 bad = int(np.argmin(np.isfinite(np.broadcast_to(breakdown.total, n))))
                 raise ValidationError(
