@@ -33,7 +33,7 @@ from .evaluation import (
     summarize_ablation,
     summary_to_csv,
 )
-from .kvformat import load_kv, parse_bool, parse_float, parse_int, parse_list, parse_str, read_fields
+from .kvformat import load_kv, parse_bool, parse_int, parse_list, parse_str, read_fields
 from .milcore import (
     TrainConfig,
     gradient_check,
@@ -239,7 +239,6 @@ _ABLATE_KEYS = {
     "seeds": ("seeds", lambda value, key: tuple(parse_list(value, key, parse_int))),
     "counts": ("counts", lambda value, key: GenerationCounts(*_counts_from(value, key, 4))),
     "test_counts": ("test_counts", lambda value, key: tuple(_counts_from(value, key, 2))),
-    "filter_percentile": ("filter_percentile", parse_float),
     "prompts": ("pairs", parse_str),
 }
 

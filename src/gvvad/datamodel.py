@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, ValidationError
+from .kvformat import read_text
 from .numerics import is_binary, rng_from
 
 MANIFEST_TAG = "gvvad-manifest v1"
@@ -326,7 +327,7 @@ def load_manifest(path) -> DatasetManifest:
     """Parse and validate a manifest and the files it references; errors name
     the offending line or entry."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise DataFormatError(f"{path}: missing manifest header")
     header = re.fullmatch(r"gvvad-manifest v1 dim=(\d+) clip_len=(\d+)", lines[0])

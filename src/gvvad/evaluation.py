@@ -29,7 +29,6 @@ from .milcore import (
     TrainConfig,
     _chunk_bags,
     _forward,
-    check_percentile,
     filter_synthetic,
     train_runs,
 )
@@ -214,7 +213,9 @@ class AblationSpec:
       * ``data_scale_sweep``: grid entries are real-data fractions; each one
         runs a real-only arm and a with-synthetic arm on the same subsample.
       * ``module_ablation``: grid entries name module combinations out of
-        {baseline, vg, vg+vf, vg+ssls, vg+vf+ssls}.
+        {baseline, vg, vg+vf, vg+ssls, vg+vf+ssls}; vf keeps the synthetic
+        videos within the fixed ``milcore.FILTER_PERCENTILE`` (95th
+        percentile) of the real class distances, filtered once per seed.
 
     Building a spec checks every value. The grid is parsed once, into
     ``cells``: one ``(setting, value)`` per run of a seed, in row order,
@@ -231,7 +232,6 @@ class AblationSpec:
     counts: GenerationCounts
     grid: tuple = ()
     test_counts: tuple = (40, 40)
-    filter_percentile: float = 95.0
     cells: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -243,7 +243,6 @@ class AblationSpec:
             raise ValidationError("ablation needs a description repository")
         if len(self.test_counts) != 2 or min(self.test_counts) < 1:
             raise ValidationError(f"test_counts must be two positive ints, got {self.test_counts}")
-        check_percentile(self.filter_percentile)
         if not self.grid:
             defaults = {
                 "lambda_sweep": LAMBDA_GRID_DEFAULT,
@@ -320,11 +319,11 @@ def _seed_runs(spec: AblationSpec, pool, seed: int) -> list:
             mixed = mix_datasets(*real, *(synth if with_synth else no_synth))
             runs.append((subsample_real(mixed, fraction, scale_seed), config))
         return runs
+    # one filter call per seed, shared by every vf cell (each also has vg)
+    kept = filter_synthetic(*real, *synth) if any("vf" in flags for _, flags in spec.cells) else None
     runs = []
     for _, flags in spec.cells:
-        cell_synth = synth if "vg" in flags else no_synth
-        if "vf" in flags:  # every module combination with vf also has vg
-            cell_synth = filter_synthetic(*real, *synth, spec.filter_percentile)[:2]
+        cell_synth = kept if "vf" in flags else synth if "vg" in flags else no_synth
         cell_config = config if "ssls" in flags else replace(config, lam=1.0)
         runs.append((mix_datasets(*real, *cell_synth), cell_config))
     return runs

@@ -8,6 +8,9 @@ parser)``, where ``parser(value, key)`` turns the raw string into the field's
 value. :func:`read_fields` and :func:`write_fields` use that table to go from
 kv text to constructor arguments and back, so a key, its field and its type
 are written in one place.
+
+:func:`read_text` reads every text input of the package (kv files,
+manifests, prompt repositories, inventories) as UTF-8.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DataFormatError, ValidationError
 
 
 def parse_kv_text(text: str, origin: str = "<string>") -> dict:
@@ -38,9 +41,17 @@ def parse_kv_text(text: str, origin: str = "<string>") -> dict:
     return values
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file; bytes that do not decode are a
+    DataFormatError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def load_kv(path) -> dict:
-    path = Path(path)
-    return parse_kv_text(path.read_text(encoding="utf-8"), origin=str(path))
+    return parse_kv_text(read_text(path), origin=str(path))
 
 
 def format_kv(values: dict) -> str:

@@ -633,62 +633,31 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
 # synthetic-video filter
 # ---------------------------------------------------------------------------
 
-def check_percentile(percentile: float) -> None:
-    if not 0.0 < percentile <= 100.0:
-        raise ValidationError(f"percentile must be in (0, 100], got {percentile}")
-
-
-@dataclass(frozen=True)
-class ClassFilterStats:
-    threshold: float | None
-    kept: tuple
-    rejected: tuple  # (id, distance) pairs
-
-
-@dataclass(frozen=True)
-class FilterReport:
-    percentile: float
-    anomalous: ClassFilterStats
-    normal: ClassFilterStats
-
-    @property
-    def rejected_ids(self) -> tuple:
-        return tuple(i for i, _ in self.anomalous.rejected) + tuple(i for i, _ in self.normal.rejected)
+FILTER_PERCENTILE = 95.0
 
 
 def _video_mean(sample) -> np.ndarray:
     return np.asarray(sample.features, dtype=np.float64).mean(axis=0)
 
 
-def _filter_class(real, synth, percentile: float):
+def _filter_class(real, synth) -> tuple:
     means = np.stack([_video_mean(s) for s in real])
     centroid = means.mean(axis=0)
-    real_dists = np.linalg.norm(means - centroid, axis=1)
-    threshold = float(np.percentile(real_dists, percentile))
-    kept, rejected = [], []
-    for s in synth:
-        dist = float(np.linalg.norm(_video_mean(s) - centroid))
-        if dist <= threshold:
-            kept.append(s)
-        else:
-            rejected.append((s.id, dist))
-    return tuple(kept), ClassFilterStats(threshold, tuple(s.id for s in kept), tuple(rejected))
+    threshold = np.percentile(np.linalg.norm(means - centroid, axis=1), FILTER_PERCENTILE)
+    return tuple(s for s in synth if np.linalg.norm(_video_mean(s) - centroid) <= threshold)
 
 
-def filter_synthetic(real_anomalous, real_normal, synth_anomalous, synth_normal, percentile: float):
-    """Filter synthetic videos against the real distribution, per class.
+def filter_synthetic(real_anomalous, real_normal, synth_anomalous, synth_normal):
+    """Keep the synthetic videos that lie near the real ones, per class.
 
-    A synthetic video is dropped when its mean feature lies beyond the given
-    percentile of real same-class distances to the real class centroid.
-    Returns (kept_synth_anomalous, kept_synth_normal, FilterReport). Real
-    videos are never filtered.
+    A synthetic video is kept when the distance of its mean feature to the
+    real class centroid is at most the ``FILTER_PERCENTILE``-th percentile of
+    the real videos' distances. Returns (kept_synth_anomalous,
+    kept_synth_normal); real videos are never filtered.
     """
-    check_percentile(percentile)
     if not real_anomalous or not real_normal:
         raise ValidationError("centroid-distance filtering needs non-empty real sets for both classes")
-    kept_a, stats_a = _filter_class(real_anomalous, synth_anomalous, percentile)
-    kept_n, stats_n = _filter_class(real_normal, synth_normal, percentile)
-    return kept_a, kept_n, FilterReport(percentile, stats_a, stats_n)
+    return _filter_class(real_anomalous, synth_anomalous), _filter_class(real_normal, synth_normal)
 
 
 # ---------------------------------------------------------------------------

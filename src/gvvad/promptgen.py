@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DataFormatError, ValidationError
+from .kvformat import read_text
 from .numerics import rng_from
 
 REPOSITORY_TAG = "gvvad-prompts v1"
@@ -164,7 +165,7 @@ def export_repository(pairs, path) -> None:
 def load_repository(path) -> list:
     """Read a repository file written by ``export_repository``."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != REPOSITORY_TAG:
         raise DataFormatError(f"{path}:1: expected header {REPOSITORY_TAG!r}")
     pairs = []
@@ -204,7 +205,7 @@ def save_inventory(inventory: ElementInventory, path) -> None:
 
 def load_inventory(path) -> ElementInventory:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != INVENTORY_TAG:
         raise DataFormatError(f"{path}:1: expected header {INVENTORY_TAG!r}")
     pools = {kind: [] for kind in _INVENTORY_KINDS}

@@ -412,7 +412,7 @@ class TestAblate:
         ("lambda_sweep", "grid=0.5,,1.0"),
         ("module_ablation", "test_counts=2,2,"),
     ])
-    def test_bad_spec_value_exits_2_before_writing(self, tmp_path, pipeline, kind, bad):
+    def test_bad_spec_value_exits_2_before_writing(self, tmp_path, pipeline, capsys, kind, bad):
         _, prompts, _ = pipeline
         spec = tmp_path / "bad-spec.cfg"
         spec.write_text(f"kind={kind}\nseeds=0\ncounts=2,2,2,2\ntest_counts=2,2\n"
@@ -420,6 +420,9 @@ class TestAblate:
         out = tmp_path / "o"
         assert main(["ablate", "--spec", str(spec), "--out", str(out)]) == 2
         assert not (out / "ablation.csv").exists()
+        if bad.startswith("filter_percentile="):
+            # the vf threshold is fixed; the key it had is now unknown
+            assert "'filter_percentile'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind, bad, shown", [
         ("lambda_sweep", "seeds=0,1,0", "duplicate seed 0"),
@@ -572,6 +575,27 @@ class TestDivergence:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: clip scores of video "), lines
         assert lines[0].endswith(" are non-finite")
+
+
+class TestNonUtf8Input:
+    @pytest.mark.parametrize("reader", ["manifest", "kv", "repository", "inventory"])
+    def test_exits_2_naming_the_file(self, pipeline, capsys, reader):
+        # A text input that does not decode as UTF-8 is a format error:
+        # one error line naming the file, exit 2, nothing written.
+        tmp_path, prompts, world_cfg = pipeline
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xffdim=6\n")
+        argv = {
+            "manifest": ["train", "--manifest", str(bad)],
+            "kv": ["world", "--world", str(bad), "--prompts", str(prompts), "--counts", "2,2,0,0"],
+            "repository": ["world", "--world", str(world_cfg), "--prompts", str(bad), "--counts", "2,2,0,0"],
+            "inventory": ["prompts", "--inventory", str(bad)],
+        }[reader]
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}: not UTF-8 text (byte 0: invalid start byte)"]
+        assert not out.exists()
 
 
 class TestConsoleEntry:

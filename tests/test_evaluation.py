@@ -377,12 +377,15 @@ class TestRunAblation:
         rows = run_ablation(tiny_spec("module_ablation", grid=("vg", "vg+ssls"), counts=GenerationCounts(0, 0, 4, 4)))
         assert [r.setting for r in rows] == ["vg", "vg+ssls"]
 
-    def test_filter_percentile_validated_when_spec_is_built(self):
-        # Every kind rejects a percentile outside (0, 100] before any training.
-        for kind in ("lambda_sweep", "data_scale_sweep", "module_ablation"):
-            for bad in (0.0, 101.0, -3.0):
-                with pytest.raises(ValidationError, match="percentile"):
-                    tiny_spec(kind, filter_percentile=bad)
+    @pytest.mark.parametrize("kind, calls", [("module_ablation", 2), ("lambda_sweep", 0)])
+    def test_one_filter_call_per_seed(self, monkeypatch, kind, calls):
+        # vg+vf and vg+vf+ssls share one filtered pool per seed; a sweep
+        # without vf cells never filters.
+        seen = []
+        real_filter = evaluation.filter_synthetic
+        monkeypatch.setattr(evaluation, "filter_synthetic", lambda *args: seen.append(args) or real_filter(*args))
+        run_ablation(tiny_spec(kind, seeds=(0, 1)))
+        assert len(seen) == calls
 
 
 class TestLockstep:

@@ -347,39 +347,46 @@ class TestFilterSynthetic:
                           for s in sets.real_anomalous])
         centroid = means.mean(axis=0)
         planted = VideoSample("planted", np.tile(centroid, (4, 1)).astype(np.float32), 1, 1)
-        kept_a, _, _ = filter_synthetic(
-            sets.real_anomalous, sets.real_normal,
-            (planted,), sets.synth_normal, 95.0,
-        )
+        kept_a, _ = filter_synthetic(sets.real_anomalous, sets.real_normal, (planted,), sets.synth_normal)
         assert any(s.id == "planted" for s in kept_a)
 
     def test_huge_gap_rejects_most_synthetic(self):
         for seed in range(10):
             sets = self.world_sets(10.0, seed=seed, n=20)
-            kept_a, kept_n, report = filter_synthetic(
+            kept_a, kept_n = filter_synthetic(
                 sets.real_anomalous, sets.real_normal,
                 sets.synth_anomalous, sets.synth_normal,
-                95.0,
             )
-            rejected = len(report.rejected_ids)
-            total = len(sets.synth_anomalous) + len(sets.synth_normal)
-            assert rejected / total > 0.5
+            offered = len(sets.synth_anomalous) + len(sets.synth_normal)
+            dropped = offered - len(kept_a) - len(kept_n)
+            assert dropped / offered > 0.5
 
     def test_real_sets_required_for_active_policy(self):
         sets = self.world_sets(1.0)
         with pytest.raises(ValidationError):
-            filter_synthetic((), sets.real_normal, sets.synth_anomalous, sets.synth_normal,
-                             95.0)
+            filter_synthetic((), sets.real_normal, sets.synth_anomalous, sets.synth_normal)
 
-    def test_report_contains_distances(self):
-        sets = self.world_sets(10.0)
-        _, _, report = filter_synthetic(
-            sets.real_anomalous, sets.real_normal,
-            sets.synth_anomalous, sets.synth_normal,
-            95.0,
-        )
-        assert report.anomalous.threshold is not None
-        assert all(dist > report.anomalous.threshold for _, dist in report.anomalous.rejected)
+    def test_kept_set_matches_a_centroid_distance_oracle(self):
+        # The oracle: per class, the real centroid of the float64 video
+        # means, the real distances to it and their 95th percentile; a
+        # synthetic video is kept when its distance is within it.
+        def oracle(real, synth):
+            centroid = np.mean([s.features.astype(np.float64).mean(axis=0) for s in real], axis=0)
+            real_dists = [np.linalg.norm(s.features.astype(np.float64).mean(axis=0) - centroid) for s in real]
+            threshold = np.percentile(real_dists, 95.0)
+            return [s.id for s in synth
+                    if np.linalg.norm(s.features.astype(np.float64).mean(axis=0) - centroid) <= threshold]
+
+        selective = 0
+        for seed in range(5):
+            sets = self.world_sets(1.0, seed=seed)
+            kept = filter_synthetic(sets.real_anomalous, sets.real_normal,
+                                    sets.synth_anomalous, sets.synth_normal)
+            for kept_class, real, synth in zip(kept, (sets.real_anomalous, sets.real_normal),
+                                               (sets.synth_anomalous, sets.synth_normal)):
+                assert [s.id for s in kept_class] == oracle(real, synth)
+                selective += 0 < len(kept_class) < len(synth)
+        assert selective == 10  # in every class the filter keeps some videos and drops some
 
 
 def small_world_dataset(mag=4.0, n=40, seed=0, gap=0.0):
