@@ -28,7 +28,7 @@ from .milcore import (
     ScorerParams,
     TrainConfig,
     _chunk_bags,
-    _forward,
+    _logits,
     filter_synthetic,
     train_runs,
 )
@@ -119,10 +119,14 @@ class PreparedTestSet:
     Holds the samples in ascending id order, each clip's positive and total
     frame counts, and the forward chunks: the trainer's rule, at most
     ``_CHUNK_BYTES`` of float64 features or one bag per chunk. The features
-    are not copied; each scoring call casts every chunk to float64 once and
-    runs it through one matmul per scorer. Building it fails on an empty
-    set, a sample without frame labels or of a feature dim other than
-    ``dim``, and a set whose frames are all of one class.
+    are not copied. A scoring call runs the trainer's forward
+    (:func:`gvvad.milcore._forward`) over all its scorers at once: each
+    chunk is cast to float64 once (consecutive chunks together while they
+    stay within the bound) and goes through one matmul per layer per
+    scorer, and the bias adds and ReLU run once per cast over every
+    scorer's rows. Building it fails on an empty set, a sample without
+    frame labels or of a feature dim other than ``dim``, and a set whose
+    frames are all of one class.
     """
 
     def __init__(self, samples, dim: int):
@@ -148,13 +152,11 @@ class PreparedTestSet:
 
     def clip_scores(self, params) -> np.ndarray:
         """(len(params), clips) score of every clip, in id order, under each
-        ScorerParams of ``params``."""
+        ScorerParams of ``params``; the scorers must share their layer sizes."""
         for p in params:
             if p.dim != self.dim:
                 raise ShapeError(f"scorer dim {p.dim} does not match the test set's {self.dim}")
-        logits = np.empty((len(params), self.clip_bounds[-1]))
-        _forward(self.features, self.chunk_bags, [(p.w1, p.b1, p.w2, p.b2) for p in params], logits)
-        return stable_sigmoid(logits)
+        return stable_sigmoid(_logits(params, self.features, self.chunk_bags))
 
     def auc(self, clip_scores, macro: bool = False) -> float:
         """AUC of one scorer's clip scores: micro over all frames, or with

@@ -24,18 +24,22 @@ the group bounds and where each bag's loss goes) is laid out ahead of the
 steps by :func:`_layout_window`, in one vectorized pass per window of
 ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays out
 its one step the same way. A step then does only what depends on the
-parameters. It casts each run's bags to float64 in pieces of at most
-``_CHUNK_BYTES`` (or one bag) and runs the first layer once per piece, never
-across runs: BLAS rounding depends on the matrix shape, so a matmul across
-runs would make a run's result depend on the others. Sigmoid and the NaN
-check follow, then top-k means, BCE and loss scaling, each rule called once
-per step over all runs, and the gather of the top-k rows. The backward pass
+parameters. :func:`_forward` casts the step's bags to float64 once, in as
+few concatenations of at most ``_CHUNK_BYTES`` as that bound allows (one bag
+may exceed it alone); a concatenation may span runs. Only the matrix
+products stay per run: each covers one chunk of a run, the run's bags in
+pieces of its own ``_Plan.chunk_bags``, exactly as when the run trains
+alone, because BLAS rounding depends on the matrix shape. The bias adds and
+the ReLU run once over all rows of the step. Sigmoid and the NaN check
+follow, then top-k means, BCE and loss scaling, each rule called once per
+step over all runs, and the gather of the top-k rows. The backward pass
 covers only those rows, once per (run, source), and each run's gradient is
 ``real + lambda * synthetic``. Runs are ordered by schedule length and a run
 leaves the stack when its schedule ends, so every stacked run takes every
 step: Adam updates the stack with one shared step count, and a finished
 run's count stays at its own number of steps. Each run ends bit-identical
-to the same run trained alone.
+to the same run trained alone. The same forward scores test sets
+(:class:`gvvad.evaluation.PreparedTestSet`) and :func:`score_segments`.
 """
 
 from __future__ import annotations
@@ -116,19 +120,12 @@ class ScorerParams:
         )
 
 
-def _layers(w1, b1, w2, b2, x):
-    """(pre-activation, hidden activation, logit) per row of the float64 features ``x``."""
-    z1 = x @ w1.T + b1
-    h = np.maximum(z1, 0.0)
-    return z1, h, h @ w2 + b2
-
-
 def score_segments(params: ScorerParams, features) -> np.ndarray:
     """Anomaly score in (0,1) per clip; clips are scored independently."""
-    x = np.asarray(features, dtype=np.float64)
+    x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ShapeError(f"features {x.shape} do not match scorer dim {params.dim}")
-    return stable_sigmoid(_layers(params.w1, params.b1, params.w2, params.b2, x)[2])
+    return stable_sigmoid(_logits([params], [x], 1)[0])
 
 
 @functools.lru_cache(maxsize=64)
@@ -351,9 +348,9 @@ def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
 # batch objective
 # ---------------------------------------------------------------------------
 
-# Float64 features gathered per forward chunk: one 220-clip, 2048-dim bag
-# (3.6 MB) fits, two do not, so wide inputs never hold more than about one
-# bag's float64 copy at a time.
+# Float64 features per forward chunk and per cast: one 220-clip, 2048-dim
+# bag (3.6 MB) fits, two do not, so wide inputs never hold more than about
+# one bag's float64 copy at a time.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -363,26 +360,71 @@ def _chunk_bags(max_clips: int, dim: int) -> int:
     return max(1, _CHUNK_BYTES // (max_clips * dim * 8))
 
 
-def _forward(bags: list, chunk_bags: int, param_sets, logits, z1=None) -> None:
-    """Write the logit of every clip of ``bags`` (feature arrays, in order)
-    under each ``(w1, b1, w2, b2)`` of ``param_sets`` into the rows of
-    ``logits`` (sets, clips), and with one set its pre-activations into ``z1``.
+def _cast_starts(row_at: list, first: list, dim: int) -> list:
+    """The first chunk of each float64 cast, for chunks whose rows are
+    ``row_at[c]:row_at[c + 1]``. Consecutive chunks share a cast while it
+    holds at most ``_CHUNK_BYTES`` of float64 features, and a chunk that
+    alone holds more is cast by itself; each chunk in ``first``, which
+    includes chunk 0, starts a new cast."""
+    cast_rows = _CHUNK_BYTES // (8 * dim)
+    first, starts = set(first), []
+    for c, end in enumerate(row_at[1:]):
+        if c in first or end - row_at[starts[-1]] > cast_rows:
+            starts.append(c)
+    return starts
 
-    The bags are cast to float64 ``chunk_bags`` at a time, once per chunk,
-    and each chunk goes through one matmul per set, never one across sets:
-    BLAS rounding depends on the matrix shape, so a matmul across sets would
-    make one set's result depend on the others.
+
+def _forward(casts, row_run, weights, h, logits) -> None:
+    """Write the hidden activation and the logit of every output row into
+    ``h`` (rows, hidden) and ``logits`` (rows,), under the weights of its
+    run ``row_run[row]``.
+
+    ``weights`` are (w1, b1, w2, b2) with a leading run axis. ``casts`` are
+    (bags, products): each cast's bags are concatenated to float64 once,
+    and each product (run, rows of the cast, output rows) is one chunk of
+    one run, which goes through one matmul per layer. A matmul never spans
+    runs or chunks: BLAS rounding depends on the matrix shape, so a run's
+    result would depend on what it is stacked with. The bias adds and the
+    ReLU are elementwise and run once over all rows.
     """
-    rows_at = [0, *itertools.accumulate(map(len, bags))]
-    for b in range(0, len(bags), chunk_bags):
-        e = min(b + chunk_bags, len(bags))
-        rows = slice(rows_at[b], rows_at[e])
-        features = np.concatenate(bags[b:e], dtype=np.float64)
-        for r, (w1, b1, w2, b2) in enumerate(param_sets):
-            pre, _, logits[r, rows] = _layers(w1, b1, w2, b2, features)
-            if z1 is not None:
-                z1[rows] = pre
-        del features  # before the next chunk is gathered
+    w1, b1, w2, b2 = weights
+    for bags, products in casts:
+        x = np.concatenate(bags, dtype=np.float64)
+        for r, src, dst in products:
+            np.matmul(x[src], w1[r].T, out=h[dst])
+        del x  # before the next cast
+    h += b1.take(row_run, axis=0)
+    np.maximum(h, 0.0, out=h)
+    for _, products in casts:
+        for r, _, dst in products:
+            np.matmul(h[dst], w2[r], out=logits[dst])
+    logits += b2[row_run]
+
+
+def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
+    """(len(params), clips) logit of every clip of ``bags`` (feature arrays,
+    in order) under each ScorerParams of ``params``, which share their layer
+    sizes. The bags go in chunks of ``chunk_bags`` and every scorer takes
+    each chunk. The forward runs once per cast, so its hidden activations
+    hold at most one cast's rows per scorer."""
+    dim, hidden = params[0].dim, params[0].hidden
+    if any((p.dim, p.hidden) != (dim, hidden) for p in params):
+        raise ShapeError("scorers scored together must share their layer sizes")
+    weights = _stacked_views(np.stack([params_to_vector(p) for p in params]), dim, hidden)
+    rows = [0, *itertools.accumulate(map(len, bags))]
+    chunk_at = [*range(0, len(bags), chunk_bags), len(bags)]
+    row_at = [rows[b] for b in chunk_at]
+    cast_at = [*_cast_starts(row_at, [0], dim), len(chunk_at) - 1]
+    logits = np.empty((len(params), rows[-1]))
+    for c0, c1 in zip(cast_at, cast_at[1:]):
+        first, n = row_at[c0], row_at[c1] - row_at[c0]
+        products = [(r, slice(lo - first, hi - first), slice(r * n + lo - first, r * n + hi - first))
+                    for lo, hi in zip(row_at[c0:c1], row_at[c0 + 1:c1 + 1]) for r in range(len(params))]
+        h, cast_logits = np.empty((len(params) * n, hidden)), np.empty(len(params) * n)
+        _forward([(bags[chunk_at[c0]:chunk_at[c1]], products)], np.repeat(np.arange(len(params)), n),
+                 weights, h, cast_logits)
+        logits[:, first:first + n] = cast_logits.reshape(len(params), n)
+    return logits
 
 
 @dataclass(eq=False)
@@ -404,7 +446,7 @@ class _Plan:
     synthetic: np.ndarray
     lam: np.ndarray
     clamp_eps: float
-    chunk_bags: list
+    chunk_bags: np.ndarray
     dim: int
     hidden: int
 
@@ -440,7 +482,7 @@ class _BagTable:
             synthetic=np.array([s.y_s == 1 for s in self.samples]),
             lam=np.array(lam, dtype=np.float64),
             clamp_eps=config.clamp_eps,
-            chunk_bags=[_chunk_bags(int(clips[bags].max()), dim) for bags in run_bags],
+            chunk_bags=np.array([_chunk_bags(int(clips[bags].max()), dim) for bags in run_bags]),
             dim=dim,
             hidden=hidden,
         )
@@ -461,7 +503,8 @@ class _StepLayout:
     selected rows are every bag's first k ranks, bag by bag.
     """
 
-    runs: list  # per stacked run: (its bags' features, bags per chunk, its rows)
+    casts: list  # the float64 casts and per-(run, chunk) products of the forward
+    row_run: np.ndarray  # per row: its run
     gather: list  # per bag: (features, first and end selected row)
     videos: np.ndarray  # per bag: its index in the plan's table
     n_rows: int
@@ -519,15 +562,34 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     features = [plan.features[v] for v in videos.tolist()]
     first_sel = sel_at[:-1] - step_sel[step]
     gather = list(zip(features, first_sel.tolist(), (first_sel + k).tolist()))
-    run_row = np.repeat(step_row[:-1], n_runs)
-    run_rows = map(slice, (row_at[run_at[:-1]] - run_row).tolist(), (row_at[run_at[1:]] - run_row).tolist())
-    run_at = run_at.tolist()
-    runs = list(zip([features[lo:hi] for lo, hi in zip(run_at, run_at[1:])], plan.chunk_bags * n_steps, run_rows))
+    # The forward: each run's bags of a step in chunks of the run's
+    # plan.chunk_bags, as when it trains alone, so stacking never changes a
+    # run's matmul shapes; a step's chunks share as few casts as the bound
+    # allows, each step's first chunk starting a cast.
+    chunk_at = np.flatnonzero((np.arange(len(videos)) - run_at[n_runs * step + run]) % plan.chunk_bags[run] == 0)
+    chunk_step = step[chunk_at]
+    chunk_at = np.append(chunk_at, len(videos))
+    chunk_row = row_at[chunk_at]
+    step_chunk = chunk_step.searchsorted(np.arange(n_steps + 1))
+    cast_at = np.append(_cast_starts(chunk_row.tolist(), step_chunk[:-1].tolist(), plan.dim), len(chunk_step))
+    lo, hi = chunk_row[:-1], chunk_row[1:]
+    src = np.repeat(chunk_row[cast_at[:-1]], np.diff(cast_at))
+    dst = step_row[chunk_step]
+    products = list(zip(run[chunk_at[:-1]].tolist(), map(slice, (lo - src).tolist(), (hi - src).tolist()),
+                        map(slice, (lo - dst).tolist(), (hi - dst).tolist())))
+    step_cast = cast_at.searchsorted(step_chunk).tolist()
+    cast_bag, cast_at = chunk_at[cast_at].tolist(), cast_at.tolist()
+    casts = [(features[b0:b1], products[c0:c1])
+             for b0, b1, c0, c1 in zip(cast_bag, cast_bag[1:], cast_at, cast_at[1:])]
+    row_run = np.repeat(run, clips)
+
     n_rows, bag_at, step_sel, widths = np.diff(step_row).tolist(), bag_at.tolist(), step_sel.tolist(), widths.tolist()
+    step_row = step_row.tolist()
     for t, n in enumerate(has_bag[:, :, 0].sum(axis=1).tolist()):
         b0, b1, s0, s1 = bag_at[t], bag_at[t + 1], step_sel[t], step_sel[t + 1]
         yield _StepLayout(
-            runs=runs[t * n_runs:t * n_runs + n],
+            casts=casts[step_cast[t]:step_cast[t + 1]],
+            row_run=row_run[step_row[t]:step_row[t + 1]],
             gather=gather[b0:b1],
             videos=videos[b0:b1],
             n_rows=n_rows[t],
@@ -586,13 +648,9 @@ def total_loss_and_grads(params, batch, config):
 
 def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     n_runs = len(theta)
-    w1, b1, w2, b2 = _stacked_views(theta, plan.dim, plan.hidden)
-    # Each run's bags in its own chunks, so a run's arithmetic does not
-    # depend on the other runs in the stack.
-    z1 = np.empty((step.n_rows, plan.hidden))
-    logits = np.empty(step.n_rows)
-    for r, (features, chunk_bags, rows) in enumerate(step.runs):
-        _forward(features, chunk_bags, [(w1[r], b1[r], w2[r], b2[r])], logits[None, rows], z1[rows])
+    weights = _stacked_views(theta, plan.dim, plan.hidden)
+    h, logits = np.empty((step.n_rows, plan.hidden)), np.empty(step.n_rows)
+    _forward(step.casts, step.row_run, weights, h, logits)
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
         bag_at = step.is_clip.sum(axis=1).cumsum()  # each bag's end row
@@ -605,7 +663,7 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     # The top-k rows of every bag, bag by bag, in descending-score order; x
     # comes from the features as stored, one bag at a time.
     rows = step.sel_start + order.take(step.sel_order)
-    z1, s = z1[rows], scores[rows]
+    h, s = h[rows], scores[rows]
     x = np.empty((len(rows), plan.dim), dtype=plan.feature_dtype)
     for (features, lo, hi), ranked in zip(step.gather, order):
         features.take(ranked[:hi - lo], axis=0, out=x[lo:hi], mode="clip")
@@ -617,8 +675,7 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
 
     # Backward once per (run, source) group, over its bags' top-k rows.
     du = (dy_hat / step.k)[step.sel_bag] * s * (1.0 - s)
-    dz1 = du[:, None] * w2[step.sel_run] * (z1 > 0.0)
-    h = np.maximum(z1, 0.0)
+    dz1 = du[:, None] * weights[2][step.sel_run] * (h > 0.0)
     grads = np.zeros((n_runs, 2, theta.shape[1]))
     g_w1, g_b1, g_w2, g_b2 = _stacked_views(grads.reshape(2 * n_runs, -1), plan.dim, plan.hidden)
     for g, lo, hi in step.groups:
@@ -824,7 +881,7 @@ def train_runs(runs, val_samples=None) -> list:
         _layout_window(plan, schedule.bags[t:t + _LAYOUT_STEPS]) for t in range(0, len(schedule.bags), _LAYOUT_STEPS))
     with np.errstate(over="ignore", invalid="ignore"):
         for t, step in enumerate(layouts):
-            n = len(step.runs)
+            n = step.slots[0]
             if n < len(state.first_moment):  # runs whose schedule ended leave the stack; the others step on
                 state.first_moment, state.second_moment = moments[:, :n]
             live = theta[:n]

@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -199,6 +200,21 @@ class TestPreparedTestSet:
         assert aucs == [evaluate(p, samples).auc for p in scorers] == [1.0, 1.0, 0.0]
         assert prepared.num_frames == 4 * 3 + 2 * 5
         assert [s.id for s in prepared.samples] == ["a", "b"]
+
+    def test_scorers_scored_together_match_each_scored_alone(self, monkeypatch):
+        # One call scores every scorer over each chunk of the test set; no
+        # matmul may span scorers, so each scorer's clip scores equal its
+        # own call's bit for bit, over a set of at least three chunks.
+        monkeypatch.setattr(milcore, "_CHUNK_BYTES", 2 * 8 * 5 * 8)  # two 8-clip bags of dim 5
+        rng = np.random.default_rng(3)
+        samples = [VideoSample(f"v{i}", rng.normal(size=(4 + i, 5)).astype(np.float32), i % 2, 0,
+                               np.repeat(np.arange(4 + i) % 2 * (i % 2), 3)) for i in range(5)]
+        prepared = PreparedTestSet(samples, 5)
+        assert math.ceil(len(samples) / prepared.chunk_bags) >= 3
+        scorers = [ScorerParams.init(5, 6, np.random.default_rng(seed)) for seed in range(3)]
+        together = prepared.clip_scores(scorers)
+        for scorer, scores in zip(scorers, together):
+            assert np.array_equal(scores, prepared.clip_scores([scorer])[0])
 
     def test_one_chunk_per_bag_when_a_bag_fills_the_chunk(self):
         wide = VideoSample("w", np.zeros((300, 2048), dtype=np.float32), 1, 0, np.repeat([1, 0] * 150, 2))

@@ -573,6 +573,47 @@ class TestTrain:
                     assert np.array_equal(getattr(result.params, key), getattr(other.params, key)), key
                 assert result.history == other.history
 
+    def test_stacking_never_changes_a_runs_chunking(self, monkeypatch):
+        # A run's forward chunks come from its own bags: with a budget of 24
+        # float64 rows, run "wide" (one 12-clip bag) takes chunks of 2 bags
+        # and run "narrow" (4-clip bags) one chunk a step. Each run's step
+        # fits one cast, the stacked step does not. Stacked, every run must
+        # get the matmul shapes it gets alone and end bit-identical to it.
+        import gvvad.milcore as milcore
+
+        monkeypatch.setattr(milcore, "_CHUNK_BYTES", 24 * 5 * 8)
+        forwards = []
+        exact = milcore._forward
+
+        def spy(casts, *args):
+            forwards.append([[(r, src.stop - src.start) for r, src, _ in products] for _, products in casts])
+            return exact(casts, *args)
+
+        monkeypatch.setattr(milcore, "_forward", spy)
+
+        def run(tag, long_clips, lam, seed):
+            def pool(y):
+                return tuple(sample(f"{tag}-{y}{i}", y, y_s=i % 2, t=long_clips if (y, i) == (1, 0) else 4)
+                             for i in range(4))
+            return MixedDataset(pool(1), pool(0)), TrainConfig(lam=lam, epochs=2, batch_pairs=2, hidden=3, seed=seed)
+
+        def chunk_rows(run):  # per step: the rows of each of the run's chunks
+            return [[n for cast in casts for r, n in cast if r == run] for casts in forwards]
+
+        runs = [run("wide", 12, 0.5, 1), run("narrow", 4, 2.0, 2)]
+        stacked = train_runs(runs)
+        assert any(len(casts) > 1 for casts in forwards)
+        stacked_rows = [chunk_rows(r) for r in range(len(runs))]
+        assert max(map(len, stacked_rows[0])) >= 2
+        for (data, config), result, rows in zip(runs, stacked, stacked_rows):
+            forwards.clear()
+            alone = train(data, config)
+            assert all(len(casts) == 1 for casts in forwards)
+            assert rows == chunk_rows(0)
+            for key in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(result.params, key), getattr(alone.params, key)), key
+            assert result.history == alone.history
+
     def test_layouts_come_from_one_builder_a_window_at_a_time(self, monkeypatch):
         # Training builds its step layouts a window of steps per call, and a
         # one-run batch call (as gradient_check makes) goes through the same
