@@ -11,7 +11,7 @@ per-key provenance) into ``resolved.cfg`` inside its output directory.
 ``ablate`` takes only ``--spec`` and ``--out``: the spec file is its whole
 configuration, copied to ``spec.cfg``. Nothing is written outside ``--out``.
 
-Exit codes: 0 success, 1 numeric/assertion failure, 2 input validation,
+Exit codes: 0 success, 1 a failed ``gradcheck``, 2 input validation,
 3 I/O failure.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .datamodel import MixedDataset, load_manifest, load_samples, write_dataset
-from .errors import GvvadError, ValidationError
+from .errors import ValidationError
 from .evaluation import (
     AblationSpec,
     evaluate,
@@ -377,9 +377,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except GvvadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

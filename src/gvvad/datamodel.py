@@ -427,51 +427,33 @@ def write_dataset(out_dir, samples, feature_dim: int, clip_len: int) -> Path:
 
 @dataclass(frozen=True, eq=False)
 class MixedDataset:
-    """Mixed training pools: anomalous samples all have y=1, normal all y=0."""
+    """Mixed training pools: anomalous samples all have y=1, normal all y=0,
+    and no id is in them twice. Building one is the one check of both rules."""
 
     anomalous: tuple
     normal: tuple
 
     def __post_init__(self):
         seen = set()
-        for s in self.anomalous:
-            if s.y != 1:
-                raise ValidationError(f"sample {s.id!r} with y={s.y} in the anomalous pool")
-            if s.id in seen:
-                raise ValidationError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
-        for s in self.normal:
-            if s.y != 0:
-                raise ValidationError(f"sample {s.id!r} with y={s.y} in the normal pool")
-            if s.id in seen:
-                raise ValidationError(f"duplicate sample id {s.id!r}")
-            seen.add(s.id)
+        for pool, y in ((self.anomalous, 1), (self.normal, 0)):
+            for s in pool:
+                if s.y != y:
+                    raise ValidationError(f"sample {s.id!r} with y={s.y} in the {('normal', 'anomalous')[y]} pool")
+                if s.id in seen:
+                    raise ValidationError(f"id collision: sample {s.id!r} is in the pools twice")
+                seen.add(s.id)
 
     def ids(self) -> set:
         return {s.id for s in self.anomalous} | {s.id for s in self.normal}
 
 
-def _check_class(samples, expected_y: int, name: str) -> None:
-    for s in samples:
-        if s.y != expected_y:
-            raise ValidationError(f"{name} contains sample {s.id!r} with y={s.y}, expected {expected_y}")
-
-
 def mix_datasets(real_anomalous, real_normal, synth_anomalous, synth_normal) -> MixedDataset:
     """Union the four source pools into mixed anomalous/normal training sets.
 
-    Id collisions across the inputs are hard errors: silently deduplicating
-    would corrupt the cardinality accounting of the mix.
+    :class:`MixedDataset` checks the result: a sample of the wrong class and
+    an id in two inputs are hard errors (silently deduplicating would
+    corrupt the cardinality accounting of the mix).
     """
-    _check_class(real_anomalous, 1, "real_anomalous")
-    _check_class(real_normal, 0, "real_normal")
-    _check_class(synth_anomalous, 1, "synth_anomalous")
-    _check_class(synth_normal, 0, "synth_normal")
-    seen = set()
-    for s in (*real_anomalous, *real_normal, *synth_anomalous, *synth_normal):
-        if s.id in seen:
-            raise ValidationError(f"id collision across input sets: {s.id!r}")
-        seen.add(s.id)
     return MixedDataset(
         anomalous=tuple(synth_anomalous) + tuple(real_anomalous),
         normal=tuple(synth_normal) + tuple(real_normal),

@@ -220,10 +220,12 @@ class AblationSpec:
         percentile) of the real class distances, filtered once per seed.
 
     Building a spec checks every value. The grid is parsed once, into
-    ``cells``: one ``(setting, value)`` per run of a seed, in row order,
-    where the value is a lambda, a ``(fraction, with_synth)`` arm or a
-    frozenset of module flags. A bad grid entry fails here, before any
-    training.
+    ``cells``: one ``(setting, (lam, fraction, synthetic))`` per run of a
+    seed, in row order, of any kind. A cell trains at ``lam`` (None keeps
+    ``train.lam``) on the real videos subsampled to ``fraction``, mixed with
+    the synthetic pool it names: ``none``, ``all`` or the vf-``kept`` one.
+    A bad grid entry, or a cell that would meet a class without videos,
+    fails here, before any training.
     """
 
     kind: str
@@ -258,35 +260,39 @@ class AblationSpec:
                 raise ValidationError(f"duplicate {name} {duplicate!r}: each cell must train once")
         object.__setattr__(self, "cells", self._parse_grid())
         c = self.counts
-        if self.kind != "module_ablation" and min(c.real_anomalous, c.real_normal) == 0:
-            raise ValidationError("sweep needs real videos in both classes")
-        for setting, flags in self.cells if self.kind == "module_ablation" else ():
-            # baseline trains on real videos alone and vf filters against them
-            only_real = "vg" not in flags or "vf" in flags
+        noun = "module configuration" if self.kind == "module_ablation" else "sweep cell"
+        for setting, (_, _, synthetic) in self.cells:
+            # "none" cells train on the real videos alone and vf filters
+            # against them; a subsample keeps one of every class that has one
+            only_real = synthetic != "all"
             videos = (c.real_anomalous, c.real_normal) if only_real else (
                 c.real_anomalous + c.synth_anomalous, c.real_normal + c.synth_normal)
             if min(videos) == 0:
-                raise ValidationError(f"module configuration {setting!r} needs {'real ' * only_real}videos in both "
+                raise ValidationError(f"{noun} {setting!r} needs {'real ' * only_real}videos in both "
                                       f"classes; counts give {videos[0]} anomalous and {videos[1]} normal")
 
     def _parse_grid(self) -> tuple:
         if self.kind == "lambda_sweep":
             # replace() applies TrainConfig's rule to each: finite and >= 0
             lams = [replace(self.train, lam=_grid_number(raw)).lam for raw in self.grid]
-            return tuple((f"lambda={raw}", lam) for raw, lam in zip(self.grid, lams))
+            return tuple((f"lambda={raw}", (lam, 1.0, "all")) for raw, lam in zip(self.grid, lams))
         if self.kind == "data_scale_sweep":
             cells = []
             for raw in self.grid:
                 fraction = _grid_number(raw)
                 if not 0.0 < fraction <= 1.0:
                     raise ValidationError(f"data scale {raw!r} outside (0, 1]")
-                cells.append((f"scale={raw}/real-only", (fraction, False)))
-                cells.append((f"scale={raw}/with-synth", (fraction, True)))
+                cells.append((f"scale={raw}/real-only", (None, fraction, "none")))
+                cells.append((f"scale={raw}/with-synth", (None, fraction, "all")))
             return tuple(cells)
+        cells = []
         for name in self.grid:
             if name not in MODULE_GRID_DEFAULT:
                 raise ValidationError(f"unknown module configuration {name!r}")
-        return tuple((name, frozenset(name.split("+")) - {"baseline"}) for name in self.grid)
+            # a cell without ssls trains at lambda = 1
+            synthetic = "kept" if "vf" in name else "all" if "vg" in name else "none"
+            cells.append((name, (None if "ssls" in name else 1.0, 1.0, synthetic)))
+        return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -308,27 +314,14 @@ def _seed_runs(spec: AblationSpec, pool, seed: int) -> list:
     """The (dataset, config) of each of ``spec.cells`` on one seed's pool."""
     config = replace(spec.train, seed=derived_int_seed(spec.train.seed, "ablate-train", seed))
     real = (pool.real_anomalous, pool.real_normal)
-    synth = (pool.synth_anomalous, pool.synth_normal)
-    no_synth = ((), ())
-    if spec.kind == "lambda_sweep":
-        mixed = mix_datasets(*real, *synth)
-        return [(mixed, replace(config, lam=lam)) for _, lam in spec.cells]
-    if spec.kind == "data_scale_sweep":
-        # Subsample seed is arm-independent: both arms keep the same real videos.
-        scale_seed = derived_int_seed("ablate-scale", seed)
-        runs = []
-        for _, (fraction, with_synth) in spec.cells:
-            mixed = mix_datasets(*real, *(synth if with_synth else no_synth))
-            runs.append((subsample_real(mixed, fraction, scale_seed), config))
-        return runs
-    # one filter call per seed, shared by every vf cell (each also has vg)
-    kept = filter_synthetic(*real, *synth) if any("vf" in flags for _, flags in spec.cells) else None
-    runs = []
-    for _, flags in spec.cells:
-        cell_synth = kept if "vf" in flags else synth if "vg" in flags else no_synth
-        cell_config = config if "ssls" in flags else replace(config, lam=1.0)
-        runs.append((mix_datasets(*real, *cell_synth), cell_config))
-    return runs
+    synth = {"none": ((), ()), "all": (pool.synth_anomalous, pool.synth_normal)}
+    if any(name == "kept" for _, (_, _, name) in spec.cells):
+        synth["kept"] = filter_synthetic(*real, *synth["all"])  # once per seed, for every vf cell
+    # The subsample seed is cell-independent: cells of one fraction keep the same real videos.
+    scale_seed = derived_int_seed("ablate-scale", seed)
+    return [(subsample_real(mix_datasets(*real, *synth[name]), fraction, scale_seed),
+             config if lam is None else replace(config, lam=lam))
+            for _, (lam, fraction, name) in spec.cells]
 
 
 def run_ablation(spec: AblationSpec) -> list:
@@ -434,9 +427,12 @@ def render_score_curve_svg(frame_scores, frame_labels, title: str = "") -> str:
             f'font-family="monospace" text-anchor="end">{value:.1f}</text>'
         )
     if title:
+        # escaped here: importing xml.sax.saxutils or html for it would add
+        # 0.3 to 2 MB to every process that imports this module
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{left:.2f}" y="{top - 6:.2f}" font-size="12" '
-            f'font-family="monospace">{title}</text>'
+            f'font-family="monospace">{text}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

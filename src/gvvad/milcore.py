@@ -172,7 +172,7 @@ def resolve_k(rule: str, num_clips: int) -> int:
         raise ValidationError(f"bag must contain at least one clip, got {num_clips}")
     kind, _, arg = rule.partition(":")
     if kind == "div":
-        divisor = _rule_number(rule, arg, int) if arg else 16
+        divisor = _rule_number(rule, arg, int)
         if divisor < 1:
             raise ValidationError(f"k rule {rule!r}: divisor must be >= 1")
         return max(1, num_clips // divisor)
@@ -789,7 +789,8 @@ class _Schedule:
 def _lockstep_plan(runs, config: TrainConfig):
     """Plan and schedule of ``runs``, which share ``config`` but for lam and
     seed; each run's pair RNG draws its epochs in the order a run trained
-    alone would."""
+    alone would. A run's dataset is a :class:`gvvad.datamodel.MixedDataset`,
+    whose pools were checked when it was built."""
     table = _BagTable()
     drawn = []  # per run: (its bag indices, its epochs of pairs)
     for dataset, run_config in runs:
@@ -797,10 +798,6 @@ def _lockstep_plan(runs, config: TrainConfig):
         normal = sorted(dataset.normal, key=lambda s: s.id)
         if not anomalous or not normal:
             raise ValidationError("training needs at least one sample per class")
-        for pool, y in ((anomalous, 1), (normal, 0)):
-            for s in pool:
-                if s.y != y:
-                    raise ValidationError(f"sample {s.id!r} with y={s.y} in the {('normal', 'anomalous')[y]} pool")
         sources = [
             np.array([table.add(s) for s in pool if s.y_s == y_s], dtype=np.int64)
             for pool in (anomalous, normal) for y_s in (0, 1)

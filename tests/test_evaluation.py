@@ -26,7 +26,7 @@ from gvvad.evaluation import (
     summary_to_csv,
 )
 from gvvad import milcore
-from gvvad.milcore import ScorerParams, TrainConfig, train
+from gvvad.milcore import ScorerParams, TrainConfig, filter_synthetic, train
 from gvvad.numerics import rng_from
 from gvvad.promptgen import build_repository, default_inventory
 from gvvad.worldsim import GenerationCounts, WorldConfig, generate_dataset
@@ -393,6 +393,15 @@ class TestRunAblation:
         rows = run_ablation(tiny_spec("module_ablation", grid=("vg", "vg+ssls"), counts=GenerationCounts(0, 0, 4, 4)))
         assert [r.setting for r in rows] == ["vg", "vg+ssls"]
 
+    def test_sweep_cells_read_their_synthetic_pool(self):
+        # The class check reads each cell's pool for every kind: a real-only
+        # arm needs real videos of both classes, a lambda cell (all synthetic
+        # videos) real or synthetic ones.
+        with pytest.raises(ValidationError, match="sweep cell 'scale=0.5/real-only' needs real videos in both classes"):
+            tiny_spec("data_scale_sweep", grid=("0.5",), counts=GenerationCounts(0, 4, 4, 4))
+        rows = run_ablation(tiny_spec("lambda_sweep", grid=("0.5",), counts=GenerationCounts(0, 0, 4, 4)))
+        assert [r.setting for r in rows] == ["lambda=0.5"]
+
     @pytest.mark.parametrize("kind, calls", [("module_ablation", 2), ("lambda_sweep", 0)])
     def test_one_filter_call_per_seed(self, monkeypatch, kind, calls):
         # vg+vf and vg+vf+ssls share one filtered pool per seed; a sweep
@@ -402,6 +411,66 @@ class TestRunAblation:
         monkeypatch.setattr(evaluation, "filter_synthetic", lambda *args: seen.append(args) or real_filter(*args))
         run_ablation(tiny_spec(kind, seeds=(0, 1)))
         assert len(seen) == calls
+
+
+class TestCellData:
+    # Every cell of every kind trains on the seed's real videos (subsampled
+    # to its fraction) mixed with its synthetic pool, at its lambda. The spy
+    # reads what each cell hands to the trainer.
+
+    def cells(self, monkeypatch, spec):
+        calls = []
+        lockstep = evaluation.train_runs
+        monkeypatch.setattr(evaluation, "train_runs", lambda runs: calls.append(list(runs)) or lockstep(runs))
+        run_ablation(spec)
+        (runs,) = calls  # one seed, one stack
+        cells = {}
+        for (setting, _), (dataset, config) in zip(spec.cells, runs):
+            samples = dataset.anomalous + dataset.normal
+            real = frozenset(s.id for s in samples if s.y_s == 0)
+            cells[setting] = (real, frozenset(s.id for s in samples if s.y_s == 1), config.lam)
+        return cells
+
+    def pool(self, spec):
+        pool = generate_dataset(spec.world, spec.pairs, spec.counts, base_seed=("ablate-pool", spec.seeds[0]))
+        real = frozenset(s.id for s in pool.real_anomalous + pool.real_normal)
+        return pool, real, frozenset(s.id for s in pool.synth_anomalous + pool.synth_normal)
+
+    def test_lambda_sweep_cells(self, monkeypatch):
+        spec = tiny_spec("lambda_sweep", grid=("0.25", "2.0"))
+        _, real, synth = self.pool(spec)
+        assert self.cells(monkeypatch, spec) == {"lambda=0.25": (real, synth, 0.25), "lambda=2.0": (real, synth, 2.0)}
+
+    def test_data_scale_arms_share_their_real_videos(self, monkeypatch):
+        spec = tiny_spec("data_scale_sweep", grid=("0.5", "1.0"))
+        pool, real, synth = self.pool(spec)
+        cells = self.cells(monkeypatch, spec)
+        lam = spec.train.lam
+        assert cells["scale=1.0/real-only"] == (real, frozenset(), lam)
+        assert cells["scale=1.0/with-synth"] == (real, synth, lam)
+        half = cells["scale=0.5/real-only"][0]
+        assert cells["scale=0.5/real-only"] == (half, frozenset(), lam)
+        assert cells["scale=0.5/with-synth"] == (half, synth, lam)
+        assert half < real
+        assert len(half & {s.id for s in pool.real_anomalous}) == 3  # ceil(0.5 * 6) a class
+        assert len(half & {s.id for s in pool.real_normal}) == 3
+
+    def test_module_cells(self, monkeypatch):
+        spec = tiny_spec("module_ablation")
+        pool, real, synth = self.pool(spec)
+        kept = frozenset(s.id for kept_class in filter_synthetic(pool.real_anomalous, pool.real_normal,
+                                                                    pool.synth_anomalous, pool.synth_normal)
+                         for s in kept_class)
+        assert kept  # the vf cells differ from baseline
+        lam = spec.train.lam
+        assert lam != 1.0
+        assert self.cells(monkeypatch, spec) == {
+            "baseline": (real, frozenset(), 1.0),
+            "vg": (real, synth, 1.0),
+            "vg+vf": (real, kept, 1.0),
+            "vg+ssls": (real, synth, lam),
+            "vg+vf+ssls": (real, kept, lam),
+        }
 
 
 class TestLockstep:
@@ -503,6 +572,16 @@ class TestScoreCurve:
         export_score_curve(result, "vid-a", tmp_path / "curve.csv", svg_path)
         root = ET.parse(svg_path).getroot()
         assert root.tag.endswith("svg")
+
+    def test_svg_title_is_escaped(self, tmp_path):
+        # A library VideoSample id may hold XML markup characters; the SVG
+        # must still parse and show the id as its title text.
+        video_id = "a&b<c>\"d'"
+        result = evaluate(oracle_params(), [oracle_sample(video_id, [0, 1, 0]), oracle_sample("b", [0, 0])])
+        svg_path = tmp_path / "curve.svg"
+        export_score_curve(result, video_id, tmp_path / "curve.csv", svg_path)
+        texts = [e.text for e in ET.parse(svg_path).getroot().iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-1] == video_id
 
     def test_svg_renders_random_inputs(self):
         rng = rng_from("svg")

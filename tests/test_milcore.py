@@ -148,7 +148,7 @@ class TestResolveK:
             resolve_k("best:5", 10)
 
     def test_non_numeric_argument(self):
-        for rule in ("fixed:x", "frac:abc", "div:y", "fixed:", "frac:"):
+        for rule in ("fixed:x", "frac:abc", "div:y", "fixed:", "frac:", "div:"):
             with pytest.raises(ValidationError, match="is not a number"):
                 resolve_k(rule, 10)
 
