@@ -18,6 +18,7 @@ the flat float64 parameter vector in that order.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
@@ -42,12 +43,19 @@ _CHECKSUM = struct.Struct("<Q")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# From about 2 KiB the vectorized path is faster per call, but its first call also
-# makes about 0.25 MB of numpy code resident; below 8 KiB it saves under 1 ms a call.
+# Timings on a 2-core x86 host. The vectorized path wins from about 1.3 KiB
+# (2 KiB: 264 vs 364 us; a 3,200-byte label file: 270 vs 411 us). The switch
+# stays at 8 KiB: every payload of the README walkthrough lies below it, and
+# the first vectorized call makes about 0.25 MB of numpy code resident to save
+# under 1 ms.
 _VECTORIZED_MIN_BYTES = 8 * 1024
-_CHUNK_BYTES = 64 * 1024  # bytes per bit-plane pass: uint8 temporaries of 64 KB
-# bytes per uint64 dot product: 64 KB temporaries; 512 KB ones fragmented the heap
-# enough to add about 1 MB of peak RSS when reading 2048-dim feature files
+# Bytes per bit-plane pass. A pass makes about 200 numpy calls whatever its size;
+# on 1.6 MB payloads 64 KiB chunks hashed at 77 MB/s, 128 KiB at 93 and 256 KiB
+# at 102, while 512 KiB and 1 MiB were no faster and need larger temporaries.
+_CHUNK_BYTES = 256 * 1024
+# Bytes per uint64 dot product: 64 KB temporaries. 16 KiB blocks left wide-io's
+# wall time as it was (5 of 10 pairs) and raised its peak RSS by 0.5 MB; 512 KB
+# temporaries fragmented the heap enough to add about 1 MB.
 _BLOCK_BYTES = 8 * 1024
 # numpy scalars keep the dtypes fixed under both value-based and NEP 50 casting
 _PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
@@ -96,19 +104,30 @@ def _prefix_xor(bits: np.ndarray) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), bitorder="little")
 
 
+@functools.cache
+def _powers() -> np.ndarray:
+    """powers[i] = P**(i + 1) mod 2**64 for i < _BLOCK_BYTES, built once per process."""
+    return np.multiply.accumulate(np.full(_BLOCK_BYTES, _FNV_PRIME, dtype=np.uint64))
+
+
 def _fnv1a64_vectorized(data) -> int:
     """FNV-1a by low-byte bit planes and one affine sum per block (see fnv1a64)."""
+    powers = _powers()
     arr = np.frombuffer(data, dtype=np.uint8)
-    # powers[i] = P**(i + 1) mod 2**64; a block of m bytes weights its deltas by powers[m - 1::-1]
-    powers = np.multiply.accumulate(np.full(min(arr.size, _BLOCK_BYTES), _FNV_PRIME, dtype=np.uint64))
+    # The work arrays are sized once per call. A chunk's bytes b are read in
+    # place, and copied only to pad them to a multiple of 64 with zeros, which
+    # feed unused states alone.
+    size = -(-min(arr.size, _CHUNK_BYTES) // 64) * 64
+    low_buf, x_buf = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint8)
     h = _FNV_OFFSET
     for start in range(0, arr.size, _CHUNK_BYTES):
-        n = min(_CHUNK_BYTES, arr.size - start)
-        b = np.zeros(-(-n // 64) * 64, dtype=np.uint8)  # tail padding only feeds unused states
-        b[:n] = arr[start:start + n]
-        low = np.zeros_like(b)  # low[i]: low byte of the state before byte i, solved bit by bit
+        b = arr[start:start + _CHUNK_BYTES]
+        n = b.size
+        if n % 64:
+            b = np.concatenate((b, np.zeros(-n % 64, dtype=np.uint8)))
+        low, x = low_buf[:b.size], x_buf[:b.size]
+        low[:] = 0  # low[i]: low byte of the state before byte i, solved bit by bit
         low[0] = h & 0xFF
-        x = np.empty_like(b)
         for bit in _BYTE_BITS:
             np.bitwise_xor(low, b, out=x)
             x *= _PRIME_LOW
@@ -118,7 +137,7 @@ def _fnv1a64_vectorized(data) -> int:
             low[1:] |= flips[:-1]
         np.bitwise_xor(low, b, out=x)
         for block in range(0, n, _BLOCK_BYTES):
-            m = min(_BLOCK_BYTES, n - block)
+            m = min(_BLOCK_BYTES, n - block)  # the block's deltas are weighted by powers[m - 1::-1]
             delta = np.subtract(x[block:block + m], low[block:block + m], dtype=np.uint64)  # h ^ b == h + delta
             h = (h * int(powers[m - 1]) + int(np.dot(delta, powers[m - 1::-1]))) & _MASK64
     return h
@@ -442,9 +461,6 @@ class MixedDataset:
                 if s.id in seen:
                     raise ValidationError(f"id collision: sample {s.id!r} is in the pools twice")
                 seen.add(s.id)
-
-    def ids(self) -> set:
-        return {s.id for s in self.anomalous} | {s.id for s in self.normal}
 
 
 def mix_datasets(real_anomalous, real_normal, synth_anomalous, synth_normal) -> MixedDataset:

@@ -442,8 +442,8 @@ class _Plan:
     ids: list
     clips: np.ndarray
     k: np.ndarray
-    y: np.ndarray
-    synthetic: np.ndarray
+    y: np.ndarray  # bool, so the per-step label checks pass at once
+    synthetic: np.ndarray  # bool
     lam: np.ndarray
     clamp_eps: float
     chunk_bags: np.ndarray
@@ -478,7 +478,7 @@ class _BagTable:
             ids=[s.id for s in self.samples],
             clips=clips,
             k=np.array([resolve_k(config.k_rule, s.num_clips) for s in self.samples]),
-            y=np.array([s.y for s in self.samples]),
+            y=np.array([s.y == 1 for s in self.samples]),
             synthetic=np.array([s.y_s == 1 for s in self.samples]),
             lam=np.array(lam, dtype=np.float64),
             clamp_eps=config.clamp_eps,
@@ -513,7 +513,7 @@ class _StepLayout:
     y: np.ndarray
     loss_at: np.ndarray  # per bag: its flat index in the (runs, slots) bag losses
     slots: tuple  # (runs, slots)
-    synthetic: np.ndarray  # (runs, pairs) pair sources
+    synthetic: np.ndarray  # (runs, pairs) pair sources, bool like y
     lam: np.ndarray  # per run
     sel_bag: np.ndarray  # per selected row: its bag
     sel_order: np.ndarray  # per selected row: its flat index in the padded clip order
@@ -530,7 +530,7 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     n_steps, n_runs, n_slots = bags.shape
     has_bag = bags >= 0
     from_synthetic = plan.synthetic[bags] & has_bag
-    synthetic = (from_synthetic[..., 0::2] | from_synthetic[..., 1::2]).astype(np.int64)
+    synthetic = from_synthetic[..., 0::2] | from_synthetic[..., 1::2]
     step, run, slot = has_bag.nonzero()
     group = 2 * run + synthetic[step, run, slot // 2]
     by_group = (2 * n_runs * step + group).argsort(kind="stable")

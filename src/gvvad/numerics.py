@@ -62,7 +62,9 @@ def derived_int_seed(*tokens: int | str) -> int:
 
 
 def is_binary(arr: np.ndarray) -> bool:
-    """True when every element of ``arr`` equals 0 or 1 (strings never do)."""
+    """True when every element of ``arr`` equals 0 or 1 (strings never do, bools always do)."""
+    if arr.dtype == np.bool_:
+        return True
     return bool(((arr == 0) | (arr == 1)).all())
 
 
@@ -148,12 +150,26 @@ def adam_step(param, grad, state: AdamState) -> np.ndarray:
     state.step += 1
     c1 = 1.0 - _BETA1 ** state.step
     c2 = 1.0 - _BETA2 ** state.step
-    p = p - state.lr * state.weight_decay * p
+    # p - lr * wd * p - lr * (m / c1) / (sqrt(v / c2) + eps), each operation
+    # in that order, in one result and two scratch arrays (0-d ones included).
+    out, num, den = np.empty_like(p), np.empty_like(p), np.empty_like(p)
+    np.multiply(p, state.lr * state.weight_decay, out=out)
+    np.subtract(p, out, out=out)
+    np.multiply(g, 1.0 - _BETA1, out=num)
     m *= _BETA1
-    m += (1.0 - _BETA1) * g
+    m += num
+    np.multiply(g, 1.0 - _BETA2, out=den)
+    den *= g
     v *= _BETA2
-    v += (1.0 - _BETA2) * g * g
-    return p - state.lr * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPS)
+    v += den
+    np.divide(v, c2, out=den)
+    np.sqrt(den, out=den)
+    den += _ADAM_EPS
+    np.divide(m, c1, out=num)
+    num *= state.lr
+    num /= den
+    out -= num
+    return out
 
 
 def finite_diff_grad(f: Callable[[np.ndarray], float], theta: np.ndarray, h: float) -> np.ndarray:

@@ -35,6 +35,11 @@ def make_sample(sample_id, y, y_s=0, t=3, dim=4, seed=0, labels=False, clip_len=
     return VideoSample(sample_id, feats, y, y_s, frame_labels)
 
 
+def sample_ids(dataset) -> set:
+    """The ids of both pools of a MixedDataset."""
+    return {s.id for pool in (dataset.anomalous, dataset.normal) for s in pool}
+
+
 def fnv1a64_oracle(data) -> int:
     """The FNV-1a definition, one byte at a time."""
     h = 0xCBF29CE484222325
@@ -50,10 +55,10 @@ def pattern(shape, dtype, scale=64.0):
     return (ints / scale).astype(dtype).reshape(shape)
 
 
-def wide_params():
-    """A 2048-dim scorer whose GVPM payload spans three checksum chunks."""
-    return ScorerParams(w1=pattern((8, 2048), np.float64, 1024.0), b1=pattern((8,), np.float64),
-                        w2=pattern((8,), np.float64, 4096.0), b2=0.25)
+def wide_params(hidden=8):
+    """A 2048-dim scorer; test_written_bytes_are_pinned pins its GVPM bytes at hidden=8."""
+    return ScorerParams(w1=pattern((hidden, 2048), np.float64, 1024.0), b1=pattern((hidden,), np.float64),
+                        w2=pattern((hidden,), np.float64, 4096.0), b2=0.25)
 
 
 SWITCH = datamodel._VECTORIZED_MIN_BYTES
@@ -70,7 +75,10 @@ class TestFnv1a:
         assert fnv1a64(b"foobar") == 0x85944171F73967E8
 
     @pytest.mark.parametrize("kind", ["random", "zeros", "ones"])
+    # 64 KiB - 1, 64 KiB + 1 and 3 * 64 KiB + 17 end inside one chunk, in a
+    # partial 64-byte word and a partial block.
     @pytest.mark.parametrize("n", sorted({0, 1, SWITCH - 1, SWITCH, SWITCH + 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                          65535, 65536, 65537, 196625,
                                           CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17}))
     def test_every_path_equals_the_byte_loop(self, n, kind):
         if kind == "random":
@@ -89,15 +97,17 @@ class TestChecksumAboveSwitch:
     @pytest.mark.parametrize("offset", [0, CHUNK - 1, CHUNK, -1], ids=["first", "chunk-end", "chunk-start", "last"])
     def test_flipped_bit_in_features_rejected(self, tmp_path, offset):
         path = tmp_path / "f.gvft"
-        write_features(path, pattern((9, 2048), np.float32))  # 73728-byte payload
+        features = pattern((2 * CHUNK // (4 * 2048) + 1, 2048), np.float32)  # spans three chunks
+        write_features(path, features)
         raw = path.read_bytes()
+        assert features.nbytes > 2 * CHUNK
         start, end = 16, len(raw) - 8
         self._assert_each_flip_rejected(path, raw, range(start, end)[offset], lambda: read_features(path))
 
     @pytest.mark.parametrize("offset", [0, CHUNK - 1, CHUNK, -1], ids=["first", "chunk-end", "chunk-start", "last"])
     def test_flipped_bit_in_params_rejected(self, tmp_path, offset):
         path = tmp_path / "p.gvpm"
-        params = wide_params()
+        params = wide_params(hidden=2 * CHUNK // (8 * 2048))  # spans three chunks
         save_params(path, params)
         raw = path.read_bytes()
         payload_size = 8 * (params.w1.size + params.b1.size + params.w2.size + 1)
@@ -351,7 +361,7 @@ class TestMixDatasets:
         synth_n = [make_sample("vn", 0, y_s=1)]
         m1 = mix_datasets(real_a, real_n, synth_a, synth_n)
         m2 = mix_datasets(synth_a, synth_n, real_a, real_n)  # swapped roles
-        assert m1.ids() == m2.ids()
+        assert sample_ids(m1) == sample_ids(m2)
         assert len(m1.anomalous) == len(m2.anomalous)
 
     def test_id_collision_rejected(self):
@@ -378,7 +388,7 @@ class TestSubsampleReal:
     def test_full_fraction_is_identity(self):
         ds = self.build()
         out = subsample_real(ds, 1.0, seed=1)
-        assert out.ids() == ds.ids()
+        assert sample_ids(out) == sample_ids(ds)
 
     def test_ceiling_arithmetic(self):
         anomalous = tuple(make_sample(f"a{i}", 1) for i in range(100))
@@ -401,8 +411,8 @@ class TestSubsampleReal:
 
     def test_same_seed_same_subset(self):
         ds = self.build()
-        ids1 = subsample_real(ds, 0.5, seed=42).ids()
-        ids2 = subsample_real(ds, 0.5, seed=42).ids()
+        ids1 = sample_ids(subsample_real(ds, 0.5, seed=42))
+        ids2 = sample_ids(subsample_real(ds, 0.5, seed=42))
         assert ids1 == ids2
 
     def test_subset_independent_of_synthetic_presence(self):

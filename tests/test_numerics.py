@@ -184,6 +184,26 @@ class TestAdam:
         expected = np.concatenate([p[k].ravel() for k in shapes])
         assert np.array_equal(theta.view(np.int64), expected.view(np.int64))
 
+    def test_stacked_update_is_the_textbook_expression_bitwise(self):
+        # The update written as one expression, temporaries and all; the
+        # in-place update must equal it bit for bit on stacked (R, P) runs.
+        rng = rng_from(11, "adam-stacked")
+        lr, wd = 0.01, 0.05
+        theta = rng.normal(size=(3, 40))
+        expected, m, v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+        state = AdamState(lr=lr, weight_decay=wd)
+        for t in range(1, 8):
+            g = rng.normal(size=theta.shape) * 10.0 ** rng.integers(-3, 3, size=theta.shape)
+            theta = adam_step(theta, g, state)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            expected = expected - lr * wd * expected
+            m = m * 0.9 + (1.0 - 0.9) * g
+            v = v * 0.999 + (1.0 - 0.999) * g * g
+            expected = expected - lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            assert np.array_equal(theta.view(np.int64), expected.view(np.int64)), t
+        assert np.array_equal(state.first_moment.view(np.int64), m.view(np.int64))
+        assert np.array_equal(state.second_moment.view(np.int64), v.view(np.int64))
+
     def test_moments_track_param_shapes(self):
         state = AdamState()
         adam_step(np.zeros((2, 2)), np.ones((2, 2)), state)
