@@ -120,13 +120,13 @@ class PreparedTestSet:
     frame counts, and the forward chunks: the trainer's rule, at most
     ``_CHUNK_BYTES`` of float64 features or one bag per chunk. The features
     are not copied. A scoring call runs the trainer's forward
-    (:func:`gvvad.milcore._forward`) over all its scorers at once: each
-    chunk is cast to float64 once (consecutive chunks together while they
-    stay within the bound) and goes through one matmul per layer per
-    scorer, and the bias adds and ReLU run once per cast over every
-    scorer's rows. Building it fails on an empty set, a sample without
-    frame labels or of a feature dim other than ``dim``, and a set whose
-    frames are all of one class.
+    (:func:`gvvad.milcore._forward`) over all its scorers at once, cast by
+    the trainer's cast rule (:mod:`gvvad.milcore`): in one piece when the
+    set fits ``_CHUNK_BYTES``, else one chunk at a time. Each chunk goes
+    through one matmul per layer per scorer, and the bias adds and ReLU run
+    once per cast over every scorer's rows. Building it fails on an empty
+    set, a sample without frame labels or of a feature dim other than
+    ``dim``, and a set whose frames are all of one class.
     """
 
     def __init__(self, samples, dim: int):
@@ -171,9 +171,9 @@ class PreparedTestSet:
             raise ValidationError("macro AUC undefined: no video has both label classes")
         return float(np.mean(aucs))
 
-    def aucs(self, params, macro: bool = False) -> list:
-        """The AUC of each ScorerParams of ``params``, scored in one pass."""
-        return [self.auc(scores, macro) for scores in self.clip_scores(params)]
+    def aucs(self, params) -> list:
+        """The micro AUC of each ScorerParams of ``params``, scored in one pass."""
+        return [self.auc(scores) for scores in self.clip_scores(params)]
 
 
 def evaluate(params: ScorerParams, samples, macro: bool = False) -> EvalResult:

@@ -24,15 +24,15 @@ the group bounds and where each bag's loss goes) is laid out ahead of the
 steps by :func:`_layout_window`, in one vectorized pass per window of
 ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays out
 its one step the same way. A step then does only what depends on the
-parameters. :func:`_forward` casts the step's bags to float64 once, in as
-few concatenations of at most ``_CHUNK_BYTES`` as that bound allows (one bag
-may exceed it alone); a concatenation may span runs. Only the matrix
-products stay per run: each covers one chunk of a run, the run's bags in
-pieces of its own ``_Plan.chunk_bags``, exactly as when the run trains
-alone, because BLAS rounding depends on the matrix shape. The bias adds and
-the ReLU run once over all rows of the step. Sigmoid and the NaN check
-follow, then top-k means, BCE and loss scaling, each rule called once per
-step over all runs, and the gather of the top-k rows. The backward pass
+parameters. The cast rule: a forward (one step, or one test set) is cast
+to float64 in one piece when its rows fit ``_CHUNK_BYTES``, else one chunk
+at a time; a one-piece cast may span runs. Only the matrix products stay
+per run: each covers one chunk of a run, the run's bags in pieces of its
+own ``_Plan.chunk_bags``, exactly as when the run trains alone, because
+BLAS rounding depends on the matrix shape. The bias adds and the ReLU run
+once over all rows of the step. Sigmoid and the NaN check follow, then
+top-k means, BCE and loss scaling, each rule called once per step over all
+runs, and the gather of the top-k rows. The backward pass
 covers only those rows, once per (run, source), and each run's gradient is
 ``real + lambda * synthetic``. Runs are ordered by schedule length and a run
 leaves the stack when its schedule ends, so every stacked run takes every
@@ -159,7 +159,8 @@ def _rule_number(rule: str, arg: str, parse):
     try:
         return parse(arg)
     except ValueError:
-        raise ValidationError(f"k rule {rule!r}: {arg!r} is not a number") from None
+        what = "an integer" if parse is int else "a number"
+        raise ValidationError(f"k rule {rule!r}: {arg!r} is not {what}") from None
 
 
 def resolve_k(rule: str, num_clips: int) -> int:
@@ -185,7 +186,7 @@ def resolve_k(rule: str, num_clips: int) -> int:
         f = _rule_number(rule, arg, float)
         if not 0.0 < f <= 1.0:
             raise ValidationError(f"k rule {rule!r}: fraction must be in (0, 1]")
-        return max(1, int(f * num_clips))
+        return max(1, math.floor(round(f * num_clips, 9)))  # round: 0.57 * 100 is 56.99999999999999
     raise ValidationError(f"unknown k rule {rule!r}")
 
 
@@ -252,7 +253,6 @@ class LossBreakdown:
     raw: np.ndarray
     scaled: np.ndarray
     total: float | np.ndarray
-    source_labels: np.ndarray
 
 
 def _left_fold(values: np.ndarray):
@@ -282,7 +282,7 @@ def ssls_scale(raw_losses, source_labels, lam) -> LossBreakdown:
         raise ValidationError(f"scaling factor must be >= 0, got {lam}")
     scaled = np.where(ys == 1, lam[..., None] * raw, raw)
     total = _left_fold(scaled)
-    return LossBreakdown(raw=raw, scaled=scaled, total=float(total) if raw.ndim == 1 else total, source_labels=ys)
+    return LossBreakdown(raw=raw, scaled=scaled, total=float(total) if raw.ndim == 1 else total)
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +348,9 @@ def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
 # batch objective
 # ---------------------------------------------------------------------------
 
-# Float64 features per forward chunk and per cast: one 220-clip, 2048-dim
-# bag (3.6 MB) fits, two do not, so wide inputs never hold more than about
-# one bag's float64 copy at a time.
+# Float64 features per forward chunk and per one-piece cast: one 220-clip,
+# 2048-dim bag (3.6 MB) fits, two do not, so wide inputs never hold more
+# than about one bag's float64 copy at a time.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -360,18 +360,9 @@ def _chunk_bags(max_clips: int, dim: int) -> int:
     return max(1, _CHUNK_BYTES // (max_clips * dim * 8))
 
 
-def _cast_starts(row_at: list, first: list, dim: int) -> list:
-    """The first chunk of each float64 cast, for chunks whose rows are
-    ``row_at[c]:row_at[c + 1]``. Consecutive chunks share a cast while it
-    holds at most ``_CHUNK_BYTES`` of float64 features, and a chunk that
-    alone holds more is cast by itself; each chunk in ``first``, which
-    includes chunk 0, starts a new cast."""
-    cast_rows = _CHUNK_BYTES // (8 * dim)
-    first, starts = set(first), []
-    for c, end in enumerate(row_at[1:]):
-        if c in first or end - row_at[starts[-1]] > cast_rows:
-            starts.append(c)
-    return starts
+def _one_cast(rows, dim: int):
+    """The cast rule (module docstring) for forwards of ``rows`` clips."""
+    return rows * (8 * dim) <= _CHUNK_BYTES
 
 
 def _forward(casts, row_run, weights, h, logits) -> None:
@@ -380,12 +371,13 @@ def _forward(casts, row_run, weights, h, logits) -> None:
     run ``row_run[row]``.
 
     ``weights`` are (w1, b1, w2, b2) with a leading run axis. ``casts`` are
-    (bags, products): each cast's bags are concatenated to float64 once,
-    and each product (run, rows of the cast, output rows) is one chunk of
-    one run, which goes through one matmul per layer. A matmul never spans
-    runs or chunks: BLAS rounding depends on the matrix shape, so a run's
-    result would depend on what it is stacked with. The bias adds and the
-    ReLU are elementwise and run once over all rows.
+    (bags, products), grouped by the module's cast rule: each cast's bags
+    are concatenated to float64 once, and each product (run, rows of the
+    cast, output rows) is one chunk of one run, which goes through one
+    matmul per layer. A matmul never spans runs or chunks: BLAS rounding
+    depends on the matrix shape, so a run's result would depend on what it
+    is stacked with. The bias adds and the ReLU are elementwise and run
+    once over all rows.
     """
     w1, b1, w2, b2 = weights
     for bags, products in casts:
@@ -405,8 +397,8 @@ def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
     """(len(params), clips) logit of every clip of ``bags`` (feature arrays,
     in order) under each ScorerParams of ``params``, which share their layer
     sizes. The bags go in chunks of ``chunk_bags`` and every scorer takes
-    each chunk. The forward runs once per cast, so its hidden activations
-    hold at most one cast's rows per scorer."""
+    each chunk, cast by the module's cast rule; the hidden activations hold
+    one cast's rows per scorer."""
     dim, hidden = params[0].dim, params[0].hidden
     if any((p.dim, p.hidden) != (dim, hidden) for p in params):
         raise ShapeError("scorers scored together must share their layer sizes")
@@ -414,7 +406,7 @@ def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
     rows = [0, *itertools.accumulate(map(len, bags))]
     chunk_at = [*range(0, len(bags), chunk_bags), len(bags)]
     row_at = [rows[b] for b in chunk_at]
-    cast_at = [*_cast_starts(row_at, [0], dim), len(chunk_at) - 1]
+    cast_at = [0, len(chunk_at) - 1] if _one_cast(rows[-1], dim) else range(len(chunk_at))
     logits = np.empty((len(params), rows[-1]))
     for c0, c1 in zip(cast_at, cast_at[1:]):
         first, n = row_at[c0], row_at[c1] - row_at[c0]
@@ -432,9 +424,10 @@ class _Plan:
     """What the batch objective needs besides the parameters.
 
     The bags of every run live in one table, one entry per sample: its
-    features (not copied; ``feature_dtype`` holds them all), id, clip count,
-    k, label and source. Per run, in stack order: lambda and how many bags
-    go into one float64 chunk. The BCE clamp is the runs' shared one.
+    features (in ``feature_dtype``, the pool's common one: only bags of
+    another dtype are copied), id, clip count, k, label and source. Per
+    run, in stack order: lambda and how many bags go into one float64
+    chunk. The BCE clamp is the runs' shared one.
     """
 
     features: list
@@ -471,10 +464,12 @@ class _BagTable:
             if s.dim != dim:
                 raise ShapeError(f"features of {s.id!r} have dim {s.dim}, scorer has {dim}")
         features = [np.asarray(s.features) for s in self.samples]
+        dtype = np.result_type(*{f.dtype for f in features})
+        features = [f.astype(dtype, copy=False) for f in features]  # the backward gathers into one dtype
         clips = np.array([len(f) for f in features])
         return _Plan(
             features=features,
-            feature_dtype=np.result_type(*{f.dtype for f in features}),
+            feature_dtype=dtype,
             ids=[s.id for s in self.samples],
             clips=clips,
             k=np.array([resolve_k(config.k_rule, s.num_clips) for s in self.samples]),
@@ -564,14 +559,16 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     gather = list(zip(features, first_sel.tolist(), (first_sel + k).tolist()))
     # The forward: each run's bags of a step in chunks of the run's
     # plan.chunk_bags, as when it trains alone, so stacking never changes a
-    # run's matmul shapes; a step's chunks share as few casts as the bound
-    # allows, each step's first chunk starting a cast.
+    # run's matmul shapes. A chunk starts a cast when it is its step's first
+    # or its step does not fit one cast.
     chunk_at = np.flatnonzero((np.arange(len(videos)) - run_at[n_runs * step + run]) % plan.chunk_bags[run] == 0)
     chunk_step = step[chunk_at]
     chunk_at = np.append(chunk_at, len(videos))
     chunk_row = row_at[chunk_at]
     step_chunk = chunk_step.searchsorted(np.arange(n_steps + 1))
-    cast_at = np.append(_cast_starts(chunk_row.tolist(), step_chunk[:-1].tolist(), plan.dim), len(chunk_step))
+    starts = ~_one_cast(np.diff(step_row), plan.dim)[chunk_step]
+    starts[step_chunk[:-1]] = True
+    cast_at = np.append(np.flatnonzero(starts), len(chunk_step))
     lo, hi = chunk_row[:-1], chunk_row[1:]
     src = np.repeat(chunk_row[cast_at[:-1]], np.diff(cast_at))
     dst = step_row[chunk_step]
@@ -641,8 +638,7 @@ def total_loss_and_grads(params, batch, config):
     plan = table.plan(config, [config.lam], [bags], params.dim, params.hidden)
     (step,) = _layout_window(plan, np.array([[bags]]))
     breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], step, plan)
-    one_run = LossBreakdown(breakdown.raw[0], breakdown.scaled[0], float(breakdown.total[0]),
-                            breakdown.source_labels[0])
+    one_run = LossBreakdown(breakdown.raw[0], breakdown.scaled[0], float(breakdown.total[0]))
     return one_run, _param_views(grads[0].copy(), params.dim, params.hidden)
 
 

@@ -204,17 +204,35 @@ class TestPreparedTestSet:
     def test_scorers_scored_together_match_each_scored_alone(self, monkeypatch):
         # One call scores every scorer over each chunk of the test set; no
         # matmul may span scorers, so each scorer's clip scores equal its
-        # own call's bit for bit, over a set of at least three chunks.
+        # own call's bit for bit, over a set of at least three chunks. The
+        # set's 30 rows exceed the bound, so it is cast one chunk at a time,
+        # as under any bound it does not fit; under one it fits, it is cast
+        # in one piece, to the same bits.
         monkeypatch.setattr(milcore, "_CHUNK_BYTES", 2 * 8 * 5 * 8)  # two 8-clip bags of dim 5
+        casts = []
+        exact = milcore._forward
+
+        def spy(cast_list, *args):
+            casts.append([len(products) for _, products in cast_list])
+            return exact(cast_list, *args)
+
+        monkeypatch.setattr(milcore, "_forward", spy)
         rng = np.random.default_rng(3)
         samples = [VideoSample(f"v{i}", rng.normal(size=(4 + i, 5)).astype(np.float32), i % 2, 0,
                                np.repeat(np.arange(4 + i) % 2 * (i % 2), 3)) for i in range(5)]
         prepared = PreparedTestSet(samples, 5)
-        assert math.ceil(len(samples) / prepared.chunk_bags) >= 3
+        n_chunks = math.ceil(len(samples) / prepared.chunk_bags)
+        assert n_chunks >= 3
         scorers = [ScorerParams.init(5, 6, np.random.default_rng(seed)) for seed in range(3)]
         together = prepared.clip_scores(scorers)
+        assert casts == [[len(scorers)]] * n_chunks
         for scorer, scores in zip(scorers, together):
             assert np.array_equal(scores, prepared.clip_scores([scorer])[0])
+        for rows, expected in ((22, [[len(scorers)]] * n_chunks), (30, [[n_chunks * len(scorers)]])):
+            casts.clear()
+            monkeypatch.setattr(milcore, "_CHUNK_BYTES", rows * 5 * 8)  # chunks stay as prepared
+            assert np.array_equal(prepared.clip_scores(scorers), together)
+            assert casts == expected, rows  # 22 rows hold the first two chunks (9 + 13 rows), not the set
 
     def test_one_chunk_per_bag_when_a_bag_fills_the_chunk(self):
         wide = VideoSample("w", np.zeros((300, 2048), dtype=np.float32), 1, 0, np.repeat([1, 0] * 150, 2))
