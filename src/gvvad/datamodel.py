@@ -416,25 +416,25 @@ def write_dataset(out_dir, samples, feature_dim: int, clip_len: int) -> Path:
     """Write features, labels, and a manifest for ``samples`` under ``out_dir``.
 
     Returns the manifest path. Sample ids double as file names and must be
-    filesystem-safe.
+    filesystem-safe and unique. Every sample is checked before any file is
+    written, so a bad one leaves ``out_dir`` without files.
     """
-    out = Path(out_dir)
-    (out / "features").mkdir(parents=True, exist_ok=True)
-    entries = []
+    samples = list(samples)
     for s in samples:
         if _ID_RE.fullmatch(s.id) is None:
             raise ValidationError(f"sample id {s.id!r} is not filesystem-safe")
         if s.dim != feature_dim:
             raise ValidationError(f"sample {s.id!r} has dim {s.dim}, dataset declares {feature_dim}")
-        feature_path = f"features/{s.id}.gvft"
-        write_features(out / feature_path, s.features)
-        label_path = None
-        if s.frame_labels is not None:
+    entries = tuple(ManifestEntry(s.id, f"features/{s.id}.gvft", s.y, s.y_s,
+                                  None if s.frame_labels is None else f"labels/{s.id}.gvlb") for s in samples)
+    manifest = DatasetManifest(entries, feature_dim, clip_len)  # checks the ids are unique
+    out = Path(out_dir)
+    (out / "features").mkdir(parents=True, exist_ok=True)
+    for s, entry in zip(samples, manifest.entries):
+        write_features(out / entry.feature_path, s.features)
+        if entry.frame_label_path is not None:
             (out / "labels").mkdir(exist_ok=True)
-            label_path = f"labels/{s.id}.gvlb"
-            write_frame_labels(out / label_path, s.frame_labels)
-        entries.append(ManifestEntry(s.id, feature_path, s.y, s.y_s, label_path))
-    manifest = DatasetManifest(tuple(entries), feature_dim, clip_len)
+            write_frame_labels(out / entry.frame_label_path, s.frame_labels)
     manifest_path = out / "manifest.tsv"
     save_manifest(manifest, manifest_path)
     return manifest_path

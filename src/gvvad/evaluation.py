@@ -10,9 +10,10 @@ contribute exactly one half.
 
 A :class:`PreparedTestSet` lays a test set out once (samples in id order,
 per-clip frame counts, forward chunks) and scores any number of scorers on
-it, each chunk cast to float64 once per call. Validation during training
-and ablation sweeps read only its AUCs; :func:`evaluate` also expands clip
-scores to frame scores, for the per-video curves.
+it in one forward per call, cast to float64 by the trainer's forward.
+Validation during training and ablation sweeps read only its AUCs;
+:func:`evaluate` also expands clip scores to frame scores, for the
+per-video curves.
 """
 
 from __future__ import annotations
@@ -119,14 +120,13 @@ class PreparedTestSet:
     Holds the samples in ascending id order, each clip's positive and total
     frame counts, and the forward chunks: the trainer's rule, at most
     ``_CHUNK_BYTES`` of float64 features or one bag per chunk. The features
-    are not copied. A scoring call runs the trainer's forward
-    (:func:`gvvad.milcore._forward`) over all its scorers at once, cast by
-    the trainer's cast rule (:mod:`gvvad.milcore`): in one piece when the
-    set fits ``_CHUNK_BYTES``, else one chunk at a time. Each chunk goes
-    through one matmul per layer per scorer, and the bias adds and ReLU run
-    once per cast over every scorer's rows. Building it fails on an empty
-    set, a sample without frame labels or of a feature dim other than
-    ``dim``, and a set whose frames are all of one class.
+    are not copied. A scoring call is one call of the trainer's forward
+    (:func:`gvvad.milcore._forward`) over all its scorers, which casts the
+    set to float64 by the trainer's cast rule. Each chunk goes through one
+    matmul per layer per scorer, and the bias adds and ReLU run once over
+    every scorer's rows. Building it fails on an empty set, a sample
+    without frame labels or of a feature dim other than ``dim``, and a set
+    whose frames are all of one class.
     """
 
     def __init__(self, samples, dim: int):

@@ -24,15 +24,16 @@ the group bounds and where each bag's loss goes) is laid out ahead of the
 steps by :func:`_layout_window`, in one vectorized pass per window of
 ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays out
 its one step the same way. A step then does only what depends on the
-parameters. The cast rule: a forward (one step, or one test set) is cast
-to float64 in one piece when its rows fit ``_CHUNK_BYTES``, else one chunk
-at a time; a one-piece cast may span runs. Only the matrix products stay
-per run: each covers one chunk of a run, the run's bags in pieces of its
-own ``_Plan.chunk_bags``, exactly as when the run trains alone, because
-BLAS rounding depends on the matrix shape. The bias adds and the ReLU run
-once over all rows of the step. Sigmoid and the NaN check follow, then
-top-k means, BCE and loss scaling, each rule called once per step over all
-runs, and the gather of the top-k rows. The backward pass
+parameters. The cast rule, applied in :func:`_forward` alone: a forward
+(one step, or one test set) is cast to float64 in one piece when its rows
+fit ``_CHUNK_BYTES``, else one chunk at a time; a one-piece cast may span
+runs. Callers hand :func:`_forward` chunks, never casts. Only the matrix
+products stay per run: each covers one chunk of a run, the run's bags in
+pieces of its own ``_Plan.chunk_bags``, exactly as when the run trains
+alone, because BLAS rounding depends on the matrix shape. The bias adds
+and the ReLU run once over all rows of the step. Sigmoid and the NaN check
+follow, then top-k means, BCE and loss scaling, each rule called once per
+step over all runs, and the gather of the top-k rows. The backward pass
 covers only those rows, once per (run, source), and each run's gradient is
 ``real + lambda * synthetic``. Runs are ordered by schedule length and a run
 leaves the stack when its schedule ends, so every stacked run takes every
@@ -365,31 +366,36 @@ def _one_cast(rows, dim: int):
     return rows * (8 * dim) <= _CHUNK_BYTES
 
 
-def _forward(casts, row_run, weights, h, logits) -> None:
+def _forward(bags, chunks, row_run, weights, h, logits) -> None:
     """Write the hidden activation and the logit of every output row into
     ``h`` (rows, hidden) and ``logits`` (rows,), under the weights of its
     run ``row_run[row]``.
 
-    ``weights`` are (w1, b1, w2, b2) with a leading run axis. ``casts`` are
-    (bags, products), grouped by the module's cast rule: each cast's bags
-    are concatenated to float64 once, and each product (run, rows of the
-    cast, output rows) is one chunk of one run, which goes through one
-    matmul per layer. A matmul never spans runs or chunks: BLAS rounding
-    depends on the matrix shape, so a run's result would depend on what it
-    is stacked with. The bias adds and the ReLU are elementwise and run
-    once over all rows.
+    ``weights`` are (w1, b1, w2, b2) with a leading run axis. ``bags`` are
+    the feature arrays in row order, and ``chunks`` are (first bag, end
+    bag, first row, end row, products), each product a (run, first output
+    row) that takes the chunk through one matmul per layer. A matmul never
+    spans runs or chunks: BLAS rounding depends on the matrix shape, so a
+    run's result would depend on what it is stacked with. The cast rule
+    (module docstring) is applied here alone: all ``bags`` are cast in one
+    piece, or each chunk's bags in turn. The bias adds and the ReLU are
+    elementwise and run once over all rows.
     """
     w1, b1, w2, b2 = weights
-    for bags, products in casts:
-        x = np.concatenate(bags, dtype=np.float64)
-        for r, src, dst in products:
-            np.matmul(x[src], w1[r].T, out=h[dst])
-        del x  # before the next cast
+    whole = _one_cast(chunks[-1][3], w1.shape[-1])
+    x = np.concatenate(bags, dtype=np.float64) if whole else None
+    for first_bag, end_bag, lo, hi, products in chunks:
+        rows = x[lo:hi] if whole else np.concatenate(bags[first_bag:end_bag], dtype=np.float64)
+        for r, out in products:
+            np.matmul(rows, w1[r].T, out=h[out:out + hi - lo])
+        del rows  # before the next chunk's cast
+    del x
     h += b1.take(row_run, axis=0)
     np.maximum(h, 0.0, out=h)
-    for _, products in casts:
-        for r, _, dst in products:
-            np.matmul(h[dst], w2[r], out=logits[dst])
+    for _, _, lo, hi, products in chunks:
+        for r, out in products:
+            end = out + hi - lo
+            np.matmul(h[out:end], w2[r], out=logits[out:end])
     logits += b2[row_run]
 
 
@@ -397,26 +403,19 @@ def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
     """(len(params), clips) logit of every clip of ``bags`` (feature arrays,
     in order) under each ScorerParams of ``params``, which share their layer
     sizes. The bags go in chunks of ``chunk_bags`` and every scorer takes
-    each chunk, cast by the module's cast rule; the hidden activations hold
-    one cast's rows per scorer."""
+    each chunk, in one forward whose output rows are scorer by scorer."""
     dim, hidden = params[0].dim, params[0].hidden
     if any((p.dim, p.hidden) != (dim, hidden) for p in params):
         raise ShapeError("scorers scored together must share their layer sizes")
     weights = _stacked_views(np.stack([params_to_vector(p) for p in params]), dim, hidden)
     rows = [0, *itertools.accumulate(map(len, bags))]
+    n_runs, n = len(params), rows[-1]
     chunk_at = [*range(0, len(bags), chunk_bags), len(bags)]
-    row_at = [rows[b] for b in chunk_at]
-    cast_at = [0, len(chunk_at) - 1] if _one_cast(rows[-1], dim) else range(len(chunk_at))
-    logits = np.empty((len(params), rows[-1]))
-    for c0, c1 in zip(cast_at, cast_at[1:]):
-        first, n = row_at[c0], row_at[c1] - row_at[c0]
-        products = [(r, slice(lo - first, hi - first), slice(r * n + lo - first, r * n + hi - first))
-                    for lo, hi in zip(row_at[c0:c1], row_at[c0 + 1:c1 + 1]) for r in range(len(params))]
-        h, cast_logits = np.empty((len(params) * n, hidden)), np.empty(len(params) * n)
-        _forward([(bags[chunk_at[c0]:chunk_at[c1]], products)], np.repeat(np.arange(len(params)), n),
-                 weights, h, cast_logits)
-        logits[:, first:first + n] = cast_logits.reshape(len(params), n)
-    return logits
+    chunks = [(b0, b1, rows[b0], rows[b1], [(r, r * n + rows[b0]) for r in range(n_runs)])
+              for b0, b1 in zip(chunk_at, chunk_at[1:])]
+    h, logits = np.empty((n_runs * n, hidden)), np.empty(n_runs * n)
+    _forward(bags, chunks, np.repeat(np.arange(n_runs), n), weights, h, logits)
+    return logits.reshape(n_runs, n)
 
 
 @dataclass(eq=False)
@@ -498,18 +497,17 @@ class _StepLayout:
     selected rows are every bag's first k ranks, bag by bag.
     """
 
-    casts: list  # the float64 casts and per-(run, chunk) products of the forward
+    bags: list  # per bag: its features
+    chunks: list  # the forward's per-(run, chunk) matmuls, as :func:`_forward` takes them
     row_run: np.ndarray  # per row: its run
-    gather: list  # per bag: (features, first and end selected row)
+    gather: list  # per bag: its first and end selected row
     videos: np.ndarray  # per bag: its index in the plan's table
-    n_rows: int
     is_clip: np.ndarray  # (bags, most clips in a bag): the padded entries that hold a clip
     k: np.ndarray
     y: np.ndarray
     loss_at: np.ndarray  # per bag: its flat index in the (runs, slots) bag losses
     slots: tuple  # (runs, slots)
     synthetic: np.ndarray  # (runs, pairs) pair sources, bool like y
-    lam: np.ndarray  # per run
     sel_bag: np.ndarray  # per selected row: its bag
     sel_order: np.ndarray  # per selected row: its flat index in the padded clip order
     sel_start: np.ndarray  # per selected row: its bag's first row
@@ -556,47 +554,34 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
 
     features = [plan.features[v] for v in videos.tolist()]
     first_sel = sel_at[:-1] - step_sel[step]
-    gather = list(zip(features, first_sel.tolist(), (first_sel + k).tolist()))
+    gather = list(zip(first_sel.tolist(), (first_sel + k).tolist()))
     # The forward: each run's bags of a step in chunks of the run's
     # plan.chunk_bags, as when it trains alone, so stacking never changes a
-    # run's matmul shapes. A chunk starts a cast when it is its step's first
-    # or its step does not fit one cast.
+    # run's matmul shapes. Bags and rows are counted from the step's first.
     chunk_at = np.flatnonzero((np.arange(len(videos)) - run_at[n_runs * step + run]) % plan.chunk_bags[run] == 0)
     chunk_step = step[chunk_at]
-    chunk_at = np.append(chunk_at, len(videos))
-    chunk_row = row_at[chunk_at]
-    step_chunk = chunk_step.searchsorted(np.arange(n_steps + 1))
-    starts = ~_one_cast(np.diff(step_row), plan.dim)[chunk_step]
-    starts[step_chunk[:-1]] = True
-    cast_at = np.append(np.flatnonzero(starts), len(chunk_step))
-    lo, hi = chunk_row[:-1], chunk_row[1:]
-    src = np.repeat(chunk_row[cast_at[:-1]], np.diff(cast_at))
-    dst = step_row[chunk_step]
-    products = list(zip(run[chunk_at[:-1]].tolist(), map(slice, (lo - src).tolist(), (hi - src).tolist()),
-                        map(slice, (lo - dst).tolist(), (hi - dst).tolist())))
-    step_cast = cast_at.searchsorted(step_chunk).tolist()
-    cast_bag, cast_at = chunk_at[cast_at].tolist(), cast_at.tolist()
-    casts = [(features[b0:b1], products[c0:c1])
-             for b0, b1, c0, c1 in zip(cast_bag, cast_bag[1:], cast_at, cast_at[1:])]
+    edges = np.stack([chunk_at, np.append(chunk_at[1:], len(videos))])  # first and end bag
+    at = np.concatenate([edges - bag_at[chunk_step], row_at[edges] - step_row[chunk_step]]).T.tolist()
+    chunks = [(b0, b1, lo, hi, [(r, lo)]) for (b0, b1, lo, hi), r in zip(at, run[chunk_at].tolist())]
+    step_chunk = chunk_step.searchsorted(np.arange(n_steps + 1)).tolist()
     row_run = np.repeat(run, clips)
 
-    n_rows, bag_at, step_sel, widths = np.diff(step_row).tolist(), bag_at.tolist(), step_sel.tolist(), widths.tolist()
+    bag_at, step_sel, widths = bag_at.tolist(), step_sel.tolist(), widths.tolist()
     step_row = step_row.tolist()
     for t, n in enumerate(has_bag[:, :, 0].sum(axis=1).tolist()):
         b0, b1, s0, s1 = bag_at[t], bag_at[t + 1], step_sel[t], step_sel[t + 1]
         yield _StepLayout(
-            casts=casts[step_cast[t]:step_cast[t + 1]],
+            bags=features[b0:b1],
+            chunks=chunks[step_chunk[t]:step_chunk[t + 1]],
             row_run=row_run[step_row[t]:step_row[t + 1]],
             gather=gather[b0:b1],
             videos=videos[b0:b1],
-            n_rows=n_rows[t],
             is_clip=is_clip[b0:b1, :widths[t]],
             k=k[b0:b1],
             y=y[b0:b1],
             loss_at=loss_at[b0:b1],
             slots=(n, n_slots),
             synthetic=synthetic[t, :n],
-            lam=plan.lam[:n],
             sel_bag=sel_bag[s0:s1],
             sel_order=sel_order[s0:s1],
             sel_start=sel_start[s0:s1],
@@ -643,10 +628,10 @@ def total_loss_and_grads(params, batch, config):
 
 
 def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
-    n_runs = len(theta)
+    n_runs, n_rows = len(theta), len(step.row_run)
     weights = _stacked_views(theta, plan.dim, plan.hidden)
-    h, logits = np.empty((step.n_rows, plan.hidden)), np.empty(step.n_rows)
-    _forward(step.casts, step.row_run, weights, h, logits)
+    h, logits = np.empty((n_rows, plan.hidden)), np.empty(n_rows)
+    _forward(step.bags, step.chunks, step.row_run, weights, h, logits)
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
         bag_at = step.is_clip.sum(axis=1).cumsum()  # each bag's end row
@@ -661,13 +646,14 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     rows = step.sel_start + order.take(step.sel_order)
     h, s = h[rows], scores[rows]
     x = np.empty((len(rows), plan.dim), dtype=plan.feature_dtype)
-    for (features, lo, hi), ranked in zip(step.gather, order):
+    for features, (lo, hi), ranked in zip(step.bags, step.gather, order):
         features.take(ranked[:hi - lo], axis=0, out=x[lo:hi], mode="clip")
 
     loss, dy_hat = bce(step.y, y_hat, plan.clamp_eps, return_grad=True)
     bag_loss = np.zeros(step.slots)
     bag_loss.ravel()[step.loss_at] = loss
-    breakdown = ssls_scale(bag_loss[:, 0::2] + bag_loss[:, 1::2], step.synthetic, step.lam)
+    lam = plan.lam[:n_runs]
+    breakdown = ssls_scale(bag_loss[:, 0::2] + bag_loss[:, 1::2], step.synthetic, lam)
 
     # Backward once per (run, source) group, over its bags' top-k rows.
     du = (dy_hat / step.k)[step.sel_bag] * s * (1.0 - s)
@@ -679,7 +665,7 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
         dz1[lo:hi].sum(axis=0, out=g_b1[g])
         np.matmul(h[lo:hi].T, du[lo:hi], out=g_w2[g])
         g_b2[g] = du[lo:hi].sum()
-    return breakdown, grads[:, 0] + step.lam[:, None] * grads[:, 1]
+    return breakdown, grads[:, 0] + lam[:, None] * grads[:, 1]
 
 
 # ---------------------------------------------------------------------------

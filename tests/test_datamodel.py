@@ -327,6 +327,20 @@ class TestManifest:
         with pytest.raises(ValidationError, match="duplicate"):
             DatasetManifest(entries, 4, 2)
 
+    def test_bad_sample_fails_before_any_file_is_written(self, tmp_path):
+        # A repeated id or a later sample of the wrong dim must not leave the
+        # files of the samples before it (nor overwrite a repeated id's file).
+        cases = {
+            "duplicate": [make_sample("x", 1, labels=True), make_sample("x", 0, seed=1)],
+            "dim": [make_sample("a", 1, labels=True), make_sample("b", 0, dim=5)],
+            "filesystem-safe": [make_sample("a", 1), make_sample("a b", 0)],
+        }
+        for match, samples in cases.items():
+            out = tmp_path / match
+            with pytest.raises(ValidationError, match=match):
+                write_dataset(out, samples, feature_dim=4, clip_len=2)
+            assert [p for p in tmp_path.rglob("*") if p.is_file()] == [], match
+
 
 class TestMixDatasets:
     def test_empty_synthetic_is_identity(self):

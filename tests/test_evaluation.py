@@ -209,12 +209,22 @@ class TestPreparedTestSet:
         # as under any bound it does not fit; under one it fits, it is cast
         # in one piece, to the same bits.
         monkeypatch.setattr(milcore, "_CHUNK_BYTES", 2 * 8 * 5 * 8)  # two 8-clip bags of dim 5
-        casts = []
-        exact = milcore._forward
+        forwards = []  # per forward: the rows of each float64 cast, and each chunk's (run, rows)
+        exact, concatenate = milcore._forward, np.concatenate
 
-        def spy(cast_list, *args):
-            casts.append([len(products) for _, products in cast_list])
-            return exact(cast_list, *args)
+        def spy(bags, chunks, *args):
+            casts = []
+
+            def cast(arrays, **kwargs):
+                out = concatenate(arrays, **kwargs)
+                if kwargs.get("dtype") is np.float64:
+                    casts.append(len(out))
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "concatenate", cast)
+                exact(bags, chunks, *args)
+            forwards.append((casts, [(r, hi - lo) for _, _, lo, hi, products in chunks for r, _ in products]))
 
         monkeypatch.setattr(milcore, "_forward", spy)
         rng = np.random.default_rng(3)
@@ -225,14 +235,15 @@ class TestPreparedTestSet:
         assert n_chunks >= 3
         scorers = [ScorerParams.init(5, 6, np.random.default_rng(seed)) for seed in range(3)]
         together = prepared.clip_scores(scorers)
-        assert casts == [[len(scorers)]] * n_chunks
+        chunk_rows = [9, 13, 8]  # 4 + 5, 6 + 7 and 8 clips
+        assert forwards == [(chunk_rows, [(r, n) for n in chunk_rows for r in range(len(scorers))])]
         for scorer, scores in zip(scorers, together):
             assert np.array_equal(scores, prepared.clip_scores([scorer])[0])
-        for rows, expected in ((22, [[len(scorers)]] * n_chunks), (30, [[n_chunks * len(scorers)]])):
-            casts.clear()
+        for rows, expected in ((22, chunk_rows), (30, [30])):
+            forwards.clear()
             monkeypatch.setattr(milcore, "_CHUNK_BYTES", rows * 5 * 8)  # chunks stay as prepared
             assert np.array_equal(prepared.clip_scores(scorers), together)
-            assert casts == expected, rows  # 22 rows hold the first two chunks (9 + 13 rows), not the set
+            assert [casts for casts, _ in forwards] == [expected], rows  # 22 rows hold chunks 1-2, not the set
 
     def test_one_chunk_per_bag_when_a_bag_fills_the_chunk(self):
         wide = VideoSample("w", np.zeros((300, 2048), dtype=np.float32), 1, 0, np.repeat([1, 0] * 150, 2))

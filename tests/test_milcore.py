@@ -614,12 +614,22 @@ class TestTrain:
         import gvvad.milcore as milcore
 
         monkeypatch.setattr(milcore, "_CHUNK_BYTES", 24 * 5 * 8)
-        forwards = []
-        exact = milcore._forward
+        forwards = []  # per forward: the rows of each float64 cast, and each chunk's (run, rows)
+        exact, concatenate = milcore._forward, np.concatenate
 
-        def spy(casts, *args):
-            forwards.append([[(r, src.stop - src.start) for r, src, _ in products] for _, products in casts])
-            return exact(casts, *args)
+        def spy(bags, chunks, *args):
+            casts = []
+
+            def cast(arrays, **kwargs):
+                out = concatenate(arrays, **kwargs)
+                if kwargs.get("dtype") is np.float64:
+                    casts.append(len(out))
+                return out
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "concatenate", cast)
+                exact(bags, chunks, *args)
+            forwards.append((casts, [(r, hi - lo) for _, _, lo, hi, products in chunks for r, _ in products]))
 
         monkeypatch.setattr(milcore, "_forward", spy)
 
@@ -630,20 +640,20 @@ class TestTrain:
             return MixedDataset(pool(1), pool(0)), TrainConfig(lam=lam, epochs=2, batch_pairs=2, hidden=3, seed=seed)
 
         def chunk_rows(run):  # per step: the rows of each of the run's chunks
-            return [[n for cast in casts for r, n in cast if r == run] for casts in forwards]
+            return [[n for r, n in chunks if r == run] for _, chunks in forwards]
 
         runs = [run("wide", 12, 0.5, 1), run("narrow", 4, 2.0, 2)]
         stacked = train_runs(runs)
-        assert any(len(casts) > 1 for casts in forwards)
-        for casts in forwards:
-            chunks = [n for cast in casts for _, n in cast]
-            assert [len(cast) for cast in casts] == ([len(chunks)] if sum(chunks) <= 24 else [1] * len(chunks))
+        assert any(len(casts) > 1 for casts, _ in forwards)
+        for casts, chunks in forwards:
+            rows = [n for _, n in chunks]
+            assert casts == ([sum(rows)] if sum(rows) <= 24 else rows)
         stacked_rows = [chunk_rows(r) for r in range(len(runs))]
         assert max(map(len, stacked_rows[0])) >= 2
         for (data, config), result, rows in zip(runs, stacked, stacked_rows):
             forwards.clear()
             alone = train(data, config)
-            assert all(len(casts) == 1 for casts in forwards)
+            assert all(len(casts) == 1 for casts, _ in forwards)
             assert rows == chunk_rows(0)
             for key in ("w1", "b1", "w2", "b2"):
                 assert np.array_equal(getattr(result.params, key), getattr(alone.params, key)), key
