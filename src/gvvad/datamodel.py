@@ -217,7 +217,8 @@ def write_features(path, values) -> None:
     t, d = arr.shape
     if t < 1 or d < 1:
         raise ValidationError(f"feature sequence needs T,D >= 1, got {t}x{d}")
-    payload = np.ascontiguousarray(arr, dtype="<f4")
+    with np.errstate(over="ignore"):  # the check below is the one report of an overflow
+        payload = np.ascontiguousarray(arr, dtype="<f4")
     if not np.all(np.isfinite(payload)):
         raise ValidationError("feature sequence contains non-finite values")
     write_checked(path, FEATURE_MAGIC, _DIMS.pack(t, d), payload)
@@ -425,6 +426,11 @@ def write_dataset(out_dir, samples, feature_dim: int, clip_len: int) -> Path:
             raise ValidationError(f"sample id {s.id!r} is not filesystem-safe")
         if s.dim != feature_dim:
             raise ValidationError(f"sample {s.id!r} has dim {s.dim}, dataset declares {feature_dim}")
+        feats = np.asarray(s.features)
+        if not np.can_cast(feats.dtype, "<f4"):  # VideoSample found float32 features finite already
+            with np.errstate(over="ignore"):
+                if not np.isfinite(feats.astype("<f4")).all():
+                    raise ValidationError(f"sample {s.id!r}: feature values overflow float32")
     entries = tuple(ManifestEntry(s.id, f"features/{s.id}.gvft", s.y, s.y_s,
                                   None if s.frame_labels is None else f"labels/{s.id}.gvlb") for s in samples)
     manifest = DatasetManifest(entries, feature_dim, clip_len)  # checks the ids are unique

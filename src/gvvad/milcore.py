@@ -20,10 +20,10 @@ runs share one TrainConfig except for lambda and the seed, and the
 parameters of all runs live in one (R, P) array. What a step needs of the
 schedule alone (which bag belongs to which run and (run, source) group,
 each bag's clip rows, k, label and pair source, the top-k row positions,
-the group bounds and where each bag's loss goes) is laid out ahead of the
-steps by :func:`_layout_window`, in one vectorized pass per window of
-``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays out
-its one step the same way. A step then does only what depends on the
+the group bounds and the pair each bag's loss adds to) is laid out ahead
+of the steps by :func:`_layout_window`, in one vectorized pass per window
+of ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays
+out its one step the same way. A step then does only what depends on the
 parameters. The cast rule, applied in :func:`_forward` alone: a forward
 (one step, or one test set) is cast to float64 in one piece when its rows
 fit ``_CHUNK_BYTES``, else one chunk at a time; a one-piece cast may span
@@ -87,8 +87,8 @@ class ScorerParams:
         if b2.size != 1:
             raise ShapeError(f"b2 must hold one value, got shape {b2.shape}")
         self.b2 = b2.reshape(())
-        if self.w1.ndim != 2:
-            raise ShapeError(f"w1 must be 2-D, got shape {self.w1.shape}")
+        if self.w1.ndim != 2 or 0 in self.w1.shape:
+            raise ShapeError(f"w1 must be 2-D with no empty dimension, got shape {self.w1.shape}")
         hidden = self.w1.shape[0]
         if self.b1.shape != (hidden,) or self.w2.shape != (hidden,):
             raise ShapeError(
@@ -423,14 +423,13 @@ class _Plan:
     """What the batch objective needs besides the parameters.
 
     The bags of every run live in one table, one entry per sample: its
-    features (in ``feature_dtype``, the pool's common one: only bags of
-    another dtype are copied), id, clip count, k, label and source. Per
-    run, in stack order: lambda and how many bags go into one float64
-    chunk. The BCE clamp is the runs' shared one.
+    features (in the pool's common dtype: only bags of another dtype are
+    copied), id, clip count, k, label and source. Per run, in stack order:
+    lambda and how many bags go into one float64 chunk. The BCE clamp is
+    the runs' shared one.
     """
 
     features: list
-    feature_dtype: np.dtype
     ids: list
     clips: np.ndarray
     k: np.ndarray
@@ -468,7 +467,6 @@ class _BagTable:
         clips = np.array([len(f) for f in features])
         return _Plan(
             features=features,
-            feature_dtype=dtype,
             ids=[s.id for s in self.samples],
             clips=clips,
             k=np.array([resolve_k(config.k_rule, s.num_clips) for s in self.samples]),
@@ -493,25 +491,24 @@ class _StepLayout:
     """The part of one lockstep step that depends on the schedule alone.
 
     Bags are in (run, source) group order g = 2 * run + source, each group
-    in slot order; rows count the step's clips, bag by bag, from 0. The
-    selected rows are every bag's first k ranks, bag by bag.
+    in slot order, so a pair's anomalous bag comes before its normal one;
+    rows count the step's clips, bag by bag, from 0. The selected rows are
+    every bag's first k ranks, bag by bag, so a selected row's bag follows
+    from ``k`` and its run from ``row_run``.
     """
 
     bags: list  # per bag: its features
     chunks: list  # the forward's per-(run, chunk) matmuls, as :func:`_forward` takes them
     row_run: np.ndarray  # per row: its run
-    gather: list  # per bag: its first and end selected row
     videos: np.ndarray  # per bag: its index in the plan's table
     is_clip: np.ndarray  # (bags, most clips in a bag): the padded entries that hold a clip
     k: np.ndarray
     y: np.ndarray
-    loss_at: np.ndarray  # per bag: its flat index in the (runs, slots) bag losses
-    slots: tuple  # (runs, slots)
+    pair_at: np.ndarray  # per bag: its pair's flat index in the (runs, pairs) pair losses
+    pairs: tuple  # (runs, pairs)
     synthetic: np.ndarray  # (runs, pairs) pair sources, bool like y
-    sel_bag: np.ndarray  # per selected row: its bag
     sel_order: np.ndarray  # per selected row: its flat index in the padded clip order
     sel_start: np.ndarray  # per selected row: its bag's first row
-    sel_run: np.ndarray  # per selected row: its run
     groups: list  # (group, first, end) of each group's selected rows, empty groups left out
 
 
@@ -549,12 +546,9 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     group_at = group_step.searchsorted(np.arange(n_steps + 1)).tolist()
     groups = list(zip(group_id.tolist(), bounds[group_step, group_id].tolist(),
                       bounds[group_step, group_id + 1].tolist()))
-    sel_run, loss_at, y = run[sel_bag], n_slots * run + slot, plan.y[videos]
-    sel_bag -= bag_at[sel_step]  # step-local, like the rows
+    pair_at, y = n_slots // 2 * run + slot // 2, plan.y[videos]
 
     features = [plan.features[v] for v in videos.tolist()]
-    first_sel = sel_at[:-1] - step_sel[step]
-    gather = list(zip(first_sel.tolist(), (first_sel + k).tolist()))
     # The forward: each run's bags of a step in chunks of the run's
     # plan.chunk_bags, as when it trains alone, so stacking never changes a
     # run's matmul shapes. Bags and rows are counted from the step's first.
@@ -574,18 +568,15 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
             bags=features[b0:b1],
             chunks=chunks[step_chunk[t]:step_chunk[t + 1]],
             row_run=row_run[step_row[t]:step_row[t + 1]],
-            gather=gather[b0:b1],
             videos=videos[b0:b1],
             is_clip=is_clip[b0:b1, :widths[t]],
             k=k[b0:b1],
             y=y[b0:b1],
-            loss_at=loss_at[b0:b1],
-            slots=(n, n_slots),
+            pair_at=pair_at[b0:b1],
+            pairs=(n, n_slots // 2),
             synthetic=synthetic[t, :n],
-            sel_bag=sel_bag[s0:s1],
             sel_order=sel_order[s0:s1],
             sel_start=sel_start[s0:s1],
-            sel_run=sel_run[s0:s1],
             groups=groups[group_at[t]:group_at[t + 1]],
         )
 
@@ -645,19 +636,20 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     # comes from the features as stored, one bag at a time.
     rows = step.sel_start + order.take(step.sel_order)
     h, s = h[rows], scores[rows]
-    x = np.empty((len(rows), plan.dim), dtype=plan.feature_dtype)
-    for features, (lo, hi), ranked in zip(step.bags, step.gather, order):
+    x = np.empty((len(rows), plan.dim), dtype=step.bags[0].dtype)
+    sel_at = [0, *itertools.accumulate(step.k.tolist())]
+    for features, ranked, lo, hi in zip(step.bags, order, sel_at, sel_at[1:]):
         features.take(ranked[:hi - lo], axis=0, out=x[lo:hi], mode="clip")
 
     loss, dy_hat = bce(step.y, y_hat, plan.clamp_eps, return_grad=True)
-    bag_loss = np.zeros(step.slots)
-    bag_loss.ravel()[step.loss_at] = loss
+    # A pair's anomalous bag comes first, so each pair sums 0.0 + a + n = a + n.
+    pair_loss = np.bincount(step.pair_at, loss, math.prod(step.pairs)).reshape(step.pairs)
     lam = plan.lam[:n_runs]
-    breakdown = ssls_scale(bag_loss[:, 0::2] + bag_loss[:, 1::2], step.synthetic, lam)
+    breakdown = ssls_scale(pair_loss, step.synthetic, lam)
 
     # Backward once per (run, source) group, over its bags' top-k rows.
-    du = (dy_hat / step.k)[step.sel_bag] * s * (1.0 - s)
-    dz1 = du[:, None] * weights[2][step.sel_run] * (h > 0.0)
+    du = np.repeat(dy_hat / step.k, step.k) * s * (1.0 - s)
+    dz1 = du[:, None] * weights[2][step.row_run[rows]] * (h > 0.0)
     grads = np.zeros((n_runs, 2, theta.shape[1]))
     g_w1, g_b1, g_w2, g_b2 = _stacked_views(grads.reshape(2 * n_runs, -1), plan.dim, plan.hidden)
     for g, lo, hi in step.groups:
@@ -860,13 +852,13 @@ def train_runs(runs, val_samples=None) -> list:
         _layout_window(plan, schedule.bags[t:t + _LAYOUT_STEPS]) for t in range(0, len(schedule.bags), _LAYOUT_STEPS))
     with np.errstate(over="ignore", invalid="ignore"):
         for t, step in enumerate(layouts):
-            n = step.slots[0]
+            n = step.pairs[0]
             if n < len(state.first_moment):  # runs whose schedule ended leave the stack; the others step on
                 state.first_moment, state.second_moment = moments[:, :n]
             live = theta[:n]
             breakdown, grads = total_loss_and_grads(live, step, plan)
             if not np.isfinite(breakdown.total).all():
-                bad = int(np.argmin(np.isfinite(np.broadcast_to(breakdown.total, n))))
+                bad = int(np.argmin(np.isfinite(breakdown.total)))
                 raise ValidationError(
                     f"training loss is non-finite at epoch {len(history[bad]) + 1}")
             live[...] = adam_step(live, grads, state)

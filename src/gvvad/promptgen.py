@@ -32,7 +32,14 @@ NORMAL_TEMPLATE = (
     "and the scene stays calm."
 )
 
-_INVENTORY_KINDS = ("viewpoint", "location", "subject", "anomalous_event", "normal_event")
+# Inventory file kind -> ElementInventory field, in file and check order.
+_INVENTORY_FIELDS = {
+    "viewpoint": "viewpoints",
+    "location": "locations",
+    "subject": "subjects",
+    "anomalous_event": "anomalous_events",
+    "normal_event": "normal_events",
+}
 
 
 def _check_entries(entries, name: str) -> tuple:
@@ -66,11 +73,8 @@ class ElementInventory:
     normal_events: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "viewpoints", _check_entries(self.viewpoints, "viewpoints"))
-        object.__setattr__(self, "locations", _check_entries(self.locations, "locations"))
-        object.__setattr__(self, "subjects", _check_entries(self.subjects, "subjects"))
-        object.__setattr__(self, "anomalous_events", _check_entries(self.anomalous_events, "anomalous_events"))
-        object.__setattr__(self, "normal_events", _check_entries(self.normal_events, "normal_events"))
+        for name in _INVENTORY_FIELDS.values():
+            object.__setattr__(self, name, _check_entries(getattr(self, name), name))
 
     @property
     def product_size(self) -> int:
@@ -194,12 +198,8 @@ def load_repository(path) -> list:
 
 def save_inventory(inventory: ElementInventory, path) -> None:
     lines = [INVENTORY_TAG]
-    for kind, pool in zip(
-        _INVENTORY_KINDS,
-        (inventory.viewpoints, inventory.locations, inventory.subjects,
-         inventory.anomalous_events, inventory.normal_events),
-    ):
-        lines.extend(f"{kind}\t{text}" for text in pool)
+    for kind, name in _INVENTORY_FIELDS.items():
+        lines.extend(f"{kind}\t{text}" for text in getattr(inventory, name))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -208,7 +208,7 @@ def load_inventory(path) -> ElementInventory:
     lines = read_text(path).splitlines()
     if not lines or lines[0] != INVENTORY_TAG:
         raise DataFormatError(f"{path}:1: expected header {INVENTORY_TAG!r}")
-    pools = {kind: [] for kind in _INVENTORY_KINDS}
+    pools = {kind: [] for kind in _INVENTORY_FIELDS}
     for lineno, line in enumerate(lines[1:], start=2):
         parts = line.split("\t")
         if len(parts) != 2:
@@ -218,13 +218,7 @@ def load_inventory(path) -> ElementInventory:
             raise DataFormatError(f"{path}:{lineno}: unknown element kind {kind!r}")
         pools[kind].append(text)
     try:
-        return ElementInventory(
-            viewpoints=tuple(pools["viewpoint"]),
-            locations=tuple(pools["location"]),
-            subjects=tuple(pools["subject"]),
-            anomalous_events=tuple(pools["anomalous_event"]),
-            normal_events=tuple(pools["normal_event"]),
-        )
+        return ElementInventory(**{name: tuple(pools[kind]) for kind, name in _INVENTORY_FIELDS.items()})
     except ValidationError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
 

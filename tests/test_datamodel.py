@@ -341,6 +341,16 @@ class TestManifest:
                 write_dataset(out, samples, feature_dim=4, clip_len=2)
             assert [p for p in tmp_path.rglob("*") if p.is_file()] == [], match
 
+    def test_float32_overflow_fails_before_any_file_is_written(self, tmp_path):
+        # b's float64 features are finite, so VideoSample accepts them, but
+        # they overflow the float32 payload; a's files must not be written.
+        samples = [make_sample("a", 1, labels=True), VideoSample("b", np.full((3, 4), 1e39), 0, 0)]
+        with pytest.raises(ValidationError, match="sample 'b': feature values overflow float32"):
+            write_dataset(tmp_path / "out", samples, feature_dim=4, clip_len=2)
+        assert list(tmp_path.rglob("*")) == []
+        with pytest.raises(ValidationError, match="non-finite"):
+            write_features(tmp_path / "b.gvft", samples[1].features)
+
 
 class TestMixDatasets:
     def test_empty_synthetic_is_identity(self):

@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -766,6 +767,24 @@ class TestParamsFile:
             load_params(path)
         with pytest.raises(ShapeError, match="b2"):
             ScorerParams(w1=np.zeros((2, 3)), b1=np.zeros(2), w2=np.zeros(2), b2=np.zeros(2))
+
+    def test_empty_layer_is_a_format_error(self, tmp_path):
+        # A file of a scorer with no hidden unit, with a valid checksum: it
+        # would score every clip as sigmoid(b2).
+        from gvvad.datamodel import write_checked
+        from gvvad.errors import DataFormatError
+        from gvvad.milcore import PARAMS_MAGIC
+
+        header = struct.pack("<I", 4)
+        for name, shape in (("w1", (0, 3)), ("b1", (0,)), ("w2", (0,)), ("b2", (1,))):
+            header += struct.pack(f"<I2sI{len(shape)}I", 2, name.encode("ascii"), len(shape), *shape)
+        path = tmp_path / "empty.gvpm"
+        write_checked(path, PARAMS_MAGIC, header, np.zeros(1, dtype="<f8"))
+        with pytest.raises(DataFormatError, match=re.escape(str(path)) + ": bad block shape: w1"):
+            load_params(path)
+        for hidden, dim in ((0, 4), (2, 0)):
+            with pytest.raises(ShapeError, match="w1"):
+                ScorerParams(w1=np.zeros((hidden, dim)), b1=np.zeros(hidden), w2=np.zeros(hidden), b2=0.0)
 
     # Header of a 3 -> 2 scorer: magic, version, block count at 8, then w1's
     # name length at 12, name at 16 and ndim at 18.
