@@ -436,10 +436,11 @@ def write_dataset(out_dir, samples, feature_dim: int, clip_len: int) -> Path:
     manifest = DatasetManifest(entries, feature_dim, clip_len)  # checks the ids are unique
     out = Path(out_dir)
     (out / "features").mkdir(parents=True, exist_ok=True)
+    if any(entry.frame_label_path is not None for entry in manifest.entries):
+        (out / "labels").mkdir(exist_ok=True)
     for s, entry in zip(samples, manifest.entries):
         write_features(out / entry.feature_path, s.features)
         if entry.frame_label_path is not None:
-            (out / "labels").mkdir(exist_ok=True)
             write_frame_labels(out / entry.frame_label_path, s.frame_labels)
     manifest_path = out / "manifest.tsv"
     save_manifest(manifest, manifest_path)

@@ -10,7 +10,8 @@ contribute exactly one half.
 
 A :class:`PreparedTestSet` lays a test set out once (samples in id order,
 per-clip frame counts, forward chunks) and scores any number of scorers on
-it in one forward per call, cast to float64 by the trainer's forward.
+it in one forward per call, the trainer's (float32 features keep a
+float32 first layer; any other dtype is cast to float64).
 Validation during training and ablation sweeps read only its AUCs;
 :func:`evaluate` also expands clip scores to frame scores, for the
 per-video curves.
@@ -120,13 +121,16 @@ class PreparedTestSet:
     Holds the samples in ascending id order, each clip's positive and total
     frame counts, and the forward chunks: the trainer's rule, at most
     ``_CHUNK_BYTES`` of float64 features or one bag per chunk. The features
-    are not copied. A scoring call is one call of the trainer's forward
-    (:func:`gvvad.milcore._forward`) over all its scorers, which casts the
-    set to float64 by the trainer's cast rule. Each chunk goes through one
-    matmul per layer per scorer, and the bias adds and ReLU run once over
-    every scorer's rows. Building it fails on an empty set, a sample
+    are not copied, nor unified to one dtype. A scoring call is one call of
+    the trainer's forward (:func:`gvvad.milcore._forward`) over all its
+    scorers, under the trainer's dtype and copy rule, decided from every
+    sample: a set whose features are all float32 keeps a float32 first
+    layer, and a set that mixes dtypes is cast to float64. Each chunk goes
+    through one matmul per layer per scorer, and the bias adds and ReLU run
+    once over every scorer's rows. Building it fails on an empty set, a sample
     without frame labels or of a feature dim other than ``dim``, and a set
-    whose frames are all of one class.
+    whose frames are all of one class; scoring fails, naming the video,
+    where a clip's first layer overflows.
     """
 
     def __init__(self, samples, dim: int):
@@ -156,7 +160,12 @@ class PreparedTestSet:
         for p in params:
             if p.dim != self.dim:
                 raise ShapeError(f"scorer dim {p.dim} does not match the test set's {self.dim}")
-        return stable_sigmoid(_logits(params, self.features, self.chunk_bags))
+        scores = stable_sigmoid(_logits(params, self.features, self.chunk_bags))
+        if np.isnan(scores.sum()):  # the forward scores a clip NaN where its first layer overflows
+            clip = int(np.isnan(scores).any(axis=0).argmax())
+            video = self.samples[int(np.searchsorted(self.clip_bounds, clip, side="right")) - 1]
+            raise ValidationError(f"clip scores of video {video.id!r} are non-finite: the first layer overflows on them")
+        return scores
 
     def auc(self, clip_scores, macro: bool = False) -> float:
         """AUC of one scorer's clip scores: micro over all frames, or with

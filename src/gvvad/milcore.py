@@ -24,10 +24,16 @@ the group bounds and the pair each bag's loss adds to) is laid out ahead
 of the steps by :func:`_layout_window`, in one vectorized pass per window
 of ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays
 out its one step the same way. A step then does only what depends on the
-parameters. The cast rule, applied in :func:`_forward` alone: a forward
-(one step, or one test set) is cast to float64 in one piece when its rows
-fit ``_CHUNK_BYTES``, else one chunk at a time; a one-piece cast may span
-runs. Callers hand :func:`_forward` chunks, never casts. Only the matrix
+parameters. The dtype and copy rule, applied in :func:`_forward` alone: a
+forward (one step, or one test set) whose bags are all float32 computes
+its first layer in float32, against w1 rounded to float32 once per
+forward, and writes each product into the float64 hidden activations; any
+other forward is cast to float64. Either way the bags are copied (and
+cast) in one piece when their rows fit ``_CHUNK_BYTES`` as float64, else
+one chunk at a time, and a float32 chunk of one bag is used in place; a
+one-piece copy may span runs. Callers hand :func:`_forward` chunks, never
+copies. Everything after the first layer's product is float64, and a clip
+whose float32 first layer overflows past the ReLU scores NaN. Only the matrix
 products stay per run: each covers one chunk of a run, the run's bags in
 pieces of its own ``_Plan.chunk_bags``, exactly as when the run trains
 alone, because BLAS rounding depends on the matrix shape. The bias adds
@@ -349,9 +355,11 @@ def train_config_from_kv(values: dict, origin: str = "<config>") -> TrainConfig:
 # batch objective
 # ---------------------------------------------------------------------------
 
-# Float64 features per forward chunk and per one-piece cast: one 220-clip,
-# 2048-dim bag (3.6 MB) fits, two do not, so wide inputs never hold more
-# than about one bag's float64 copy at a time.
+# Features per forward chunk and per one-piece copy, counted as float64
+# whatever their dtype, so a chunk's matmul shapes do not depend on it: one
+# 220-clip, 2048-dim bag (3.6 MB) fits, two do not, so wide inputs never
+# hold more than about one bag's copy at a time, and a float32 one-bag
+# chunk needs no copy.
 _CHUNK_BYTES = 4 << 20
 
 
@@ -361,8 +369,8 @@ def _chunk_bags(max_clips: int, dim: int) -> int:
     return max(1, _CHUNK_BYTES // (max_clips * dim * 8))
 
 
-def _one_cast(rows, dim: int):
-    """The cast rule (module docstring) for forwards of ``rows`` clips."""
+def _one_piece(rows, dim: int):
+    """The copy rule (module docstring) for forwards of ``rows`` clips."""
     return rows * (8 * dim) <= _CHUNK_BYTES
 
 
@@ -376,27 +384,44 @@ def _forward(bags, chunks, row_run, weights, h, logits) -> None:
     bag, first row, end row, products), each product a (run, first output
     row) that takes the chunk through one matmul per layer. A matmul never
     spans runs or chunks: BLAS rounding depends on the matrix shape, so a
-    run's result would depend on what it is stacked with. The cast rule
-    (module docstring) is applied here alone: all ``bags`` are cast in one
-    piece, or each chunk's bags in turn. The bias adds and the ReLU are
-    elementwise and run once over all rows.
+    run's result would depend on what it is stacked with. The dtype and
+    copy rule (module docstring) is applied here alone: when every bag is
+    float32 the first layer is one sgemm per (run, chunk), its result
+    written straight into the float64 ``h``; otherwise the bags are cast to
+    float64. All ``bags`` are copied in one piece, or each chunk's bags in
+    turn. The bias adds and the ReLU are elementwise and run once over all
+    rows.
     """
     w1, b1, w2, b2 = weights
-    whole = _one_cast(chunks[-1][3], w1.shape[-1])
-    x = np.concatenate(bags, dtype=np.float64) if whole else None
-    for first_bag, end_bag, lo, hi, products in chunks:
-        rows = x[lo:hi] if whole else np.concatenate(bags[first_bag:end_bag], dtype=np.float64)
-        for r, out in products:
-            np.matmul(rows, w1[r].T, out=h[out:out + hi - lo])
-        del rows  # before the next chunk's cast
-    del x
-    h += b1.take(row_run, axis=0)
-    np.maximum(h, 0.0, out=h)
-    for _, _, lo, hi, products in chunks:
-        for r, out in products:
-            end = out + hi - lo
-            np.matmul(h[out:end], w2[r], out=logits[out:end])
-    logits += b2[row_run]
+    float32 = {bag.dtype for bag in bags} == {np.dtype(np.float32)}
+    dtype = np.float32 if float32 else np.float64
+    whole = _one_piece(chunks[-1][3], w1.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # a float32 overflow shows as a NaN logit, below
+        w1 = w1.astype(np.float32) if float32 else w1
+        x = np.concatenate(bags, dtype=dtype) if whole else None
+        for first_bag, end_bag, lo, hi, products in chunks:
+            if whole:
+                rows = x[lo:hi]
+            elif float32 and end_bag - first_bag == 1:
+                rows = bags[first_bag]
+            else:
+                rows = np.concatenate(bags[first_bag:end_bag], dtype=dtype)
+            for r, out in products:
+                np.matmul(rows, w1[r].T, out=h[out:out + hi - lo])
+            del rows  # before the next chunk's copy
+        del x
+        h += b1.take(row_run, axis=0)
+        np.maximum(h, 0.0, out=h)
+        for _, _, lo, hi, products in chunks:
+            for r, out in products:
+                end = out + hi - lo
+                np.matmul(h[out:end], w2[r], out=logits[out:end])
+        logits += b2[row_run]
+    # A float32 product can overflow where a float64 one does not; the
+    # ReLU clears one at -inf, and any other reaches the logit. Such a clip
+    # scores NaN, which training and evaluation refuse by video.
+    if float32 and not math.isfinite(logits.sum()):
+        logits[~np.isfinite(logits)] = np.nan
 
 
 def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
@@ -425,7 +450,7 @@ class _Plan:
     The bags of every run live in one table, one entry per sample: its
     features (in the pool's common dtype: only bags of another dtype are
     copied), id, clip count, k, label and source. Per run, in stack order:
-    lambda and how many bags go into one float64 chunk. The BCE clamp is
+    lambda and how many bags go into one forward chunk. The BCE clamp is
     the runs' shared one.
     """
 
@@ -819,8 +844,9 @@ def train_runs(runs, val_samples=None) -> list:
     the first field that differs. ``val_samples`` are laid out once, as a
     :class:`gvvad.evaluation.PreparedTestSet`, before the first step, so a
     sample without frame labels or of another feature dim fails before any
-    training. Training stops with a ValidationError at
-    the first step with a non-finite clip score, loss or updated parameter;
+    training. Training stops with a ValidationError at the first step with
+    a non-finite clip score (which a float32 first layer that overflows gives),
+    loss or updated parameter;
     numpy's floating-point warnings are silenced while it runs, so that error
     is the only report.
     """
@@ -956,7 +982,7 @@ def _random_pair(rng, dim: int, y_s_a: int, y_s_n: int, tag: str):
 
     def sample(y, y_s, suffix):
         t = int(rng.integers(4, 10))
-        feats = rng.normal(0.0, 1.0, size=(t, dim)).astype(np.float32)
+        feats = rng.normal(0.0, 1.0, size=(t, dim)).astype(np.float32).astype(np.float64)
         return VideoSample(f"gc-{tag}-{suffix}", feats, y, y_s)
 
     return sample(1, y_s_a, "a"), sample(0, y_s_n, "n")
@@ -967,7 +993,10 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
     """Compare analytic batch gradients against central finite differences.
 
     Exercises the top-k selection and real, synthetic and mixed-source pairs
-    under a scaling factor other than 1. Relative error per coordinate uses a
+    under a scaling factor other than 1. The features are float32 values
+    held as float64, so the check differentiates the float64 forward: a
+    float32 first layer rounds w1, which a central difference at ``h``
+    cannot resolve. Relative error per coordinate uses a
     safeguarded denominator max(|analytic|, |numeric|, 1e-5) so coordinates
     whose true gradient is dominated by finite-difference noise do not blow
     up the ratio.

@@ -322,6 +322,13 @@ class TestManifest:
         assert loaded[1].y_s == 1 and loaded[1].frame_labels is None
         np.testing.assert_array_equal(loaded[0].features, samples[0].features)
 
+    def test_labels_directory_only_when_a_sample_has_labels(self, tmp_path):
+        write_dataset(tmp_path / "none", [make_sample("a1", 1), make_sample("n1", 0)], feature_dim=4, clip_len=2)
+        assert sorted(p.name for p in (tmp_path / "none").iterdir()) == ["features", "manifest.tsv"]
+        write_dataset(tmp_path / "one", [make_sample("a1", 1, labels=True), make_sample("n1", 0)],
+                      feature_dim=4, clip_len=2)
+        assert [p.name for p in (tmp_path / "one" / "labels").iterdir()] == ["a1.gvlb"]
+
     def test_duplicate_ids_rejected_at_construction(self):
         entries = (ManifestEntry("x", "a.gvft", 0, 0), ManifestEntry("x", "b.gvft", 1, 0))
         with pytest.raises(ValidationError, match="duplicate"):

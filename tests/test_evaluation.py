@@ -177,6 +177,22 @@ class TestEvaluate:
         labels = np.concatenate([v.frame_labels for v in result.per_video])
         assert result.auc == roc_auc(scores, labels)
 
+    def test_float32_first_layer_overflow_names_the_video(self, tmp_path):
+        # Float32 features take a float32 first layer, which overflows on
+        # features near the float32 limit or on a w1 beyond it (here read
+        # from a GVPM file). evaluate refuses the set with one error naming
+        # the video and the cause, and no numpy warning. The same values
+        # held as float64 take the float64 first layer and still score.
+        huge = [VideoSample(s.id, s.features * np.float32(1e38), s.y, s.y_s, s.frame_labels)
+                for s in self.samples()]
+        p = oracle_params()
+        milcore.save_params(tmp_path / "w1.gvpm", ScorerParams(p.w1 * 1e40, p.b1, p.w2, p.b2))
+        for params, samples in ((p, huge), (milcore.load_params(tmp_path / "w1.gvpm"), self.samples())):
+            with pytest.raises(ValidationError, match=r"^clip scores of video 'v1' are non-finite: the first layer overflows"):
+                evaluate(params, samples)
+            as_float64 = [VideoSample(s.id, s.features.astype(np.float64), s.y, s.y_s, s.frame_labels) for s in samples]
+            assert evaluate(params, as_float64).auc == 1.0
+
     def test_videos_ordered_by_id(self):
         result = evaluate(oracle_params(), list(reversed(self.samples())))
         assert [v.id for v in result.per_video] == ["v1", "v2", "v3"]
@@ -201,34 +217,39 @@ class TestPreparedTestSet:
         assert prepared.num_frames == 4 * 3 + 2 * 5
         assert [s.id for s in prepared.samples] == ["a", "b"]
 
-    def test_scorers_scored_together_match_each_scored_alone(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_scorers_scored_together_match_each_scored_alone(self, monkeypatch, dtype):
         # One call scores every scorer over each chunk of the test set; no
         # matmul may span scorers, so each scorer's clip scores equal its
         # own call's bit for bit, over a set of at least three chunks. The
-        # set's 30 rows exceed the bound, so it is cast one chunk at a time,
-        # as under any bound it does not fit; under one it fits, it is cast
-        # in one piece, to the same bits.
+        # set's 30 rows exceed the bound, so it is copied one chunk at a
+        # time, as under any bound it does not fit; under one it fits, it is
+        # copied in one piece, to the same bits. Float64 features are copied
+        # by a cast; float32 ones are never cast, and the one-bag chunk of
+        # 8 clips is not copied at all.
         monkeypatch.setattr(milcore, "_CHUNK_BYTES", 2 * 8 * 5 * 8)  # two 8-clip bags of dim 5
-        forwards = []  # per forward: the rows of each float64 cast, and each chunk's (run, rows)
+        forwards = []  # per forward: the rows of each copy by dtype, and each chunk's (run, rows)
         exact, concatenate = milcore._forward, np.concatenate
 
         def spy(bags, chunks, *args):
-            casts = []
+            copies = {np.float64: [], np.float32: []}
 
-            def cast(arrays, **kwargs):
+            def copy(arrays, **kwargs):
                 out = concatenate(arrays, **kwargs)
-                if kwargs.get("dtype") is np.float64:
-                    casts.append(len(out))
+                copies[kwargs["dtype"]].append(len(out))
                 return out
 
             with monkeypatch.context() as patch:
-                patch.setattr(np, "concatenate", cast)
+                patch.setattr(np, "concatenate", copy)
                 exact(bags, chunks, *args)
-            forwards.append((casts, [(r, hi - lo) for _, _, lo, hi, products in chunks for r, _ in products]))
+            forwards.append((copies, [(r, hi - lo) for _, _, lo, hi, products in chunks for r, _ in products]))
+
+        def copied(rows):  # a forward's copies by dtype; float32 features skip the 8-clip one-bag chunk
+            return {np.float64: [], np.float32: [], dtype: [n for n in rows if dtype is np.float64 or n != 8]}
 
         monkeypatch.setattr(milcore, "_forward", spy)
         rng = np.random.default_rng(3)
-        samples = [VideoSample(f"v{i}", rng.normal(size=(4 + i, 5)).astype(np.float32), i % 2, 0,
+        samples = [VideoSample(f"v{i}", rng.normal(size=(4 + i, 5)).astype(np.float32).astype(dtype), i % 2, 0,
                                np.repeat(np.arange(4 + i) % 2 * (i % 2), 3)) for i in range(5)]
         prepared = PreparedTestSet(samples, 5)
         n_chunks = math.ceil(len(samples) / prepared.chunk_bags)
@@ -236,14 +257,14 @@ class TestPreparedTestSet:
         scorers = [ScorerParams.init(5, 6, np.random.default_rng(seed)) for seed in range(3)]
         together = prepared.clip_scores(scorers)
         chunk_rows = [9, 13, 8]  # 4 + 5, 6 + 7 and 8 clips
-        assert forwards == [(chunk_rows, [(r, n) for n in chunk_rows for r in range(len(scorers))])]
+        assert forwards == [(copied(chunk_rows), [(r, n) for n in chunk_rows for r in range(len(scorers))])]
         for scorer, scores in zip(scorers, together):
             assert np.array_equal(scores, prepared.clip_scores([scorer])[0])
         for rows, expected in ((22, chunk_rows), (30, [30])):
             forwards.clear()
             monkeypatch.setattr(milcore, "_CHUNK_BYTES", rows * 5 * 8)  # chunks stay as prepared
             assert np.array_equal(prepared.clip_scores(scorers), together)
-            assert [casts for casts, _ in forwards] == [expected], rows  # 22 rows hold chunks 1-2, not the set
+            assert [copies for copies, _ in forwards] == [copied(expected)], rows  # 22 rows hold chunks 1-2, not the set
 
     def test_one_chunk_per_bag_when_a_bag_fills_the_chunk(self):
         wide = VideoSample("w", np.zeros((300, 2048), dtype=np.float32), 1, 0, np.repeat([1, 0] * 150, 2))

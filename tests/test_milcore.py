@@ -38,18 +38,19 @@ from gvvad.worldsim import GenerationCounts, WorldConfig, generate_dataset
 PAIRS = build_repository(default_inventory(), limit=24, seed=7)
 
 
-def sample(sample_id, y, y_s=0, t=6, dim=5, seed=0):
+def sample(sample_id, y, y_s=0, t=6, dim=5, seed=0, dtype=np.float32):
+    """Float32 features, held in ``dtype``: the same values either way."""
     rng = rng_from("milcore-sample", sample_id, seed)
-    return VideoSample(sample_id, rng.normal(size=(t, dim)).astype(np.float32), y, y_s)
+    return VideoSample(sample_id, rng.normal(size=(t, dim)).astype(np.float32).astype(dtype), y, y_s)
 
 
-def pair_batch(n_pairs, dim=5, synth_mask=None, seed=0):
+def pair_batch(n_pairs, dim=5, synth_mask=None, seed=0, dtype=np.float32):
     batch = []
     for i in range(n_pairs):
         y_s = 1 if (synth_mask and synth_mask[i]) else 0
         batch.append((
-            sample(f"a{i}", 1, y_s=y_s, dim=dim, seed=seed),
-            sample(f"n{i}", 0, y_s=y_s, dim=dim, seed=seed),
+            sample(f"a{i}", 1, y_s=y_s, dim=dim, seed=seed, dtype=dtype),
+            sample(f"n{i}", 0, y_s=y_s, dim=dim, seed=seed, dtype=dtype),
         ))
     return batch
 
@@ -327,11 +328,14 @@ class TestGradientCheck:
             gradient_check(seed=0, num_batches=num_batches)
 
     def test_mil_gradient_matches_finite_differences_through_topk(self):
+        # Float64 features, as gradient_check uses: a float32 first layer
+        # rounds w1, which a central difference at h = 1e-5 cannot resolve.
+        # test_float32_first_layer_matches_float64 bounds the float32 path.
         from gvvad.numerics import finite_diff_grad
 
         cfg = TrainConfig(k_rule="fixed:2", hidden=2)
         params = ScorerParams.init(4, 2, rng_from("fd-mil"))
-        batch = pair_batch(3, dim=4, synth_mask=[False, True, False], seed=5)
+        batch = pair_batch(3, dim=4, synth_mask=[False, True, False], seed=5, dtype=np.float64)
 
         _, grads = total_loss_and_grads(params, batch, cfg)
         analytic = params_to_vector(ScorerParams(grads["w1"], grads["b1"], grads["w2"], grads["b2"]))
@@ -343,6 +347,55 @@ class TestGradientCheck:
         numeric = finite_diff_grad(objective, params_to_vector(params), h=1e-5)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-4
+
+    def test_float32_first_layer_matches_float64(self):
+        # Float32 features take a float32 first layer and the same values
+        # held as float64 the float64 one; the losses must agree to 1e-6
+        # and every gradient to 1e-3, under gradient_check's safeguarded
+        # denominator. The biases are nonzero, so a first layer that drops
+        # b1 shows. Two stacked runs of 2048-dim, 200-clip bags take one
+        # bag per chunk, each under its own run's w1. At 2048 dims single
+        # w1 coordinates cancel to near the 1e-5 floor, so there each run's
+        # gradient is bounded against its largest entry, at 1e-5 (about 100
+        # float32 epsilons).
+        import gvvad.milcore as milcore
+
+        def rel(a, b):
+            return np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-5))
+
+        def as_dtype(samples, dtype):
+            return [VideoSample(s.id, s.features.astype(dtype), s.y, s.y_s) for s in samples]
+
+        config = TrainConfig(lam=0.7, k_rule="frac:0.3", hidden=5)
+        for seed in range(20):
+            rng = rng_from("float32-first-layer", seed)
+            p = ScorerParams.init(7, 5, rng)
+            params = ScorerParams(p.w1, rng.normal(size=5), p.w2, rng.normal())
+            pairs = [milcore._random_pair(rng, 7, *sources, tag) for *sources, tag in
+                     ((0, 0, "real"), (1, 1, "synth"), (1, 0, "mixed"))]
+            (loss64, grads64), (loss32, grads32) = (
+                total_loss_and_grads(params, [tuple(as_dtype(pair, dtype)) for pair in pairs], config)
+                for dtype in (np.float64, np.float32))
+            assert abs(loss32.total - loss64.total) <= 1e-6 * abs(loss64.total), seed
+            for key in ("w1", "b1", "w2", "b2"):
+                assert rel(grads32[key], grads64[key]) <= 1e-3, (seed, key)
+
+        wide = TrainConfig(k_rule="div:16", hidden=8)
+        rng = rng_from("float32-first-layer", "wide")
+        theta = np.stack([params_to_vector(ScorerParams.init(2048, 8, rng)) for _ in range(2)])
+        theta[:, 2048 * 8:2048 * 8 + 8] = rng.normal(size=(2, 8))  # b1
+        steps = []
+        for dtype in (np.float64, np.float32):
+            runs = [(MixedDataset(*([VideoSample(f"r{r}-{y}", rng_from("wide", r, y).normal(size=(200, 2048))
+                                                  .astype(np.float32).astype(dtype), y, 0)] for y in (1, 0))),
+                     replace(wide, seed=r)) for r in range(2)]
+            plan, schedule = milcore._lockstep_plan(runs, wide)
+            (step,) = milcore._layout_window(plan, schedule.bags[:1])
+            assert [b1 - b0 for b0, b1, *_ in step.chunks] == [1] * 4
+            steps.append(total_loss_and_grads(theta, step, plan))
+        (loss64, grads64), (loss32, grads32) = steps
+        assert np.all(np.abs(loss32.total - loss64.total) <= 1e-6 * np.abs(loss64.total))
+        assert np.all(np.abs(grads32 - grads64).max(axis=1) <= 1e-5 * np.abs(grads64).max(axis=1))
 
 
 class TestFilterSynthetic:
@@ -605,56 +658,61 @@ class TestTrain:
                     assert np.array_equal(getattr(result.params, key), getattr(other.params, key)), key
                 assert result.history == other.history
 
-    def test_stacking_never_changes_a_runs_chunking(self, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_stacking_never_changes_a_runs_chunking(self, monkeypatch, dtype):
         # A run's forward chunks come from its own bags: with a budget of 24
         # float64 rows, run "wide" (one 12-clip bag) takes chunks of 2 bags
         # and run "narrow" (4-clip bags) one chunk a step. Each run's step
-        # fits one cast, the stacked step does not, so it is cast one chunk
-        # at a time. Stacked, every run must get the matmul shapes it gets
-        # alone and end bit-identical to it.
+        # fits one copy, the stacked step does not, so it is copied one
+        # chunk at a time. Float64 bags are copied by a cast; float32 bags
+        # are never cast, and a float32 one-bag chunk is not copied at all.
+        # Stacked, every run must get the matmul shapes it gets alone and
+        # end bit-identical to it.
         import gvvad.milcore as milcore
 
         monkeypatch.setattr(milcore, "_CHUNK_BYTES", 24 * 5 * 8)
-        forwards = []  # per forward: the rows of each float64 cast, and each chunk's (run, rows)
+        forwards = []  # per forward: the rows of each copy by dtype, and each chunk's (run, rows, bags)
         exact, concatenate = milcore._forward, np.concatenate
 
         def spy(bags, chunks, *args):
-            casts = []
+            copies = {np.float64: [], np.float32: []}
 
-            def cast(arrays, **kwargs):
+            def copy(arrays, **kwargs):
                 out = concatenate(arrays, **kwargs)
-                if kwargs.get("dtype") is np.float64:
-                    casts.append(len(out))
+                copies[kwargs["dtype"]].append(len(out))
                 return out
 
             with monkeypatch.context() as patch:
-                patch.setattr(np, "concatenate", cast)
+                patch.setattr(np, "concatenate", copy)
                 exact(bags, chunks, *args)
-            forwards.append((casts, [(r, hi - lo) for _, _, lo, hi, products in chunks for r, _ in products]))
+            forwards.append((copies, [(r, hi - lo, b1 - b0) for b0, b1, lo, hi, products in chunks
+                                      for r, _ in products]))
 
         monkeypatch.setattr(milcore, "_forward", spy)
 
         def run(tag, long_clips, lam, seed):
             def pool(y):
-                return tuple(sample(f"{tag}-{y}{i}", y, y_s=i % 2, t=long_clips if (y, i) == (1, 0) else 4)
+                return tuple(sample(f"{tag}-{y}{i}", y, y_s=i % 2, t=long_clips if (y, i) == (1, 0) else 4, dtype=dtype)
                              for i in range(4))
             return MixedDataset(pool(1), pool(0)), TrainConfig(lam=lam, epochs=2, batch_pairs=2, hidden=3, seed=seed)
 
         def chunk_rows(run):  # per step: the rows of each of the run's chunks
-            return [[n for r, n in chunks if r == run] for _, chunks in forwards]
+            return [[n for r, n, _ in chunks if r == run] for _, chunks in forwards]
 
         runs = [run("wide", 12, 0.5, 1), run("narrow", 4, 2.0, 2)]
         stacked = train_runs(runs)
-        assert any(len(casts) > 1 for casts, _ in forwards)
-        for casts, chunks in forwards:
-            rows = [n for _, n in chunks]
-            assert casts == ([sum(rows)] if sum(rows) <= 24 else rows)
+        assert any(len(copies[dtype]) > 1 for copies, _ in forwards)
+        for copies, chunks in forwards:
+            rows = [n for _, n, _ in chunks]
+            chunked = rows if dtype is np.float64 else [n for _, n, bags in chunks if bags > 1]
+            assert copies[dtype] == ([sum(rows)] if sum(rows) <= 24 else chunked)
+            assert copies[np.float64 if dtype is np.float32 else np.float32] == []
         stacked_rows = [chunk_rows(r) for r in range(len(runs))]
         assert max(map(len, stacked_rows[0])) >= 2
         for (data, config), result, rows in zip(runs, stacked, stacked_rows):
             forwards.clear()
             alone = train(data, config)
-            assert all(len(casts) == 1 for casts, _ in forwards)
+            assert all(len(copies[dtype]) == 1 for copies, _ in forwards)
             assert rows == chunk_rows(0)
             for key in ("w1", "b1", "w2", "b2"):
                 assert np.array_equal(getattr(result.params, key), getattr(alone.params, key)), key
@@ -708,6 +766,14 @@ class TestTrain:
         with pytest.raises(ValidationError, match=f"must share {field}; only lam and seed may differ"):
             train_runs(runs)
         assert len(train_runs([(dataset, replace(config, **{field: values[0]})) for _, config in runs])) == 2
+
+    def test_float32_first_layer_overflow_stops_training(self):
+        # Features near the float32 limit overflow a float32 first layer.
+        # The overflowed clips score NaN, and the step refuses them by video.
+        big = VideoSample("a-big", np.full((6, 5), 3e38, dtype=np.float32), 1, 0)
+        dataset = MixedDataset((big, sample("a1", 1)), (sample("n0", 0), sample("n1", 0)))
+        with pytest.raises(ValidationError, match=r"clip scores of video 'a-big' are non-finite"):
+            train(dataset, TrainConfig(epochs=1, batch_pairs=2))
 
     def test_nan_clip_scores_stop_training(self):
         # At lr=1e100 the weights blow up until some clip scores are NaN
