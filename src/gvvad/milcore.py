@@ -20,7 +20,7 @@ runs share one TrainConfig except for lambda and the seed, and the
 parameters of all runs live in one (R, P) array. What a step needs of the
 schedule alone (which bag belongs to which run and (run, source) group,
 each bag's clip rows, k, label and pair source, the top-k row positions,
-the group bounds and the pair each bag's loss adds to) is laid out ahead
+the backward's buckets and the pair each bag's loss adds to) is laid out ahead
 of the steps by :func:`_layout_window`, in one vectorized pass per window
 of ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays
 out its one step the same way. A step then does only what depends on the
@@ -39,13 +39,19 @@ pieces of its own ``_Plan.chunk_bags``, exactly as when the run trains
 alone, because BLAS rounding depends on the matrix shape. The bias adds
 and the ReLU run once over all rows of the step. Sigmoid and the NaN check
 follow, then top-k means, BCE and loss scaling, each rule called once per
-step over all runs, and the gather of the top-k rows. The backward pass
-covers only those rows, once per (run, source), and each run's gradient is
-``real + lambda * synthetic``. Runs are ordered by schedule length and a run
-leaves the stack when its schedule ends, so every stacked run takes every
-step: Adam updates the stack with one shared step count, and a finished
-run's count stays at its own number of steps. Each run ends bit-identical
-to the same run trained alone. The same forward scores test sets
+step over all runs. The top-k rows' features are one take from the
+one-piece copy that :func:`_forward` hands back (one take per bag for a
+step copied by chunks). The backward covers only those rows, in buckets
+of the step's (run, source) groups with equal selected row counts, never
+padded: one call per block per bucket, whose stacked product makes for
+each group the BLAS call a product of its own would. Each group has a
+gradient slot, and each run's gradient is ``real + lambda * synthetic``
+over its two slots, an empty group's holding zeros. Runs are ordered by
+schedule length and a run leaves the stack when its schedule ends, so
+every stacked run takes every step: Adam updates the stack with one
+shared step count, and a finished run's count stays at its own number of
+steps. Each run ends bit-identical to the same run trained alone. The
+same forward scores test sets
 (:class:`gvvad.evaluation.PreparedTestSet`) and :func:`score_segments`.
 """
 
@@ -128,11 +134,16 @@ class ScorerParams:
 
 
 def score_segments(params: ScorerParams, features) -> np.ndarray:
-    """Anomaly score in (0,1) per clip; clips are scored independently."""
+    """Anomaly score in (0,1) per clip; clips are scored independently.
+    Clips whose float32 first layer overflows are refused, as evaluation
+    refuses them."""
     x = np.asarray(features)
     if x.ndim != 2 or x.shape[1] != params.dim:
         raise ShapeError(f"features {x.shape} do not match scorer dim {params.dim}")
-    return stable_sigmoid(_logits([params], [x], 1)[0])
+    scores = stable_sigmoid(_logits([params], [x], 1)[0])
+    if np.isnan(scores.sum()):
+        raise ValidationError("clip scores are non-finite: the first layer overflows on them")
+    return scores
 
 
 @functools.lru_cache(maxsize=64)
@@ -374,10 +385,11 @@ def _one_piece(rows, dim: int):
     return rows * (8 * dim) <= _CHUNK_BYTES
 
 
-def _forward(bags, chunks, row_run, weights, h, logits) -> None:
+def _forward(bags, chunks, row_run, weights, h, logits):
     """Write the hidden activation and the logit of every output row into
     ``h`` (rows, hidden) and ``logits`` (rows,), under the weights of its
-    run ``row_run[row]``.
+    run ``row_run[row]``. Returns the one-piece copy of ``bags`` (rows,
+    dim), or None when they were copied one chunk at a time.
 
     ``weights`` are (w1, b1, w2, b2) with a leading run axis. ``bags`` are
     the feature arrays in row order, and ``chunks`` are (first bag, end
@@ -409,7 +421,6 @@ def _forward(bags, chunks, row_run, weights, h, logits) -> None:
             for r, out in products:
                 np.matmul(rows, w1[r].T, out=h[out:out + hi - lo])
             del rows  # before the next chunk's copy
-        del x
         h += b1.take(row_run, axis=0)
         np.maximum(h, 0.0, out=h)
         for _, _, lo, hi, products in chunks:
@@ -419,9 +430,10 @@ def _forward(bags, chunks, row_run, weights, h, logits) -> None:
         logits += b2[row_run]
     # A float32 product can overflow where a float64 one does not; the
     # ReLU clears one at -inf, and any other reaches the logit. Such a clip
-    # scores NaN, which training and evaluation refuse by video.
+    # scores NaN, which training and evaluation refuse.
     if float32 and not math.isfinite(logits.sum()):
         logits[~np.isfinite(logits)] = np.nan
+    return x
 
 
 def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
@@ -488,7 +500,7 @@ class _BagTable:
                 raise ShapeError(f"features of {s.id!r} have dim {s.dim}, scorer has {dim}")
         features = [np.asarray(s.features) for s in self.samples]
         dtype = np.result_type(*{f.dtype for f in features})
-        features = [f.astype(dtype, copy=False) for f in features]  # the backward gathers into one dtype
+        features = [f.astype(dtype, copy=False) for f in features]  # a mixed pool trains as float64 at every step
         clips = np.array([len(f) for f in features])
         return _Plan(
             features=features,
@@ -517,9 +529,12 @@ class _StepLayout:
 
     Bags are in (run, source) group order g = 2 * run + source, each group
     in slot order, so a pair's anomalous bag comes before its normal one;
-    rows count the step's clips, bag by bag, from 0. The selected rows are
-    every bag's first k ranks, bag by bag, so a selected row's bag follows
-    from ``k`` and its run from ``row_run``.
+    rows count the step's clips, bag by bag, from 0. A selected row is one
+    of a bag's first k ranks. The backward takes the selected rows bucket
+    by bucket: a bucket holds the step's groups with one selected row
+    count, in group order, and the buckets go by ascending row count. Each
+    group's rows lie together, its bags in order and each bag's ranks in
+    order; its gradient has one slot, counted in the same order.
     """
 
     bags: list  # per bag: its features
@@ -534,7 +549,9 @@ class _StepLayout:
     synthetic: np.ndarray  # (runs, pairs) pair sources, bool like y
     sel_order: np.ndarray  # per selected row: its flat index in the padded clip order
     sel_start: np.ndarray  # per selected row: its bag's first row
-    groups: list  # (group, first, end) of each group's selected rows, empty groups left out
+    sel_bag: np.ndarray  # per selected row: its bag
+    buckets: list  # (first, end) selected row and (first, end) gradient slot of each bucket
+    grad_slots: list  # per run: its real and synthetic group's gradient slot, past the last if empty
 
 
 def _layout_window(plan: _Plan, bags: np.ndarray):
@@ -547,9 +564,10 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     from_synthetic = plan.synthetic[bags] & has_bag
     synthetic = from_synthetic[..., 0::2] | from_synthetic[..., 1::2]
     step, run, slot = has_bag.nonzero()
-    group = 2 * run + synthetic[step, run, slot // 2]
-    by_group = (2 * n_runs * step + group).argsort(kind="stable")
-    step, run, slot, group = step[by_group], run[by_group], slot[by_group], group[by_group]
+    n_groups = 2 * n_runs  # per step; group g = 2 * run + source
+    key = n_groups * step + 2 * run + synthetic[step, run, slot // 2]  # per bag: its (step, group)
+    by_group = key.argsort(kind="stable")
+    step, run, slot, key = step[by_group], run[by_group], slot[by_group], key[by_group]
     videos = bags[step, run, slot]
     clips, k = plan.clips[videos], plan.k[videos]
     # First bag of each step and of each (step, run); first row and first
@@ -561,16 +579,33 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     step_row, step_sel = row_at[bag_at], sel_at[bag_at]
     widths = np.maximum.reduceat(clips, bag_at[:-1])
     is_clip = np.arange(widths.max()) < clips[:, None]
+    # The backward's buckets: each step's nonempty groups by selected row
+    # count, stably, so in group order within a bucket; a group's gradient
+    # slot is its place in that order. The selected rows follow their groups.
+    sizes = sel_at[key.searchsorted(np.arange(n_groups * n_steps + 1))]
+    sizes = sizes[1:] - sizes[:-1]  # per (step, group)
+    groups = sizes.nonzero()[0]
+    groups = groups[np.lexsort((sizes[groups], groups // n_groups))]
+    group_step, size = groups // n_groups, sizes[groups]
+    group_at = group_step.searchsorted(np.arange(n_steps + 1))
+    group_slot = np.arange(len(groups)) - group_at[group_step]
+    grad_slots = np.repeat(group_at[1:] - group_at[:-1], n_groups)  # an empty group's: one past its step's last
+    grad_slots[groups] = group_slot
     sel_bag = np.repeat(np.arange(len(videos)), k)
     sel_step = step[sel_bag]
-    sel_start = row_at[sel_bag] - step_row[sel_step]
-    sel_order = (sel_bag - bag_at[sel_step]) * widths[sel_step] + np.arange(len(sel_bag)) - sel_at[sel_bag]
-    bounds = (2 * n_runs * sel_step + group[sel_bag]).searchsorted(
-        2 * n_runs * np.arange(n_steps)[:, None] + np.arange(2 * n_runs + 1)) - step_sel[:-1, None]
-    group_step, group_id = (bounds[:, :-1] < bounds[:, 1:]).nonzero()
-    group_at = group_step.searchsorted(np.arange(n_steps + 1)).tolist()
-    groups = list(zip(group_id.tolist(), bounds[group_step, group_id].tolist(),
-                      bounds[group_step, group_id + 1].tolist()))
+    by_bucket = (n_groups * step + grad_slots[key])[sel_bag].argsort(kind="stable")
+    grad_slots = grad_slots.reshape(n_steps, n_runs, 2).tolist()
+    sel_start = (row_at[sel_bag] - step_row[sel_step])[by_bucket]
+    sel_order = ((sel_bag - bag_at[sel_step]) * widths[sel_step] + np.arange(len(sel_bag)) - sel_at[sel_bag])[by_bucket]
+    sel_bag = (sel_bag - bag_at[sel_step])[by_bucket]
+    # A bucket starts at each group whose step or size differs from the one before.
+    first = np.flatnonzero((group_step[1:] != group_step[:-1]) | (size[1:] != size[:-1])) + 1
+    first = np.concatenate(([0], first))
+    depth = np.concatenate((first[1:], [len(groups)])) - first  # groups per bucket
+    lo = np.concatenate(([0], size.cumsum()))[first] - step_sel[group_step[first]]
+    buckets = list(zip(lo.tolist(), (lo + depth * size[first]).tolist(),
+                       group_slot[first].tolist(), (group_slot[first] + depth).tolist()))
+    bucket_at = group_step[first].searchsorted(np.arange(n_steps + 1)).tolist()
     pair_at, y = n_slots // 2 * run + slot // 2, plan.y[videos]
 
     features = [plan.features[v] for v in videos.tolist()]
@@ -602,7 +637,9 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
             synthetic=synthetic[t, :n],
             sel_order=sel_order[s0:s1],
             sel_start=sel_start[s0:s1],
-            groups=groups[group_at[t]:group_at[t + 1]],
+            sel_bag=sel_bag[s0:s1],
+            buckets=buckets[bucket_at[t]:bucket_at[t + 1]],
+            grad_slots=grad_slots[t][:n],
         )
 
 
@@ -610,8 +647,8 @@ def total_loss_and_grads(params, batch, config):
     """Scaled loss and exact gradients over a batch of (anomalous, normal) bag pairs.
 
     A pair counts as synthetic when either member is synthetic. Each bag
-    keeps only its top-k rows; one backward pass per source runs over those
-    rows into a real and a synthetic gradient, and the result is
+    keeps only its top-k rows; the backward pass runs over those rows into
+    a real and a synthetic gradient, and the result is
     ``real + lambda * synthetic``; lambda = 1 trains without scaling.
 
     One run: ``params`` is a ScorerParams, ``batch`` a sequence of pairs and
@@ -647,7 +684,7 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     n_runs, n_rows = len(theta), len(step.row_run)
     weights = _stacked_views(theta, plan.dim, plan.hidden)
     h, logits = np.empty((n_rows, plan.hidden)), np.empty(n_rows)
-    _forward(step.bags, step.chunks, step.row_run, weights, h, logits)
+    copy = _forward(step.bags, step.chunks, step.row_run, weights, h, logits)
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
         bag_at = step.is_clip.sum(axis=1).cumsum()  # each bag's end row
@@ -657,14 +694,19 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     padded = np.full(step.is_clip.shape, -np.inf)
     padded[step.is_clip] = scores
     y_hat, order = topk_mean(padded, step.k, return_indices=True)
-    # The top-k rows of every bag, bag by bag, in descending-score order; x
-    # comes from the features as stored, one bag at a time.
+    # The top-k rows of every bag, bucket by bucket as the layout orders
+    # them; x, as float64, in one take from the forward's one-piece copy,
+    # else bag by bag from the features as stored.
     rows = step.sel_start + order.take(step.sel_order)
     h, s = h[rows], scores[rows]
-    x = np.empty((len(rows), plan.dim), dtype=step.bags[0].dtype)
-    sel_at = [0, *itertools.accumulate(step.k.tolist())]
-    for features, ranked, lo, hi in zip(step.bags, order, sel_at, sel_at[1:]):
-        features.take(ranked[:hi - lo], axis=0, out=x[lo:hi], mode="clip")
+    if copy is not None:
+        x = copy.take(rows, axis=0).astype(np.float64, copy=False)
+    else:
+        x = np.empty((len(rows), plan.dim))
+        firsts = np.flatnonzero(np.diff(step.sel_bag, prepend=-1)).tolist()
+        for lo, hi in zip(firsts, [*firsts[1:], len(rows)]):
+            b = int(step.sel_bag[lo])
+            x[lo:hi] = step.bags[b][order[b, :hi - lo]]
 
     loss, dy_hat = bce(step.y, y_hat, plan.clamp_eps, return_grad=True)
     # A pair's anomalous bag comes first, so each pair sums 0.0 + a + n = a + n.
@@ -672,17 +714,27 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     lam = plan.lam[:n_runs]
     breakdown = ssls_scale(pair_loss, step.synthetic, lam)
 
-    # Backward once per (run, source) group, over its bags' top-k rows.
-    du = np.repeat(dy_hat / step.k, step.k) * s * (1.0 - s)
-    dz1 = du[:, None] * weights[2][step.row_run[rows]] * (h > 0.0)
-    grads = np.zeros((n_runs, 2, theta.shape[1]))
-    g_w1, g_b1, g_w2, g_b2 = _stacked_views(grads.reshape(2 * n_runs, -1), plan.dim, plan.hidden)
-    for g, lo, hi in step.groups:
-        np.matmul(dz1[lo:hi].T, np.asarray(x[lo:hi], dtype=np.float64), out=g_w1[g])
-        dz1[lo:hi].sum(axis=0, out=g_b1[g])
-        np.matmul(h[lo:hi].T, du[lo:hi], out=g_w2[g])
-        g_b2[g] = du[lo:hi].sum()
-    return breakdown, grads[:, 0] + lam[:, None] * grads[:, 1]
+    # Backward once per bucket of equal-size (run, source) groups, over
+    # their bags' top-k rows, each group into its own gradient slot.
+    du = (dy_hat / step.k)[step.sel_bag] * s * (1.0 - s)
+    dz1 = weights[2][step.row_run[rows]]
+    dz1 *= du[:, None]
+    dz1 *= (h > 0.0)
+    grads = np.empty((step.buckets[-1][3] + 1, theta.shape[1]))
+    grads[-1] = 0.0  # the slot of every empty group
+    g_w1, g_b1, g_w2, g_b2 = _stacked_views(grads, plan.dim, plan.hidden)
+    for lo, hi, s0, s1 in step.buckets:
+        dz, d = dz1[lo:hi].reshape(s1 - s0, -1, plan.hidden), du[lo:hi].reshape(s1 - s0, -1)
+        np.matmul(dz.transpose(0, 2, 1), x[lo:hi].reshape(s1 - s0, -1, plan.dim), out=g_w1[s0:s1])
+        dz.sum(axis=1, out=g_b1[s0:s1])
+        np.matmul(h[lo:hi].reshape(s1 - s0, -1, plan.hidden).transpose(0, 2, 1), d[..., None],
+                  out=g_w2[s0:s1, :, None])
+        d.sum(axis=1, out=g_b2[s0:s1])
+    out = np.empty((n_runs, theta.shape[1]))
+    for r, ((real, synthetic), lam_r) in enumerate(zip(step.grad_slots, lam.tolist())):
+        np.multiply(grads[synthetic], lam_r, out=out[r])
+        out[r] += grads[real]  # real + lambda * synthetic
+    return breakdown, out
 
 
 # ---------------------------------------------------------------------------

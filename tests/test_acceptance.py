@@ -334,10 +334,11 @@ class TestCriterion6LambdaTrend:
             half = by["lambda=0.5"]
             full = by["lambda=1.0"]
             tiny = by["lambda=0.1"]
-            wins_half_vs_full = sum(half[s] >= full[s] for s in SEEDS)
-            wins_tiny_vs_half = sum(tiny[s] <= half[s] for s in SEEDS)
-            assert wins_half_vs_full >= 7, f"lambda=0.5 >= lambda=1.0 on only {wins_half_vs_full}/10 seeds"
-            assert wins_tiny_vs_half >= 7, f"lambda=0.1 <= lambda=0.5 on only {wins_tiny_vs_half}/10 seeds"
+            # Strict: a trainer that ignores lambda ties every seed and wins none.
+            wins_half_vs_full = sum(half[s] > full[s] for s in SEEDS)
+            wins_tiny_vs_half = sum(tiny[s] < half[s] for s in SEEDS)
+            assert wins_half_vs_full >= 7, f"lambda=0.5 > lambda=1.0 on only {wins_half_vs_full}/10 seeds"
+            assert wins_tiny_vs_half >= 7, f"lambda=0.1 < lambda=0.5 on only {wins_tiny_vs_half}/10 seeds"
 
 
 class TestCriterion7ModuleAblation:

@@ -98,6 +98,20 @@ class TestScoreSegments:
         with pytest.raises(ShapeError):
             score_segments(params, np.zeros((2, 5)))
 
+    def test_float32_first_layer_overflow_is_refused(self):
+        # 20 * 1e38 overflows float32 but not float64: the float32 clips are
+        # refused as train and evaluate refuse them, and their float64
+        # copies score.
+        w1 = np.zeros((2, 3))
+        w1[0, 0] = 20.0
+        params = ScorerParams(w1, np.zeros(2), np.array([1.0, 0.0]), -10.0)
+        features = np.zeros((3, 3), dtype=np.float32)
+        features[:, 0] = [0.0, 1e38, 1.0]
+        with pytest.raises(ValidationError, match="clip scores are non-finite: the first layer overflows on them"):
+            score_segments(params, features)
+        np.testing.assert_allclose(score_segments(params, features.astype(np.float64)),
+                                   [stable_sigmoid(-10.0), 1.0, stable_sigmoid(10.0)], rtol=1e-12)
+
 
 class TestTopK:
     def test_hand_case(self):
@@ -714,6 +728,61 @@ class TestTrain:
             alone = train(data, config)
             assert all(len(copies[dtype]) == 1 for copies, _ in forwards)
             assert rows == chunk_rows(0)
+            for key in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(result.params, key), getattr(alone.params, key)), key
+            assert result.history == alone.history
+
+    @pytest.mark.parametrize("dim, dtype, chunked", [(16, np.float32, False), (16, np.float64, False),
+                                                     (512, np.float32, False), (16, np.float32, True)])
+    def test_equal_size_groups_share_one_backward_product(self, monkeypatch, dim, dtype, chunked):
+        # Every bag has 6 clips and k = 2, so a step's (run, source) groups
+        # with as many bags have as many selected rows. The backward makes
+        # one w1 and one w2 product per distinct group size, stacking the
+        # groups of that size, and every run still ends bit-identical to
+        # the run trained alone. ``chunked`` copies a step one bag at a
+        # time, so the top-k rows come from each bag's features.
+        import gvvad.milcore as milcore
+
+        if chunked:
+            monkeypatch.setattr(milcore, "_CHUNK_BYTES", 6 * dim * 8)
+        steps = []  # per step: the group sizes, and the stack depth of each stacked product
+        exact, matmul = milcore._stacked_loss_and_grads, np.matmul
+
+        def spy(theta, step, plan):
+            sizes = {}
+            pairs = step.pairs[1]
+            for pair, k in zip(step.pair_at.tolist(), step.k.tolist()):
+                group = (pair // pairs, bool(step.synthetic.flat[pair]))
+                sizes[group] = sizes.get(group, 0) + k
+            stacked = []
+
+            def counting(a, b, **kwargs):
+                if np.ndim(a) == 3:
+                    stacked.append(len(a))
+                return matmul(a, b, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", counting)
+                out = exact(theta, step, plan)
+            steps.append((sorted(sizes.values()), stacked))
+            return out
+
+        monkeypatch.setattr(milcore, "_stacked_loss_and_grads", spy)
+
+        def run(tag, lam, seed):
+            def pool(y):
+                return tuple(sample(f"{tag}-{y}{i}", y, y_s=i % 2, t=6, dim=dim, dtype=dtype) for i in range(6))
+            return MixedDataset(pool(1), pool(0)), TrainConfig(lam=lam, epochs=3, batch_pairs=2, hidden=4,
+                                                               k_rule="fixed:2", seed=seed)
+
+        runs = [run("a", 0.5, 1), run("b", 2.0, 2), run("c", 0.25, 3)]
+        stacked = train_runs(runs)
+        assert any(len(set(sizes)) < len(sizes) for sizes, _ in steps)  # some bucket holds several groups
+        for sizes, products in steps:
+            depths = [sizes.count(n) for n in sorted(set(sizes))]
+            assert products == [d for d in depths for _ in range(2)]  # w1 and w2, one each per bucket
+        for (data, config), result in zip(runs, stacked):
+            alone = train(data, config)
             for key in ("w1", "b1", "w2", "b2"):
                 assert np.array_equal(getattr(result.params, key), getattr(alone.params, key)), key
             assert result.history == alone.history
