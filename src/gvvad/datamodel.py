@@ -43,11 +43,12 @@ _CHECKSUM = struct.Struct("<Q")
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
-# Timings on a 2-core x86 host. The vectorized path wins from about 1.3 KiB
-# (2 KiB: 264 vs 364 us; a 3,200-byte label file: 270 vs 411 us). The switch
-# stays at 8 KiB: every payload of the README walkthrough lies below it, and
-# the first vectorized call makes about 0.25 MB of numpy code resident to save
-# under 1 ms.
+# Timings on a 2-core x86 host. The table-driven short path wins up to about
+# 2.5 KiB (1 KiB: 56 vs 116 us; 2 KiB: 103 vs 122 us), the vectorized one
+# above (a 3,200-byte label file: 127 vs 159 us; 4 KiB: 134 vs 208 us). The
+# switch stays at 8 KiB: every payload of the README walkthrough lies below
+# it, and the first vectorized call makes about 0.25 MB of numpy code
+# resident to save under 0.3 ms.
 _VECTORIZED_MIN_BYTES = 8 * 1024
 # Bytes per bit-plane pass. A pass makes about 200 numpy calls whatever its size;
 # on 1.6 MB payloads 64 KiB chunks hashed at 77 MB/s, 128 KiB at 93 and 256 KiB
@@ -69,15 +70,17 @@ _ID_RE = re.compile(r"[A-Za-z0-9._-]+")  # ids name files: checked on write and 
 def fnv1a64(data) -> int:
     """64-bit FNV-1a hash of ``data`` (bytes, bytearray or a byte memoryview).
 
-    Each step is ``h <- (h ^ b) * P mod 2**64``. Short inputs take the byte
-    loop; from ``_VECTORIZED_MIN_BYTES`` on the same value is computed with
-    numpy in two stages:
+    Each step is ``h <- (h ^ b) * P mod 2**64``. The same value is computed
+    in two stages:
 
     - The low byte ``l`` of ``h`` follows its own recurrence,
-      ``l' = ((l ^ b) * (P & 0xFF)) mod 256``. ``P & 0xFF`` is odd, so bit k of
-      ``l'`` is bit k of ``l`` XOR bit k of ``((l mod 2**k) ^ b) * P``, which
-      depends only on the bits below k. Eight rounds, one bit plane each,
-      solve the whole sequence: a uint8 multiply, a mask and a prefix XOR.
+      ``l' = ((l ^ b) * (P & 0xFF)) mod 256``. Short inputs step it one
+      byte at a time through a 256-entry table. From
+      ``_VECTORIZED_MIN_BYTES`` on, numpy solves it by bit planes: ``P &
+      0xFF`` is odd, so bit k of ``l'`` is bit k of ``l`` XOR bit k of
+      ``((l mod 2**k) ^ b) * P``, which depends only on the bits below k.
+      Eight rounds, one bit plane each, solve the whole sequence: a uint8
+      multiply, a mask and a prefix XOR.
     - XOR with a byte only changes the low byte, so ``h ^ b = h + d`` with
       ``d = (l ^ b) - l``. Then ``h_n = h_0 * P**n + sum(d_i * P**(n - i))``
       mod 2**64, one uint64 dot product per block, which wraps exactly.
@@ -88,10 +91,16 @@ def fnv1a64(data) -> int:
 
 
 def _fnv1a64_loop(data) -> int:
-    h = _FNV_OFFSET
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    return h
+    """FNV-1a of short inputs (see fnv1a64): the low byte's states one byte
+    at a time from a table, then the affine sum."""
+    b = np.frombuffer(data, dtype=np.uint8)
+    steps = _low_steps()
+    low, state = [], _FNV_OFFSET & 0xFF
+    for byte in b.tolist():
+        low.append(state)  # low[i]: low byte of the state before byte i
+        state = steps[state ^ byte]
+    low = np.array(low, dtype=np.uint8)
+    return _add_deltas(_FNV_OFFSET, low ^ b, low)
 
 
 def _prefix_xor(bits: np.ndarray) -> np.ndarray:
@@ -105,14 +114,31 @@ def _prefix_xor(bits: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
+def _low_steps() -> tuple:
+    """steps[v] = (v * P) mod 256: the low byte after a step whose XOR gave v."""
+    return tuple((v * _FNV_PRIME) & 0xFF for v in range(256))
+
+
+@functools.cache
 def _powers() -> np.ndarray:
     """powers[i] = P**(i + 1) mod 2**64 for i < _BLOCK_BYTES, built once per process."""
     return np.multiply.accumulate(np.full(_BLOCK_BYTES, _FNV_PRIME, dtype=np.uint64))
 
 
+def _add_deltas(h: int, x: np.ndarray, low: np.ndarray) -> int:
+    """The state after the bytes whose low bytes before and after the XOR
+    are ``low`` and ``x`` (uint8), from state ``h``: one uint64 dot product
+    per block of the affine sum (see fnv1a64), which wraps exactly."""
+    powers = _powers()
+    for block in range(0, len(x), _BLOCK_BYTES):
+        m = min(_BLOCK_BYTES, len(x) - block)  # the block's deltas are weighted by powers[m - 1::-1]
+        delta = np.subtract(x[block:block + m], low[block:block + m], dtype=np.uint64)  # h ^ b == h + delta
+        h = (h * int(powers[m - 1]) + int(np.dot(delta, powers[m - 1::-1]))) & _MASK64
+    return h
+
+
 def _fnv1a64_vectorized(data) -> int:
     """FNV-1a by low-byte bit planes and one affine sum per block (see fnv1a64)."""
-    powers = _powers()
     arr = np.frombuffer(data, dtype=np.uint8)
     # The work arrays are sized once per call. A chunk's bytes b are read in
     # place, and copied only to pad them to a multiple of 64 with zeros, which
@@ -136,10 +162,7 @@ def _fnv1a64_vectorized(data) -> int:
             flips *= bit
             low[1:] |= flips[:-1]
         np.bitwise_xor(low, b, out=x)
-        for block in range(0, n, _BLOCK_BYTES):
-            m = min(_BLOCK_BYTES, n - block)  # the block's deltas are weighted by powers[m - 1::-1]
-            delta = np.subtract(x[block:block + m], low[block:block + m], dtype=np.uint64)  # h ^ b == h + delta
-            h = (h * int(powers[m - 1]) + int(np.dot(delta, powers[m - 1::-1]))) & _MASK64
+        h = _add_deltas(h, x[:n], low[:n])
     return h
 
 

@@ -45,8 +45,9 @@ step copied by chunks). The backward covers only those rows, in buckets
 of the step's (run, source) groups with equal selected row counts, never
 padded: one call per block per bucket, whose stacked product makes for
 each group the BLAS call a product of its own would. Each group has a
-gradient slot, and each run's gradient is ``real + lambda * synthetic``
-over its two slots, an empty group's holding zeros. Runs are ordered by
+gradient slot, an empty group's holding zeros; one take gathers every
+run's real and synthetic slot, and every run's gradient is then ``real +
+lambda * synthetic`` in one multiply and one add. Runs are ordered by
 schedule length and a run leaves the stack when its schedule ends, so
 every stacked run takes every step: Adam updates the stack with one
 shared step count, and a finished run's count stays at its own number of
@@ -208,12 +209,6 @@ def resolve_k(rule: str, num_clips: int) -> int:
     raise ValidationError(f"unknown k rule {rule!r}")
 
 
-def _descending(scores: np.ndarray) -> np.ndarray:
-    """Clip order by descending score along the last axis; ties keep the
-    lower clip index first."""
-    return np.argsort(-scores, axis=-1, kind="stable")
-
-
 def topk_mean(scores, k, return_indices: bool = False):
     """Mean of the k largest scores, summed in descending-score order.
 
@@ -228,27 +223,41 @@ def topk_mean(scores, k, return_indices: bool = False):
     With ``return_indices`` it returns ``(mean, indices)``: for one bag the
     indices of its k selected clips, for rows each row's clips in
     descending-score order, the first k of them selected.
+
+    NaN scores are refused, and so is a k below 1 or past its bag's clips.
     """
     s = np.asarray(scores, dtype=np.float64)
-    if s.ndim == 1:
-        rows, ks, clips = s[None], np.array([k]), np.array([len(s)])
-    elif s.ndim == 2:
-        rows, ks, clips = s, np.asarray(k), (s > -np.inf).sum(axis=1)
-    else:
+    if s.ndim not in (1, 2):
         raise ShapeError(f"scores must be 1-D or 2-D, got shape {s.shape}")
-    if ks.shape != clips.shape or not ((ks >= 1) & (ks <= clips)).all():
-        raise ValidationError(f"k={k} out of range for {clips[0] if s.ndim == 1 else clips} clips")
-    order = _descending(rows)
-    ranked = rows[np.arange(len(rows))[:, None], order]
-    if ks.min() < 8:
-        head = min(7, rows.shape[1])
-        means = np.where(np.arange(head) < ks[:, None], ranked[:, :head], 0.0).sum(axis=1) / ks
-    else:
-        means = np.empty(len(ks))
-    if ks.max() >= 8:
-        for kk in sorted(set(ks[ks >= 8].tolist())):
-            at = np.flatnonzero(ks == kk)
-            means[at] = ranked[at, :kk].sum(axis=1) / kk
+    rows = s.reshape(-1, s.shape[-1])
+    ks = np.asarray(k).reshape(-1) if s.ndim == 1 else np.asarray(k)
+    width = rows.shape[1]
+    k_list = ks.tolist() if ks.shape == (len(rows),) else [0]
+    # k is checked against the ranked scores, not a count of clips: a mean
+    # that reaches a row's -inf padding is -inf, or NaN next to a +inf
+    # score. Clips are counted only then, to tell such a k from a mean of
+    # finite scores that overflowed.
+    k_min, k_max = min(k_list), max(k_list)
+    in_range = 1 <= k_min and k_max <= width
+    if in_range:
+        order = (-rows).argsort(axis=1, kind="stable")  # descending; ties keep the lower clip first
+        ranked = rows.take(order + np.arange(0, rows.size, width)[:, None])
+        if math.isnan(ranked[:, -1].max()):  # NaN sorts last
+            raise ValidationError("scores must not be NaN")
+        if k_min < 8:
+            head = min(7, width)
+            means = np.where(np.arange(head) < ks[:, None], ranked[:, :head], 0.0).sum(axis=1) / ks
+        else:
+            means = np.empty(len(ks))
+        if k_max >= 8:
+            for kk in sorted({kk for kk in k_list if kk >= 8}):
+                at = np.flatnonzero(ks == kk)
+                means[at] = ranked[at, :kk].sum(axis=1) / kk
+        in_range = s.ndim == 1 or means.min() > -np.inf
+    if not in_range:
+        clips = np.array([len(s)]) if s.ndim == 1 else (s > -np.inf).sum(axis=1)
+        if ks.shape != clips.shape or not ((ks >= 1) & (ks <= clips)).all():
+            raise ValidationError(f"k={k} out of range for {clips[0] if s.ndim == 1 else clips} clips")
     if s.ndim == 1:
         means, order = float(means[0]), order[0, :k]
     return (means, order) if return_indices else means
@@ -274,9 +283,12 @@ class LossBreakdown:
 
 
 def _left_fold(values: np.ndarray):
-    """Left-to-right sum over the last axis, starting from 0.0."""
-    total = np.zeros(values.shape[:-1])
-    for j in range(values.shape[-1]):
+    """Left-to-right sum over the last axis, starting from 0.0. The first
+    column plus 0.0 is 0.0 plus it, bit for bit, -0.0 included."""
+    if not values.shape[-1]:
+        return np.zeros(values.shape[:-1])
+    total = values[..., 0] + 0.0
+    for j in range(1, values.shape[-1]):
         total += values[..., j]
     return total
 
@@ -296,9 +308,11 @@ def ssls_scale(raw_losses, source_labels, lam) -> LossBreakdown:
         raise ShapeError(f"scaling factors {lam.shape} do not match losses {raw.shape}")
     if not is_binary(ys):
         raise ValidationError("source labels must be 0 or 1")
-    if lam.min() < 0:
-        raise ValidationError(f"scaling factor must be >= 0, got {lam}")
-    scaled = np.where(ys == 1, lam[..., None] * raw, raw)
+    lams = lam.ravel().tolist()
+    if not all(0 <= v < math.inf for v in lams):  # NaN fails both bounds
+        rule = ">= 0" if any(v < 0 for v in lams) else "finite and >= 0"
+        raise ValidationError(f"scaling factor must be {rule}, got {lam}")
+    scaled = np.where(ys.astype(bool, copy=False), lam[..., None] * raw, raw)  # binary: nonzero is 1
     total = _left_fold(scaled)
     return LossBreakdown(raw=raw, scaled=scaled, total=float(total) if raw.ndim == 1 else total)
 
@@ -551,7 +565,7 @@ class _StepLayout:
     sel_start: np.ndarray  # per selected row: its bag's first row
     sel_bag: np.ndarray  # per selected row: its bag
     buckets: list  # (first, end) selected row and (first, end) gradient slot of each bucket
-    grad_slots: list  # per run: its real and synthetic group's gradient slot, past the last if empty
+    grad_slots: np.ndarray  # (2, runs): each run's real, then synthetic, group's gradient slot, past the last if empty
 
 
 def _layout_window(plan: _Plan, bags: np.ndarray):
@@ -594,7 +608,7 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     sel_bag = np.repeat(np.arange(len(videos)), k)
     sel_step = step[sel_bag]
     by_bucket = (n_groups * step + grad_slots[key])[sel_bag].argsort(kind="stable")
-    grad_slots = grad_slots.reshape(n_steps, n_runs, 2).tolist()
+    grad_slots = grad_slots.reshape(n_steps, n_runs, 2).transpose(2, 0, 1).copy()  # (source, step, run)
     sel_start = (row_at[sel_bag] - step_row[sel_step])[by_bucket]
     sel_order = ((sel_bag - bag_at[sel_step]) * widths[sel_step] + np.arange(len(sel_bag)) - sel_at[sel_bag])[by_bucket]
     sel_bag = (sel_bag - bag_at[sel_step])[by_bucket]
@@ -639,7 +653,7 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
             sel_start=sel_start[s0:s1],
             sel_bag=sel_bag[s0:s1],
             buckets=buckets[bucket_at[t]:bucket_at[t + 1]],
-            grad_slots=grad_slots[t][:n],
+            grad_slots=grad_slots[:, t, :n],
         )
 
 
@@ -730,10 +744,9 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
         np.matmul(h[lo:hi].reshape(s1 - s0, -1, plan.hidden).transpose(0, 2, 1), d[..., None],
                   out=g_w2[s0:s1, :, None])
         d.sum(axis=1, out=g_b2[s0:s1])
-    out = np.empty((n_runs, theta.shape[1]))
-    for r, ((real, synthetic), lam_r) in enumerate(zip(step.grad_slots, lam.tolist())):
-        np.multiply(grads[synthetic], lam_r, out=out[r])
-        out[r] += grads[real]  # real + lambda * synthetic
+    out, synthetic = grads.take(step.grad_slots, axis=0)  # every run's real and synthetic slot
+    synthetic *= lam[:, None]
+    out += synthetic  # real + lambda * synthetic
     return breakdown, out
 
 
@@ -940,7 +953,9 @@ def train_runs(runs, val_samples=None) -> list:
                 raise ValidationError(
                     f"training loss is non-finite at epoch {len(history[bad]) + 1}")
             live[...] = adam_step(live, grads, state)
-            if not np.isfinite(live).all():
+            # A finite sum has no inf or NaN term; only a sum that is not
+            # finite is searched element by element.
+            if not math.isfinite(live.sum()) and not np.isfinite(live).all():
                 vector_to_params(live[int(np.argmin(np.isfinite(live).all(axis=1)))], dim, hidden)  # names the block
             total_sum[:n] += breakdown.total
             mil_sum[:n] += _left_fold(breakdown.raw)

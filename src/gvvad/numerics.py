@@ -79,7 +79,8 @@ def stable_sigmoid(x):
     arr = np.asarray(x, dtype=np.float64)
     ex = np.exp(-np.abs(arr))
     denom = 1.0 + ex
-    out = np.where(arr >= 0, 1.0 / denom, ex / denom)
+    out = np.where(arr >= 0, 1.0, ex)
+    out /= denom
     np.minimum(np.maximum(out, _SIGMOID_FLOOR, out=out), _SIGMOID_CEIL, out=out)
     return float(out) if arr.ndim == 0 else out
 
@@ -102,12 +103,13 @@ def bce(y, y_hat, clamp_eps: float = DEFAULT_CLAMP_EPS, return_grad: bool = Fals
     if labels.shape != y_hat.shape:
         raise ShapeError(f"labels {labels.shape} and predictions {y_hat.shape} must have one shape")
     p = np.minimum(np.maximum(y_hat, clamp_eps), 1.0 - clamp_eps)
-    positive = labels == 1
+    positive = labels.astype(bool, copy=False)  # binary: nonzero is 1
     # math.log per element, not np.log: numpy's float64 log may take a
     # CPU-specific SIMD path, and a loss must not depend on the host.
     loss = np.array([-math.log(q) if pos else -math.log1p(-q)
                      for q, pos in zip(p.ravel().tolist(), positive.ravel().tolist())]).reshape(p.shape)
-    grad = np.where(p == y_hat, np.where(positive, -1.0 / p, 1.0 / (1.0 - p)), 0.0)
+    grad = np.where(positive, -1.0 / p, 1.0 / (1.0 - p))
+    grad[p != y_hat] = 0.0  # where the clamp is active, and for a NaN prediction
     if loss.ndim == 0:
         loss, grad = float(loss), float(grad)
     return (loss, grad) if return_grad else loss

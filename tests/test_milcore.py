@@ -144,6 +144,25 @@ class TestTopK:
         with pytest.raises(ValidationError):
             topk_mean(np.array([0.5]), 0)
 
+    def test_rows_k_out_of_range(self):
+        # Row 1 holds two clips and one -inf pad.
+        padded = np.array([[0.5, 0.4, 0.3], [0.2, 0.9, -np.inf]])
+        # k past a row's clips, k = 0, k past the padded width, and a k vector of the wrong length
+        for ks in ([3, 3], [0, 1], [1, 4], [1], [1, 1, 1]):
+            with pytest.raises(ValidationError, match=r"out of range for \[3 2\] clips"):
+                topk_mean(padded, np.array(ks))
+        np.testing.assert_array_equal(topk_mean(padded, np.array([3, 2])), [(0.5 + 0.4 + 0.3) / 3, (0.9 + 0.2) / 2])
+
+    def test_nan_scores_refused_in_both_shapes(self):
+        with pytest.raises(ValidationError, match="NaN"):
+            topk_mean(np.array([0.5, np.nan, 0.2]), 3)
+        with pytest.raises(ValidationError, match="NaN"):
+            topk_mean(np.array([0.5, np.nan, 0.2]), 1)
+        with pytest.raises(ValidationError, match="NaN"):
+            topk_mean(np.array([[0.5, np.nan, 0.2]]), np.array([2]))  # not padding: its k fits
+        with pytest.raises(ValidationError, match="NaN"):
+            topk_mean(np.array([[0.5, 0.1, -np.inf], [0.3, np.nan, -np.inf]]), np.array([1, 1]))
+
 
 class TestResolveK:
     def test_div_rule_default(self):
@@ -241,6 +260,15 @@ class TestSslsScale:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             ssls_scale(np.zeros(3), np.zeros(2, dtype=int), 0.5)
+
+    def test_non_finite_lambda_refused(self):
+        for lam in (math.nan, math.inf):
+            with pytest.raises(ValidationError, match="scaling factor must be finite and >= 0"):
+                ssls_scale(np.array([1.0, 2.0]), np.array([0, 1]), lam)
+        with pytest.raises(ValidationError, match="scaling factor must be finite and >= 0"):
+            ssls_scale(np.ones((2, 2)), np.ones((2, 2), dtype=bool), np.array([0.5, math.nan]))
+        with pytest.raises(ValidationError, match="scaling factor must be >= 0"):
+            ssls_scale(np.array([1.0, 2.0]), np.array([0, 1]), -math.inf)
 
 
 class TestTotalLossAndGrads:
