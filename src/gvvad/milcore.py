@@ -45,11 +45,11 @@ step copied by chunks). The backward covers only those rows, in buckets
 of the step's (run, source) groups with equal selected row counts, never
 padded: one call per block per bucket, whose stacked product makes for
 each group the BLAS call a product of its own would. Each group has a
-gradient slot, an empty group's holding zeros; one take gathers every
-run's real and synthetic slot, and every run's gradient is then ``real +
-lambda * synthetic`` in one multiply and one add. Runs are ordered by
-schedule length and a run leaves the stack when its schedule ends, so
-every stacked run takes every step: Adam updates the stack with one
+gradient slot, an empty group's holding zeros, and every run's gradient
+is ``real + lambda * synthetic``: one take of the runs' synthetic slots,
+scaled by their lambdas, plus one take of their real slots. Runs are
+ordered by schedule length and a run leaves the stack when its schedule
+ends, so every stacked run takes every step: Adam updates the stack with one
 shared step count, and a finished run's count stays at its own number of
 steps. Each run ends bit-identical to the same run trained alone. The
 same forward scores test sets
@@ -744,9 +744,11 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
         np.matmul(h[lo:hi].reshape(s1 - s0, -1, plan.hidden).transpose(0, 2, 1), d[..., None],
                   out=g_w2[s0:s1, :, None])
         d.sum(axis=1, out=g_b2[s0:s1])
-    out, synthetic = grads.take(step.grad_slots, axis=0)  # every run's real and synthetic slot
-    synthetic *= lam[:, None]
-    out += synthetic  # real + lambda * synthetic
+    # real + lambda * synthetic for every run at once. Two (runs, P) takes,
+    # not one (2, runs, P) take: that trained wide-io about 3% slower.
+    out = grads.take(step.grad_slots[1], axis=0)
+    out *= lam[:, None]
+    out += grads.take(step.grad_slots[0], axis=0)
     return breakdown, out
 
 

@@ -152,6 +152,9 @@ class TestTopK:
             with pytest.raises(ValidationError, match=r"out of range for \[3 2\] clips"):
                 topk_mean(padded, np.array(ks))
         np.testing.assert_array_equal(topk_mean(padded, np.array([3, 2])), [(0.5 + 0.4 + 0.3) / 3, (0.9 + 0.2) / 2])
+        # a mean of finite scores that overflows to -inf is not a k out of range
+        with np.errstate(over="ignore"):
+            assert topk_mean(np.array([[-1e308, -1e308]]), np.array([2])).tolist() == [-np.inf]
 
     def test_nan_scores_refused_in_both_shapes(self):
         with pytest.raises(ValidationError, match="NaN"):
