@@ -533,8 +533,10 @@ class _BagTable:
 
 # Lockstep steps whose layouts are built in one pass: enough to spread the
 # pass's few dozen numpy calls thin, few enough that a window stays small
-# (about 100 KB for 16 steps of five runs of 2 pairs).
-_LAYOUT_STEPS = 16
+# (about 0.4 MB for 64 steps of five runs of 2 pairs). Layout time a step on
+# a 2-core x86 host, at 16, 64 and 128 steps: 12.2, 8.3 and 7.8 us on
+# criterion 7's five-run schedule, 17.0, 11.1 and 9.3 us on a one-run one.
+_LAYOUT_STEPS = 64
 
 
 @dataclass(eq=False)
