@@ -49,9 +49,9 @@ gradient slot, an empty group's holding zeros, and every run's gradient
 is ``real + lambda * synthetic``: one take of the runs' synthetic slots,
 scaled by their lambdas, plus one take of their real slots. Runs are
 ordered by schedule length and a run leaves the stack when its schedule
-ends, so every stacked run takes every step: Adam updates the stack with one
-shared step count, and a finished run's count stays at its own number of
-steps. Each run ends bit-identical to the same run trained alone. The
+ends, so every stacked run takes every step: Adam updates the stack with
+one shared step count, and a finished run's count stays at its own number
+of steps. Each run ends bit-identical to the same run trained alone. The
 same forward scores test sets
 (:class:`gvvad.evaluation.PreparedTestSet`) and :func:`score_segments`.
 """
