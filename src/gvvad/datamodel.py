@@ -50,20 +50,25 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 # it, and the first vectorized call makes about 0.25 MB of numpy code
 # resident to save under 0.3 ms.
 _VECTORIZED_MIN_BYTES = 8 * 1024
-# Bytes per bit-plane pass. A pass makes about 200 numpy calls whatever its size;
-# on 1.6 MB payloads 64 KiB chunks hashed at 77 MB/s, 128 KiB at 93 and 256 KiB
-# at 102, while 512 KiB and 1 MiB were no faster and need larger temporaries.
+# Bytes per chunk of the vectorized path: one pass of bit-plane rounds and one
+# GEMM each, in a uint8 and a float32 work array of the chunk's size (1.25 MB
+# at 256 KiB). A round makes about 20 numpy calls whatever its size; on 1.6 MB
+# payloads 64 KiB chunks hashed at 187 MB/s, 128 KiB at 237, 256 KiB at 254 and
+# 512 KiB at 260, with peaks of 0.5, 0.9, 1.9 and 3.7 MB under tracemalloc.
 _CHUNK_BYTES = 256 * 1024
-# Bytes per uint64 dot product: 64 KB temporaries. 16 KiB blocks left wide-io's
-# wall time as it was (5 of 10 pairs) and raised its peak RSS by 0.5 MB; 512 KB
-# temporaries fragmented the heap enough to add about 1 MB.
+# Deltas per GEMM row. Each row sum of d * limb has at most 256 terms of
+# magnitude <= 255 * 255, so every partial sum, in any order, is an integer
+# below 256 * 255 * 255 = 16,646,400 < 2**24: float32 holds it exactly.
+_ROW_BYTES = 256
+# Bytes per uint64 dot product of the short path's affine sum (_add_deltas):
+# every input below the switch is one block.
 _BLOCK_BYTES = 8 * 1024
 # numpy scalars keep the dtypes fixed under both value-based and NEP 50 casting
 _PRIME_LOW = np.uint8(_FNV_PRIME & 0xFF)
 _BYTE_BITS = tuple(np.uint8(1 << k) for k in range(8))
 _WORD_SHIFTS = tuple(np.uint64(1 << k) for k in range(6))
 _TOP_BIT = np.uint64(63)
-_ALL_ONES = np.uint64(_MASK64)
+_ONE = np.uint64(1)
 _ID_RE = re.compile(r"[A-Za-z0-9._-]+")  # ids name files: checked on write and on load
 
 
@@ -83,7 +88,15 @@ def fnv1a64(data) -> int:
       multiply, a mask and a prefix XOR.
     - XOR with a byte only changes the low byte, so ``h ^ b = h + d`` with
       ``d = (l ^ b) - l``. Then ``h_n = h_0 * P**n + sum(d_i * P**(n - i))``
-      mod 2**64, one uint64 dot product per block, which wraps exactly.
+      mod 2**64. Short inputs take it as one uint64 dot product, which wraps
+      exactly. The vectorized path splits each ``P**j`` of a 256-byte row
+      into eight 8-bit limbs and sums ``d * limb`` with one float32 GEMM
+      per chunk, exact because every partial sum stays below 2**24; the
+      row sums then meet the powers of ``P**256`` in one uint64 dot
+      product.
+
+    On a 2-core x86 host the vectorized path hashes 1.6 MB and 525 KB
+    payloads at about 245 MB/s and 64 KiB at about 185 MB/s.
     """
     if len(data) < _VECTORIZED_MIN_BYTES:
         return _fnv1a64_loop(data)
@@ -101,16 +114,6 @@ def _fnv1a64_loop(data) -> int:
         state = steps[state ^ byte]
     low = np.array(low, dtype=np.uint8)
     return _add_deltas(_FNV_OFFSET, low ^ b, low)
-
-
-def _prefix_xor(bits: np.ndarray) -> np.ndarray:
-    """Inclusive prefix XOR of a 0/nonzero uint8 vector (length a multiple of 64) as 0/1 bytes."""
-    words = np.packbits(bits, bitorder="little").view("<u8")  # element j is bit j
-    for shift in _WORD_SHIFTS:
-        words ^= words << shift
-    carry = np.bitwise_xor.accumulate(words >> _TOP_BIT)  # parity of words[: i + 1]
-    words[1:] ^= carry[:-1] * _ALL_ONES
-    return np.unpackbits(words.view(np.uint8), bitorder="little")
 
 
 @functools.cache
@@ -137,33 +140,82 @@ def _add_deltas(h: int, x: np.ndarray, low: np.ndarray) -> int:
     return h
 
 
+@functools.cache
+def _limbs() -> np.ndarray:
+    """limbs[j, t] = byte t of P**(_ROW_BYTES - j) mod 2**64, as float32: the
+    weight of a row's delta j, split for the exact GEMM."""
+    weights = [pow(_FNV_PRIME, _ROW_BYTES - j, 1 << 64) for j in range(_ROW_BYTES)]
+    return np.array([[(w >> (8 * t)) & 0xFF for t in range(8)] for w in weights], dtype=np.float32)
+
+
+@functools.cache
+def _row_powers() -> np.ndarray:
+    """row_powers[r, t] = P**(_ROW_BYTES * (R - 1 - r)) * 2**(8 * t) mod 2**64,
+    R = _CHUNK_BYTES // _ROW_BYTES: the weight of limb t of a row's sum when
+    R - 1 - r rows follow it in its chunk, so a chunk of q rows takes the last q."""
+    rows = _CHUNK_BYTES // _ROW_BYTES
+    step = pow(_FNV_PRIME, _ROW_BYTES, 1 << 64)
+    return np.array([[(pow(step, rows - 1 - r, 1 << 64) << (8 * t)) & _MASK64 for t in range(8)]
+                     for r in range(rows)], dtype=np.uint64)
+
+
+def _prefix_xor(bits: np.ndarray, scratch: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """Inclusive prefix XOR of a 0/nonzero uint8 vector (length a multiple of 64)
+    as 0/1 bytes, with uint64 ``scratch`` and uint8 ``parity`` of one entry per word."""
+    words = np.packbits(bits, bitorder="little").view("<u8")  # element j is bit j
+    for shift in _WORD_SHIFTS:
+        np.left_shift(words, shift, out=scratch)
+        words ^= scratch
+    np.right_shift(words, _TOP_BIT, out=scratch)  # each word's parity in its low byte
+    np.cumsum(scratch.view(np.uint8)[::8], dtype=np.uint8, out=parity)  # odd: words[: j + 1] flip
+    scratch[:] = parity
+    scratch &= _ONE
+    np.negative(scratch, out=scratch)  # all ones where words[: j + 1] flip
+    words[1:] ^= scratch[:-1]
+    return np.unpackbits(words.view(np.uint8), bitorder="little")
+
+
+def _solve_low_bytes(u: np.ndarray, x: np.ndarray, scratch: np.ndarray, parity: np.ndarray) -> None:
+    """Turn ``u`` from the bytes b, with ``u[0] = l[0] ^ b[0]``, into ``l ^ b``
+    in place: one round per bit plane of the low bytes l (see fnv1a64), in
+    uint8 scratch ``x``. In round k, bits below k of ``u`` are final."""
+    for bit in _BYTE_BITS:
+        np.multiply(u, _PRIME_LOW, out=x)
+        x &= bit  # bit k of l[1], then of l[i + 1] ^ l[i]: u[0] is complete
+        flips = _prefix_xor(x, scratch, parity)
+        flips *= bit
+        u[1:] ^= flips[:-1]  # bit k of l[i + 1], so far 0, flips it in l ^ b
+
+
 def _fnv1a64_vectorized(data) -> int:
-    """FNV-1a by low-byte bit planes and one affine sum per block (see fnv1a64)."""
+    """FNV-1a by low-byte bit planes and one exact float32 GEMM per chunk (see fnv1a64)."""
     arr = np.frombuffer(data, dtype=np.uint8)
-    # The work arrays are sized once per call. A chunk's bytes b are read in
-    # place, and copied only to pad them to a multiple of 64 with zeros, which
-    # feed unused states alone.
-    size = -(-min(arr.size, _CHUNK_BYTES) // 64) * 64
-    low_buf, x_buf = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.uint8)
-    h = _FNV_OFFSET
+    # A chunk is hashed in whole rows: the last one is padded with zeros, and
+    # a zero byte only multiplies the state by P, so P**-pad undoes the padding.
+    # The work arrays are sized once per call and every chunk reuses them.
+    size = -(-min(arr.size, _CHUNK_BYTES) // _ROW_BYTES) * _ROW_BYTES
+    u_buf, delta_buf = np.empty(size, dtype=np.uint8), np.empty(size, dtype=np.float32)
+    scratch, parity = np.empty(size // 64, dtype="<u8"), np.empty(size // 64, dtype=np.uint8)
+    sums = np.empty((size // _ROW_BYTES, 8), dtype=np.float32)
+    limbs, row_powers = _limbs(), _row_powers()
+    h, pad = _FNV_OFFSET, -arr.size % _ROW_BYTES
     for start in range(0, arr.size, _CHUNK_BYTES):
         b = arr[start:start + _CHUNK_BYTES]
-        n = b.size
-        if n % 64:
-            b = np.concatenate((b, np.zeros(-n % 64, dtype=np.uint8)))
-        low, x = low_buf[:b.size], x_buf[:b.size]
-        low[:] = 0  # low[i]: low byte of the state before byte i, solved bit by bit
-        low[0] = h & 0xFF
-        for bit in _BYTE_BITS:
-            np.bitwise_xor(low, b, out=x)
-            x *= _PRIME_LOW
-            x &= bit  # bit k of low[1], then of low[i + 1] ^ low[i]: low[0] is complete
-            flips = _prefix_xor(x)
-            flips *= bit
-            low[1:] |= flips[:-1]
-        np.bitwise_xor(low, b, out=x)
-        h = _add_deltas(h, x[:n], low[:n])
-    return h
+        if b.size % _ROW_BYTES:
+            b = np.concatenate((b, np.zeros(pad, dtype=np.uint8)))
+        m, rows = b.size, b.size // _ROW_BYTES
+        u, deltas = u_buf[:m], delta_buf[:m]
+        np.copyto(u, b)
+        u[0] ^= h & 0xFF
+        # the deltas' buffer is free until they are made
+        _solve_low_bytes(u, delta_buf.view(np.uint8)[:m], scratch[:m // 64], parity[:m // 64])
+        np.copyto(deltas, u)
+        u ^= b  # the low bytes l
+        deltas -= u  # d = (l ^ b) - l
+        np.matmul(deltas.reshape(rows, _ROW_BYTES), limbs, out=sums[:rows])
+        total = np.dot(sums[:rows].astype(np.int64).view(np.uint64).ravel(), row_powers[-rows:].ravel())
+        h = (h * pow(_FNV_PRIME, m, 1 << 64) + int(total)) & _MASK64
+    return h * pow(_FNV_PRIME, -pad, 1 << 64) & _MASK64
 
 
 # ---------------------------------------------------------------------------

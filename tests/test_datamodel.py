@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -77,9 +79,11 @@ class TestFnv1a:
     @pytest.mark.parametrize("kind", ["random", "zeros", "ones"])
     # 64 KiB - 1, 64 KiB + 1 and 3 * 64 KiB + 17 end inside one chunk, in a
     # partial 64-byte word and a partial block.
+    # SWITCH + 256 +- 1 and CHUNK +- 256 end on either side of a 256-byte GEMM row.
     @pytest.mark.parametrize("n", sorted({0, 1, SWITCH - 1, SWITCH, SWITCH + 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                          SWITCH + 255, SWITCH + 256, SWITCH + 257,
                                           65535, 65536, 65537, 196625,
-                                          CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17}))
+                                          CHUNK - 256, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 256, 3 * CHUNK + 17}))
     def test_every_path_equals_the_byte_loop(self, n, kind):
         if kind == "random":
             data = rng_from(n, "fnv").integers(0, 256, n, dtype=np.uint8).tobytes()
@@ -89,6 +93,38 @@ class TestFnv1a:
         for path in HASH_PATHS:
             for buf in (data, bytearray(data), memoryview(data)):
                 assert path(buf) == expected, (path.__name__, type(buf).__name__)
+
+    # Each byte picks v = l ^ b, the low byte after the XOR, for the running
+    # low byte l to make d = v - l large: "largest" maximises |d| (d settles
+    # at 178, and even sums stay exact in float32 up to 2**25, so it catches
+    # GEMM rows of 2048 bytes, not 1024); "odd" takes the largest odd d > 0
+    # (177 and 101 in turn), which catches 1024-byte rows.
+    @pytest.mark.parametrize("rule", [lambda low: 255 if 255 - low > low else 0,
+                                      lambda low: 254 if low % 2 else 255], ids=["largest", "odd"])
+    def test_largest_deltas_stay_exact(self, rule):
+        # 3 chunks and a tail that is no whole 256-byte row
+        low, data = 0xCBF29CE484222325 & 0xFF, bytearray()
+        for _ in range(3 * CHUNK + 100):
+            v = rule(low)
+            data.append(low ^ v)
+            low = (v * 0x100000001B3) & 0xFF
+        expected = fnv1a64_oracle(data)
+        for path in HASH_PATHS:
+            assert path(data) == expected, path.__name__
+
+    def test_wide_payload_scratch_is_bounded(self):
+        # numpy reports its buffers to tracemalloc. The vectorized path holds a
+        # uint8 and a float32 copy of one chunk and one chunk-sized temporary
+        # per round, whatever the payload's size.
+        data = rng_from("fnv-memory").integers(0, 256, 3 * CHUNK, dtype=np.uint8).tobytes()
+        fnv1a64(data)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            fnv1a64(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak  # 1.85 MiB with 256 KiB chunks
 
 
 class TestChecksumAboveSwitch:
