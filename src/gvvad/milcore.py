@@ -32,12 +32,18 @@ other forward is cast to float64. Either way the bags are copied (and
 cast) in one piece when their rows fit ``_CHUNK_BYTES`` as float64, else
 one chunk at a time, and a float32 chunk of one bag is used in place; a
 one-piece copy may span runs. Callers hand :func:`_forward` chunks, never
-copies. Everything after the first layer's product is float64, and a clip
+copies. Everything after the first layer's product is float64 but the
+first layer's weight gradient: a plan has one feature dtype
+(``_Plan.dtype``), and when it is float32 a step keeps its top-k rows
+float32 and takes the w1 gradient as one float32 product of them and the
+hidden gradients rounded to float32, copied into the float64 gradient.
+The weights, the losses, every other gradient and Adam stay float64. A clip
 whose float32 first layer overflows past the ReLU scores NaN. Only the matrix
 products stay per run: each covers one chunk of a run, the run's bags in
 pieces of its own ``_Plan.chunk_bags``, exactly as when the run trains
-alone, because BLAS rounding depends on the matrix shape. The bias adds
-and the ReLU run once over all rows of the step. Sigmoid and the NaN check
+alone, because BLAS rounding depends on the matrix shape. Each first-layer
+product takes its run's b1 as it is written; the ReLU and the b2 add run
+once over all rows of the step. Sigmoid and the NaN check
 follow, then top-k means, BCE and loss scaling, each rule called once per
 step over all runs. The top-k rows' features are one take from the
 one-piece copy that :func:`_forward` hands back (one take per bag for a
@@ -49,10 +55,10 @@ gradient slot, an empty group's holding zeros, and every run's gradient
 is ``real + lambda * synthetic``: one take of the runs' synthetic slots,
 scaled by their lambdas, plus one take of their real slots. Runs are
 ordered by schedule length and a run leaves the stack when its schedule
-ends, so every stacked run takes every step: Adam updates the stack with
-one shared step count, and a finished run's count stays at its own number
-of steps. Each run ends bit-identical to the same run trained alone. The
-same forward scores test sets
+ends, so every stacked run takes every step: Adam updates the stack in
+place with one shared step count, and a finished run's count stays at its
+own number of steps. Each run ends bit-identical to the same run trained
+alone. The same forward scores test sets
 (:class:`gvvad.evaluation.PreparedTestSet`) and :func:`score_segments`.
 """
 
@@ -415,8 +421,9 @@ def _forward(bags, chunks, row_run, weights, h, logits):
     float32 the first layer is one sgemm per (run, chunk), its result
     written straight into the float64 ``h``; otherwise the bags are cast to
     float64. All ``bags`` are copied in one piece, or each chunk's bags in
-    turn. The bias adds and the ReLU are elementwise and run once over all
-    rows.
+    turn. The first-layer bias is added per product, to the rows it just
+    wrote; the ReLU and the second-layer bias are elementwise and run once
+    over all rows.
     """
     w1, b1, w2, b2 = weights
     float32 = {bag.dtype for bag in bags} == {np.dtype(np.float32)}
@@ -433,9 +440,10 @@ def _forward(bags, chunks, row_run, weights, h, logits):
             else:
                 rows = np.concatenate(bags[first_bag:end_bag], dtype=dtype)
             for r, out in products:
-                np.matmul(rows, w1[r].T, out=h[out:out + hi - lo])
+                z = h[out:out + hi - lo]
+                np.matmul(rows, w1[r].T, out=z)
+                z += b1[r]
             del rows  # before the next chunk's copy
-        h += b1.take(row_run, axis=0)
         np.maximum(h, 0.0, out=h)
         for _, _, lo, hi, products in chunks:
             for r, out in products:
@@ -491,6 +499,7 @@ class _Plan:
     chunk_bags: np.ndarray
     dim: int
     hidden: int
+    dtype: np.dtype  # of every entry of features
 
 
 class _BagTable:
@@ -528,6 +537,7 @@ class _BagTable:
             chunk_bags=np.array([_chunk_bags(int(clips[bags].max()), dim) for bags in run_bags]),
             dim=dim,
             hidden=hidden,
+            dtype=dtype,
         )
 
 
@@ -711,18 +721,18 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     padded[step.is_clip] = scores
     y_hat, order = topk_mean(padded, step.k, return_indices=True)
     # The top-k rows of every bag, bucket by bucket as the layout orders
-    # them; x, as float64, in one take from the forward's one-piece copy,
-    # else bag by bag from the features as stored.
+    # them; x, in the pool's dtype, in one take from the forward's one-piece
+    # copy, else bag by bag from the features as stored.
     rows = step.sel_start + order.take(step.sel_order)
     h, s = h[rows], scores[rows]
     if copy is not None:
-        x = copy.take(rows, axis=0).astype(np.float64, copy=False)
+        x = copy.take(rows, axis=0)
     else:
-        x = np.empty((len(rows), plan.dim))
+        x = np.empty((len(rows), plan.dim), dtype=plan.dtype)
         firsts = np.flatnonzero(np.diff(step.sel_bag, prepend=-1)).tolist()
         for lo, hi in zip(firsts, [*firsts[1:], len(rows)]):
             b = int(step.sel_bag[lo])
-            x[lo:hi] = step.bags[b][order[b, :hi - lo]]
+            np.take(step.bags[b], order[b, :hi - lo], axis=0, out=x[lo:hi])
 
     loss, dy_hat = bce(step.y, y_hat, plan.clamp_eps, return_grad=True)
     # A pair's anomalous bag comes first, so each pair sums 0.0 + a + n = a + n.
@@ -731,21 +741,32 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     breakdown = ssls_scale(pair_loss, step.synthetic, lam)
 
     # Backward once per bucket of equal-size (run, source) groups, over
-    # their bags' top-k rows, each group into its own gradient slot.
+    # their bags' top-k rows, each group into its own gradient slot. A
+    # float32 pool's w1 gradient is a float32 product into float32 scratch,
+    # copied into the slots once: a float64 out= would take numpy's slower
+    # casting path.
     du = (dy_hat / step.k)[step.sel_bag] * s * (1.0 - s)
     dz1 = weights[2][step.row_run[rows]]
     dz1 *= du[:, None]
     dz1 *= (h > 0.0)
-    grads = np.empty((step.buckets[-1][3] + 1, theta.shape[1]))
+    n_slots = step.buckets[-1][3]
+    grads = np.empty((n_slots + 1, theta.shape[1]))
     grads[-1] = 0.0  # the slot of every empty group
     g_w1, g_b1, g_w2, g_b2 = _stacked_views(grads, plan.dim, plan.hidden)
+    if plan.dtype == np.float32:
+        dz_x, w1_slots = dz1.astype(np.float32), np.empty((n_slots, plan.hidden, plan.dim), dtype=np.float32)
+    else:
+        dz_x, w1_slots = dz1, g_w1
     for lo, hi, s0, s1 in step.buckets:
         dz, d = dz1[lo:hi].reshape(s1 - s0, -1, plan.hidden), du[lo:hi].reshape(s1 - s0, -1)
-        np.matmul(dz.transpose(0, 2, 1), x[lo:hi].reshape(s1 - s0, -1, plan.dim), out=g_w1[s0:s1])
+        np.matmul(dz_x[lo:hi].reshape(s1 - s0, -1, plan.hidden).transpose(0, 2, 1),
+                  x[lo:hi].reshape(s1 - s0, -1, plan.dim), out=w1_slots[s0:s1])
         dz.sum(axis=1, out=g_b1[s0:s1])
         np.matmul(h[lo:hi].reshape(s1 - s0, -1, plan.hidden).transpose(0, 2, 1), d[..., None],
                   out=g_w2[s0:s1, :, None])
         d.sum(axis=1, out=g_b2[s0:s1])
+    if w1_slots is not g_w1:
+        g_w1[:n_slots] = w1_slots
     # real + lambda * synthetic for every run at once. Two (runs, P) takes,
     # not one (2, runs, P) take: that trained wide-io about 3% slower.
     out = grads.take(step.grad_slots[1], axis=0)
@@ -861,6 +882,7 @@ def _lockstep_plan(runs, config: TrainConfig):
     whose pools were checked when it was built."""
     table = _BagTable()
     drawn = []  # per run: (its bag indices, its epochs of pairs)
+    draws = {}  # (seed, source index arrays) -> epochs: runs that share both draw the same pairs
     for dataset, run_config in runs:
         anomalous = sorted(dataset.anomalous, key=lambda s: s.id)
         normal = sorted(dataset.normal, key=lambda s: s.id)
@@ -870,9 +892,11 @@ def _lockstep_plan(runs, config: TrainConfig):
             np.array([table.add(s) for s in pool if s.y_s == y_s], dtype=np.int64)
             for pool in (anomalous, normal) for y_s in (0, 1)
         ]
-        rng = rng_from(run_config.seed, "pair-sampling")
-        epochs = [_epoch_pairs(*sources, rng) for _ in range(config.epochs)]
-        drawn.append((np.concatenate(sources), epochs))
+        key = (run_config.seed, *(s.tobytes() for s in sources))
+        if key not in draws:
+            rng = rng_from(run_config.seed, "pair-sampling")
+            draws[key] = [_epoch_pairs(*sources, rng) for _ in range(config.epochs)]
+        drawn.append((np.concatenate(sources), draws[key]))
 
     width = config.batch_pairs
     steps_per_epoch = [math.ceil(len(epochs[0][0]) / width) for _, epochs in drawn]
@@ -956,7 +980,7 @@ def train_runs(runs, val_samples=None) -> list:
                 bad = int(np.argmin(np.isfinite(breakdown.total)))
                 raise ValidationError(
                     f"training loss is non-finite at epoch {len(history[bad]) + 1}")
-            live[...] = adam_step(live, grads, state)
+            adam_step(live, grads, state, out=live)
             # A finite sum has no inf or NaN term; only a sum that is not
             # finite is searched element by element.
             if not math.isfinite(live.sum()) and not np.isfinite(live).all():

@@ -132,17 +132,22 @@ class AdamState:
     second_moment: np.ndarray | None = None
 
 
-def adam_step(param, grad, state: AdamState) -> np.ndarray:
+def adam_step(param, grad, state: AdamState, out=None) -> np.ndarray:
     """One Adam update; returns the new param and advances ``state`` in place.
 
-    Weight decay is decoupled: the parameter first shrinks by lr * wd, then
-    the moment update is applied, so decay never enters the moment estimates.
-    Bias correction uses the post-increment step count.
+    The new param is written into ``out`` when one is given (``param``
+    itself included) and ``out`` is returned, with the same bits as a call
+    that allocates its result. Weight decay is decoupled: the parameter
+    first shrinks by lr * wd, then the moment update is applied, so decay
+    never enters the moment estimates. Bias correction uses the
+    post-increment step count.
     """
     p = np.asarray(param, dtype=np.float64)
     g = np.asarray(grad, dtype=np.float64)
     if g.shape != p.shape:
         raise ShapeError(f"grad has shape {g.shape}, param has {p.shape}")
+    if out is not None and out.shape != p.shape:
+        raise ShapeError(f"out has shape {out.shape}, param has {p.shape}")
     if state.first_moment is None:
         state.first_moment = np.zeros_like(p)
         state.second_moment = np.zeros_like(p)
@@ -153,10 +158,13 @@ def adam_step(param, grad, state: AdamState) -> np.ndarray:
     c1 = 1.0 - _BETA1 ** state.step
     c2 = 1.0 - _BETA2 ** state.step
     # p - lr * wd * p - lr * (m / c1) / (sqrt(v / c2) + eps), each operation
-    # in that order, in one result and two scratch arrays (0-d ones included).
-    out, num, den = np.empty_like(p), np.empty_like(p), np.empty_like(p)
-    np.multiply(p, state.lr * state.weight_decay, out=out)
-    np.subtract(p, out, out=out)
+    # in that order, in the result and two scratch arrays (0-d ones included).
+    # p is read only before the result is first written, so out may be p.
+    if out is None:
+        out = np.empty_like(p)
+    num, den = np.empty_like(p), np.empty_like(p)
+    np.multiply(p, state.lr * state.weight_decay, out=num)
+    np.subtract(p, num, out=out)
     np.multiply(g, 1.0 - _BETA1, out=num)
     m *= _BETA1
     m += num

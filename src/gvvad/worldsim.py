@@ -155,6 +155,7 @@ def generate_video(config: WorldConfig, pair, label: str, source: str, seed,
 
     t = int(rng.integers(config.clips_min, config.clips_max, endpoint=True))
     clip_labels = np.zeros(t, dtype=np.uint8)
+    start = seg_len = 0
     if label == "anomalous":
         lo = max(1, math.ceil(config.anomaly_frac_min * t))
         hi = max(lo, math.floor(config.anomaly_frac_max * t))
@@ -165,8 +166,9 @@ def generate_video(config: WorldConfig, pair, label: str, source: str, seed,
     mean = config.normal_center + element_perturbation(pair.elements, config.dim, config.element_effect_scale)
     if source == "synthetic":
         mean = mean + config.domain_offset
-    feats = mean + rng.normal(0.0, config.noise_sigma, size=(t, config.dim))
-    feats[clip_labels == 1] += config.anomaly_offset
+    feats = rng.normal(0.0, config.noise_sigma, size=(t, config.dim))
+    feats += mean  # in place: the same bits as mean + feats
+    feats[start:start + seg_len] += config.anomaly_offset
 
     if video_id is None:
         video_id = f"{source[0]}{label[0]}-p{pair.index:05d}-x{_seed_tag(tokens)}"

@@ -1,5 +1,6 @@
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -533,8 +534,8 @@ class TestLockstep:
         step_counts = []
         exact_adam = milcore.adam_step
 
-        def counting_adam(param, grad, state):
-            out = exact_adam(param, grad, state)
+        def counting_adam(param, grad, state, **kwargs):
+            out = exact_adam(param, grad, state, **kwargs)
             step_counts.append((len(param), state.step))  # the stacked runs share one count
             return out
 
@@ -565,6 +566,43 @@ class TestLockstep:
             assert {16, 52} <= set(alone_steps)  # 2 epochs of 8 and of 26 steps
             assert sorted(lockstep_steps) == sorted(alone_steps)
             assert len(counts) == max(alone_steps)
+
+    def test_cells_that_share_their_pools_draw_their_pairs_once(self, monkeypatch):
+        # A seed's cells share the train seed, so cells with the same pools
+        # draw the same epochs of pairs. With a domain gap the filter keeps
+        # no synthetic video, so the five module cells hold two distinct
+        # pools (real; real + synthetic), and each epoch is drawn once per
+        # pool. Every cell must still get the batches it draws alone.
+        gap = np.zeros(8)
+        gap[1] = 50.0
+        spec = tiny_spec("module_ablation", world=replace(tiny_spec("module_ablation").world, domain_offset=gap),
+                         train=TrainConfig(epochs=3, batch_pairs=2, k_rule="frac:0.25"))
+        draws, plans = [], []
+        exact_pairs, exact_plan = milcore._epoch_pairs, milcore._lockstep_plan
+
+        def counting(*args):
+            draws.append(1)
+            return exact_pairs(*args)
+
+        def capturing(runs, config):
+            out = exact_plan(runs, config)
+            plans.append((runs, out))
+            return out
+
+        monkeypatch.setattr(milcore, "_epoch_pairs", counting)
+        monkeypatch.setattr(milcore, "_lockstep_plan", capturing)
+        run_ablation(spec)
+        ((runs, (plan, schedule)),) = plans
+        pools = {(config.seed, tuple(sorted(s.id for s in data.anomalous + data.normal))) for data, config in runs}
+        assert len(runs) == 5 and len(pools) == 2
+        assert len(draws) == spec.train.epochs * 2
+
+        def batches(plan, schedule, pos):
+            return [[plan.ids[b] for b in step if b >= 0] for step in schedule.bags[:, pos].tolist() if step[0] >= 0]
+
+        for pos, r in enumerate(schedule.order):
+            alone_plan, alone_schedule = exact_plan([runs[r]], runs[r][1])
+            assert batches(plan, schedule, pos) == batches(alone_plan, alone_schedule, 0), spec.cells[r][0]
 
 
     def test_cells_without_ssls_match_their_ssls_cells_at_lambda_one(self, monkeypatch):

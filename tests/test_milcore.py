@@ -442,6 +442,37 @@ class TestGradientCheck:
         assert np.all(np.abs(loss32.total - loss64.total) <= 1e-6 * np.abs(loss64.total))
         assert np.all(np.abs(grads32 - grads64).max(axis=1) <= 1e-5 * np.abs(grads64).max(axis=1))
 
+    def test_float32_batch_takes_a_float32_w1_gradient(self, monkeypatch):
+        # A float32 batch's w1 gradient is one float32 product per bucket,
+        # into float32 scratch (never a float64 out=); the same values held
+        # as float64 take float64 products. Every block of the float32
+        # result must agree with the float64 one within 1e-5 of the block's
+        # largest entry (about 100 float32 epsilons; about 2e-7 measured),
+        # and the loss within 1e-6 relative.
+        products = []
+        matmul = np.matmul
+
+        def recording(a, b, out=None):
+            if np.ndim(a) == 3:
+                products.append((a.dtype.name, b.dtype.name, out.dtype.name, out.shape[-1]))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        config = TrainConfig(lam=0.7, k_rule="frac:0.3", hidden=8)
+        results = {}
+        for dtype in (np.float64, np.float32):
+            products.clear()
+            results[dtype] = total_loss_and_grads(ScorerParams.init(512, 8, rng_from("f32-grad")),
+                                                  pair_batch(4, dim=512, synth_mask=[0, 1, 1, 0], dtype=dtype),
+                                                  config)
+            name = np.dtype(dtype).name
+            assert products and set(products) == {("float64",) * 3 + (1,), (name,) * 3 + (512,)}
+        (loss64, grads64), (loss32, grads32) = results[np.float64], results[np.float32]
+        assert abs(loss32.total - loss64.total) <= 1e-6 * abs(loss64.total)
+        for key in ("w1", "b1", "w2", "b2"):
+            assert grads32[key].dtype == np.float64
+            assert np.abs(grads32[key] - grads64[key]).max() <= 1e-5 * np.abs(grads64[key]).max(), key
+
 
 class TestFilterSynthetic:
     def world_sets(self, gap_sigma, seed=0, n=30):
@@ -671,8 +702,8 @@ class TestTrain:
         step_counts = []
         exact_adam = milcore.adam_step
 
-        def counting_adam(param, grad, state):
-            out = exact_adam(param, grad, state)
+        def counting_adam(param, grad, state, **kwargs):
+            out = exact_adam(param, grad, state, **kwargs)
             step_counts.append((len(param), state.step))  # the stacked runs share one count
             return out
 

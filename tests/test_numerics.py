@@ -204,6 +204,28 @@ class TestAdam:
         assert np.array_equal(state.first_moment.view(np.int64), m.view(np.int64))
         assert np.array_equal(state.second_moment.view(np.int64), v.view(np.int64))
 
+    def test_out_gets_the_bits_of_the_allocating_call(self):
+        # With out= the update is written into out (the param itself, or
+        # another array) and out is returned, bit-identical to the call
+        # that allocates its result, step after step.
+        rng = rng_from(12, "adam-out")
+        theta = rng.normal(size=(3, 40))
+        in_place, into = theta.copy(), np.empty_like(theta)
+        states = [AdamState(lr=0.01, weight_decay=0.05) for _ in range(3)]
+        for t in range(1, 7):
+            g = rng.normal(size=theta.shape)
+            before = into.copy() if t > 1 else theta.copy()
+            theta = adam_step(theta, g, states[0])
+            assert adam_step(in_place, g, states[1], out=in_place) is in_place
+            assert adam_step(before, g, states[2], out=into) is into
+            for got in (in_place, into):
+                assert np.array_equal(got.view(np.int64), theta.view(np.int64)), t
+        assert all(state.step == 6 for state in states)
+        state = AdamState()
+        with pytest.raises(ShapeError, match="out has shape"):
+            adam_step(np.zeros(3), np.zeros(3), state, out=np.zeros((2, 3)))  # broadcastable is not enough
+        assert state.step == 0
+
     def test_moments_track_param_shapes(self):
         state = AdamState()
         adam_step(np.zeros((2, 2)), np.ones((2, 2)), state)
