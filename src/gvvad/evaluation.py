@@ -126,11 +126,12 @@ class PreparedTestSet:
     scorers, under the trainer's dtype and copy rule, decided from every
     sample: a set whose features are all float32 keeps a float32 first
     layer, and a set that mixes dtypes is cast to float64. Each chunk goes
-    through one matmul per layer per scorer, and the bias adds and ReLU run
-    once over every scorer's rows. Building it fails on an empty set, a sample
-    without frame labels or of a feature dim other than ``dim``, and a set
-    whose frames are all of one class; scoring fails, naming the video,
-    where a clip's first layer overflows.
+    through one matmul per layer per scorer, which adds the scorer's bias
+    to the rows it wrote, and the ReLU runs once over every scorer's rows.
+    Building it fails on an empty set, a sample without frame labels or of
+    a feature dim other than ``dim``, and a set whose frames are all of one
+    class; scoring fails, naming the video, where a clip's first layer
+    overflows.
     """
 
     def __init__(self, samples, dim: int):

@@ -19,10 +19,10 @@ of a sweep) as one stacked program, and :func:`train` is its R = 1 case. The
 runs share one TrainConfig except for lambda and the seed, and the
 parameters of all runs live in one (R, P) array. What a step needs of the
 schedule alone (which bag belongs to which run and (run, source) group,
-each bag's clip rows, k, label and pair source, the top-k row positions,
-the backward's buckets and the pair each bag's loss adds to) is laid out ahead
-of the steps by :func:`_layout_window`, in one vectorized pass per window
-of ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays
+each bag's clip rows, k, label and pair source, the forward's groups, the
+top-k row positions, the backward's buckets and the pair each bag's loss
+adds to) is laid out ahead of the steps by :func:`_layout_window`, in one
+vectorized pass per window of ``_LAYOUT_STEPS`` steps; the one-run :func:`total_loss_and_grads` lays
 out its one step the same way. A step then does only what depends on the
 parameters. The dtype and copy rule, applied in :func:`_forward` alone: a
 forward (one step, or one test set) whose bags are all float32 computes
@@ -38,16 +38,23 @@ first layer's weight gradient: a plan has one feature dtype
 float32 and takes the w1 gradient as one float32 product of them and the
 hidden gradients rounded to float32, copied into the float64 gradient.
 The weights, the losses, every other gradient and Adam stay float64. A clip
-whose float32 first layer overflows past the ReLU scores NaN. Only the matrix
-products stay per run: each covers one chunk of a run, the run's bags in
-pieces of its own ``_Plan.chunk_bags``, exactly as when the run trains
-alone, because BLAS rounding depends on the matrix shape. Each first-layer
-product takes its run's b1 as it is written; the ReLU and the b2 add run
-once over all rows of the step. Sigmoid and the NaN check
-follow, then top-k means, BCE and loss scaling, each rule called once per
-step over all runs. The top-k rows' features are one take from the
-one-piece copy that :func:`_forward` hands back (one take per bag for a
-step copied by chunks). The backward covers only those rows, in buckets
+whose float32 first layer overflows past the ReLU scores NaN. numpy's
+overflow and invalid warnings are silenced around the forward by its
+callers, so that the refusal of such a clip is the one report: the
+trainer's loop holds one ``np.errstate`` for all its steps, and
+:func:`_logits` and the one-run :func:`total_loss_and_grads` enter their
+own. Only the matrix products keep a run's shapes: a run's bags go in
+chunks of its own ``_Plan.chunk_bags``, exactly as when the run trains
+alone, because BLAS rounding depends on the matrix shape. In a step copied
+in one piece, consecutive runs whose chunks have equal row counts form a
+group, and each group takes one stacked product per layer, whose slices
+are the BLAS calls the runs' own products would make; a step copied by
+chunks makes one product per run and chunk. Each product adds its runs'
+b1 and b2 to the rows it wrote; the ReLU runs once over all rows of the
+step. Sigmoid and the NaN check follow, then top-k means, BCE and loss
+scaling, each rule called once per step over all runs. The top-k rows'
+features are one take from the one-piece copy that :func:`_forward` hands
+back (one take per bag for a step copied by chunks). The backward covers only those rows, in buckets
 of the step's (run, source) groups with equal selected row counts, never
 padded: one call per block per bucket, whose stacked product makes for
 each group the BLAS call a product of its own would. Each group has a
@@ -173,11 +180,13 @@ def _param_views(vec: np.ndarray, dim: int, hidden: int) -> dict:
     return {name: vec[start:stop].reshape(shape) for name, shape, start, stop in layout}
 
 
-def _stacked_views(flat: np.ndarray, dim: int, hidden: int) -> list:
+def _stacked_views(flat: np.ndarray, dim: int, hidden: int) -> tuple:
     """Per-block views of stacked flat vectors ``flat`` (n, P), each block
-    with a leading run axis: (n, hidden, dim), (n, hidden), (n, hidden), (n,)."""
-    return [flat[:, start:stop].reshape(len(flat), *shape)
-            for _, shape, start, stop in _param_layout(dim, hidden)]
+    with a leading run axis: (n, hidden, dim), (n, hidden), (n, hidden), (n,),
+    cut as :func:`_param_layout` lays the blocks out."""
+    w1_end = hidden * dim
+    return (flat[:, :w1_end].reshape(len(flat), hidden, dim), flat[:, w1_end:w1_end + hidden],
+            flat[:, w1_end + hidden:-1], flat[:, -1])
 
 
 def _rule_number(rule: str, arg: str, parse):
@@ -405,35 +414,49 @@ def _one_piece(rows, dim: int):
     return rows * (8 * dim) <= _CHUNK_BYTES
 
 
-def _forward(bags, chunks, row_run, weights, h, logits):
+def _forward(bags, chunks, groups, weights, dtype, h, logits):
     """Write the hidden activation and the logit of every output row into
-    ``h`` (rows, hidden) and ``logits`` (rows,), under the weights of its
-    run ``row_run[row]``. Returns the one-piece copy of ``bags`` (rows,
-    dim), or None when they were copied one chunk at a time.
+    ``h`` (rows, hidden) and ``logits`` (rows,), under the weights of the
+    run whose product writes it. Returns the one-piece copy of ``bags``
+    (rows, dim), or None when they were copied one chunk at a time.
 
-    ``weights`` are (w1, b1, w2, b2) with a leading run axis. ``bags`` are
-    the feature arrays in row order, and ``chunks`` are (first bag, end
-    bag, first row, end row, products), each product a (run, first output
-    row) that takes the chunk through one matmul per layer. A matmul never
-    spans runs or chunks: BLAS rounding depends on the matrix shape, so a
-    run's result would depend on what it is stacked with. The dtype and
-    copy rule (module docstring) is applied here alone: when every bag is
-    float32 the first layer is one sgemm per (run, chunk), its result
-    written straight into the float64 ``h``; otherwise the bags are cast to
-    float64. All ``bags`` are copied in one piece, or each chunk's bags in
-    turn. The first-layer bias is added per product, to the rows it just
-    wrote; the ReLU and the second-layer bias are elementwise and run once
-    over all rows.
+    ``weights`` are (w1, b1, w2, b2) with a leading run axis, and ``dtype``
+    is the bags' common dtype (None when they have none). ``bags`` are the
+    feature arrays in row order, and ``chunks`` are (first bag, end bag,
+    first row, end row, products), each product a (run, first output row)
+    that takes the chunk through one matmul per layer. ``groups``, when
+    given, are (first row, end row, first run, end run) of consecutive
+    products of consecutive runs with equal row counts, each writing the
+    rows it reads: a one-piece copy then takes each group through one
+    stacked matmul per layer, whose slices are exactly the products' own
+    matmuls. No product ever spans runs or chunks: BLAS rounding depends
+    on the matrix shape, so a run's result would depend on what it is
+    stacked with. The dtype and copy rule (module docstring) is applied
+    here alone: float32 bags take a float32 first layer, its result written
+    straight into the float64 ``h``; any others are cast to float64. All
+    ``bags`` are copied in one piece, or each chunk's bags in turn. Each
+    product or group adds its runs' biases to the rows it just wrote; the
+    ReLU runs once over all rows. The caller silences numpy's overflow and
+    invalid warnings: a float32 overflow shows as a NaN logit.
     """
     w1, b1, w2, b2 = weights
-    float32 = {bag.dtype for bag in bags} == {np.dtype(np.float32)}
+    float32 = dtype == np.float32
     dtype = np.float32 if float32 else np.float64
-    whole = _one_piece(chunks[-1][3], w1.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):  # a float32 overflow shows as a NaN logit, below
-        w1 = w1.astype(np.float32) if float32 else w1
-        x = np.concatenate(bags, dtype=dtype) if whole else None
+    w1 = w1.astype(np.float32) if float32 else w1
+    x = np.concatenate(bags, dtype=dtype) if _one_piece(chunks[-1][3], w1.shape[-1]) else None
+    if x is not None and groups is not None:
+        for lo, hi, r0, r1 in groups:
+            z = h[lo:hi].reshape(r1 - r0, -1, h.shape[1])
+            np.matmul(x[lo:hi].reshape(r1 - r0, -1, x.shape[1]), w1[r0:r1].transpose(0, 2, 1), out=z)
+            z += b1[r0:r1, None]
+        np.maximum(h, 0.0, out=h)
+        for lo, hi, r0, r1 in groups:
+            y = logits[lo:hi].reshape(r1 - r0, -1, 1)
+            np.matmul(h[lo:hi].reshape(r1 - r0, -1, h.shape[1]), w2[r0:r1, :, None], out=y)
+            y += b2[r0:r1, None, None]
+    else:
         for first_bag, end_bag, lo, hi, products in chunks:
-            if whole:
+            if x is not None:
                 rows = x[lo:hi]
             elif float32 and end_bag - first_bag == 1:
                 rows = bags[first_bag]
@@ -447,9 +470,9 @@ def _forward(bags, chunks, row_run, weights, h, logits):
         np.maximum(h, 0.0, out=h)
         for _, _, lo, hi, products in chunks:
             for r, out in products:
-                end = out + hi - lo
-                np.matmul(h[out:end], w2[r], out=logits[out:end])
-        logits += b2[row_run]
+                y = logits[out:out + hi - lo]
+                np.matmul(h[out:out + hi - lo], w2[r], out=y)
+                y += b2[r]
     # A float32 product can overflow where a float64 one does not; the
     # ReLU clears one at -inf, and any other reaches the logit. Such a clip
     # scores NaN, which training and evaluation refuse.
@@ -472,8 +495,10 @@ def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
     chunk_at = [*range(0, len(bags), chunk_bags), len(bags)]
     chunks = [(b0, b1, rows[b0], rows[b1], [(r, r * n + rows[b0]) for r in range(n_runs)])
               for b0, b1 in zip(chunk_at, chunk_at[1:])]
+    dtypes = {bag.dtype for bag in bags}
     h, logits = np.empty((n_runs * n, hidden)), np.empty(n_runs * n)
-    _forward(bags, chunks, np.repeat(np.arange(n_runs), n), weights, h, logits)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a NaN logit
+        _forward(bags, chunks, None, weights, dtypes.pop() if len(dtypes) == 1 else None, h, logits)
     return logits.reshape(n_runs, n)
 
 
@@ -565,7 +590,7 @@ class _StepLayout:
 
     bags: list  # per bag: its features
     chunks: list  # the forward's per-(run, chunk) matmuls, as :func:`_forward` takes them
-    row_run: np.ndarray  # per row: its run
+    groups: list  # the forward's groups of equal-size products of consecutive runs, as :func:`_forward` takes them
     videos: np.ndarray  # per bag: its index in the plan's table
     is_clip: np.ndarray  # (bags, most clips in a bag): the padded entries that hold a clip
     k: np.ndarray
@@ -576,6 +601,7 @@ class _StepLayout:
     sel_order: np.ndarray  # per selected row: its flat index in the padded clip order
     sel_start: np.ndarray  # per selected row: its bag's first row
     sel_bag: np.ndarray  # per selected row: its bag
+    sel_run: np.ndarray  # per selected row: its run
     buckets: list  # (first, end) selected row and (first, end) gradient slot of each bucket
     grad_slots: np.ndarray  # (2, runs): each run's real, then synthetic, group's gradient slot, past the last if empty
 
@@ -621,6 +647,7 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     sel_step = step[sel_bag]
     by_bucket = (n_groups * step + grad_slots[key])[sel_bag].argsort(kind="stable")
     grad_slots = grad_slots.reshape(n_steps, n_runs, 2).transpose(2, 0, 1).copy()  # (source, step, run)
+    sel_run = run[sel_bag][by_bucket]
     sel_start = (row_at[sel_bag] - step_row[sel_step])[by_bucket]
     sel_order = ((sel_bag - bag_at[sel_step]) * widths[sel_step] + np.arange(len(sel_bag)) - sel_at[sel_bag])[by_bucket]
     sel_bag = (sel_bag - bag_at[sel_step])[by_bucket]
@@ -639,21 +666,28 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     # plan.chunk_bags, as when it trains alone, so stacking never changes a
     # run's matmul shapes. Bags and rows are counted from the step's first.
     chunk_at = np.flatnonzero((np.arange(len(videos)) - run_at[n_runs * step + run]) % plan.chunk_bags[run] == 0)
-    chunk_step = step[chunk_at]
+    chunk_step, chunk_run = step[chunk_at], run[chunk_at]
     edges = np.stack([chunk_at, np.append(chunk_at[1:], len(videos))])  # first and end bag
-    at = np.concatenate([edges - bag_at[chunk_step], row_at[edges] - step_row[chunk_step]]).T.tolist()
-    chunks = [(b0, b1, lo, hi, [(r, lo)]) for (b0, b1, lo, hi), r in zip(at, run[chunk_at].tolist())]
+    at = np.concatenate([edges - bag_at[chunk_step], row_at[edges] - step_row[chunk_step]])
+    chunks = [(b0, b1, lo, hi, [(r, lo)]) for (b0, b1, lo, hi), r in zip(at.T.tolist(), chunk_run.tolist())]
     step_chunk = chunk_step.searchsorted(np.arange(n_steps + 1)).tolist()
-    row_run = np.repeat(run, clips)
+    # The forward's groups: a group starts at each chunk whose run does not
+    # follow the one before or whose row count differs. A step's first
+    # chunk is run 0's, which follows no run, so no group spans steps.
+    chunk_lo, chunk_hi = at[2:]
+    starts = np.flatnonzero((np.diff(chunk_run, prepend=-2) != 1) | (np.diff(chunk_hi - chunk_lo, prepend=0) != 0))
+    ends = np.append(starts[1:], len(chunk_at))
+    groups = list(zip(chunk_lo[starts].tolist(), chunk_hi[ends - 1].tolist(),
+                      chunk_run[starts].tolist(), (chunk_run[ends - 1] + 1).tolist()))
+    step_group = chunk_step[starts].searchsorted(np.arange(n_steps + 1)).tolist()
 
     bag_at, step_sel, widths = bag_at.tolist(), step_sel.tolist(), widths.tolist()
-    step_row = step_row.tolist()
     for t, n in enumerate(has_bag[:, :, 0].sum(axis=1).tolist()):
         b0, b1, s0, s1 = bag_at[t], bag_at[t + 1], step_sel[t], step_sel[t + 1]
         yield _StepLayout(
             bags=features[b0:b1],
             chunks=chunks[step_chunk[t]:step_chunk[t + 1]],
-            row_run=row_run[step_row[t]:step_row[t + 1]],
+            groups=groups[step_group[t]:step_group[t + 1]],
             videos=videos[b0:b1],
             is_clip=is_clip[b0:b1, :widths[t]],
             k=k[b0:b1],
@@ -664,6 +698,7 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
             sel_order=sel_order[s0:s1],
             sel_start=sel_start[s0:s1],
             sel_bag=sel_bag[s0:s1],
+            sel_run=sel_run[s0:s1],
             buckets=buckets[bucket_at[t]:bucket_at[t + 1]],
             grad_slots=grad_slots[:, t, :n],
         )
@@ -701,16 +736,17 @@ def total_loss_and_grads(params, batch, config):
         bags += [table.add(a), table.add(n)]
     plan = table.plan(config, [config.lam], [bags], params.dim, params.hidden)
     (step,) = _layout_window(plan, np.array([[bags]]))
-    breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], step, plan)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite clip score is refused, naming its video
+        breakdown, grads = _stacked_loss_and_grads(params_to_vector(params)[None], step, plan)
     one_run = LossBreakdown(breakdown.raw[0], breakdown.scaled[0], float(breakdown.total[0]))
     return one_run, _param_views(grads[0].copy(), params.dim, params.hidden)
 
 
 def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
-    n_runs, n_rows = len(theta), len(step.row_run)
+    n_runs, n_rows = len(theta), step.chunks[-1][3]
     weights = _stacked_views(theta, plan.dim, plan.hidden)
     h, logits = np.empty((n_rows, plan.hidden)), np.empty(n_rows)
-    copy = _forward(step.bags, step.chunks, step.row_run, weights, h, logits)
+    copy = _forward(step.bags, step.chunks, step.groups, weights, plan.dtype, h, logits)
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
         bag_at = step.is_clip.sum(axis=1).cumsum()  # each bag's end row
@@ -746,7 +782,7 @@ def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
     # copied into the slots once: a float64 out= would take numpy's slower
     # casting path.
     du = (dy_hat / step.k)[step.sel_bag] * s * (1.0 - s)
-    dz1 = weights[2][step.row_run[rows]]
+    dz1 = weights[2][step.sel_run]
     dz1 *= du[:, None]
     dz1 *= (h > 0.0)
     n_slots = step.buckets[-1][3]
@@ -976,7 +1012,8 @@ def train_runs(runs, val_samples=None) -> list:
                 state.first_moment, state.second_moment = moments[:, :n]
             live = theta[:n]
             breakdown, grads = total_loss_and_grads(live, step, plan)
-            if not np.isfinite(breakdown.total).all():
+            # As for the parameters below: only a sum that is not finite is searched.
+            if not math.isfinite(np.add.reduce(breakdown.total)) and not np.isfinite(breakdown.total).all():
                 bad = int(np.argmin(np.isfinite(breakdown.total)))
                 raise ValidationError(
                     f"training loss is non-finite at epoch {len(history[bad]) + 1}")

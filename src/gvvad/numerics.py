@@ -105,11 +105,18 @@ def bce(y, y_hat, clamp_eps: float = DEFAULT_CLAMP_EPS, return_grad: bool = Fals
     p = np.minimum(np.maximum(y_hat, clamp_eps), 1.0 - clamp_eps)
     positive = labels.astype(bool, copy=False)  # binary: nonzero is 1
     # math.log per element, not np.log: numpy's float64 log may take a
-    # CPU-specific SIMD path, and a loss must not depend on the host.
-    loss = np.array([-math.log(q) if pos else -math.log1p(-q)
-                     for q, pos in zip(p.ravel().tolist(), positive.ravel().tolist())]).reshape(p.shape)
-    grad = np.where(positive, -1.0 / p, 1.0 / (1.0 - p))
-    grad[p != y_hat] = 0.0  # where the clamp is active, and for a NaN prediction
+    # CPU-specific SIMD path, and a loss must not depend on the host. The
+    # same pass takes the derivative, 0 where the clamp is active and for a
+    # NaN prediction (q != v).
+    loss, grad = [], []
+    for q, v, pos in zip(p.ravel().tolist(), y_hat.ravel().tolist(), positive.ravel().tolist()):
+        if pos:
+            loss.append(-math.log(q))
+            grad.append(-1.0 / q if q == v else 0.0)
+        else:
+            loss.append(-math.log1p(-q))
+            grad.append(1.0 / (1.0 - q) if q == v else 0.0)
+    loss, grad = np.array(loss).reshape(p.shape), np.array(grad).reshape(p.shape)
     if loss.ndim == 0:
         loss, grad = float(loss), float(grad)
     return (loss, grad) if return_grad else loss

@@ -605,6 +605,47 @@ class TestLockstep:
             assert batches(plan, schedule, pos) == batches(alone_plan, alone_schedule, 0), spec.cells[r][0]
 
 
+    def test_equal_size_cells_share_one_forward_product_per_layer(self, monkeypatch):
+        # With a domain gap the filter keeps nothing, so the five module
+        # cells draw two pairings: vg and vg+ssls first (the longer
+        # schedule), then baseline, vg+vf and vg+vf+ssls. While all five
+        # step, each pairing's cells have equal row counts and are
+        # consecutive, so a step makes one first-layer and one second-layer
+        # product per pairing, and one in all where the two sizes meet.
+        gap = np.zeros(8)
+        gap[1] = 50.0
+        spec = tiny_spec("module_ablation", world=replace(tiny_spec("module_ablation").world, domain_offset=gap),
+                         train=TrainConfig(epochs=3, batch_pairs=2, k_rule="frac:0.25"))
+        steps = []  # per training forward: each chunk's (run, rows), and its products by layer
+        exact, matmul = milcore._forward, np.matmul
+
+        def spy(bags, chunks, groups, weights, *args):
+            products = [0, 0]
+
+            def counting(a, b, **kwargs):
+                products[np.shape(b)[-1] == 1 or np.ndim(b) == 1] += 1  # the second layer's is w2
+                return matmul(a, b, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", counting)
+                out = exact(bags, chunks, groups, weights, *args)
+            if groups is not None:  # a training step, not a test set
+                steps.append(([(r, hi - lo) for _, _, lo, hi, products_ in chunks for r, _ in products_], products))
+            return out
+
+        monkeypatch.setattr(milcore, "_forward", spy)
+        run_ablation(spec)
+        five = [(rows, products) for rows, products in steps if len(rows) == 5]
+        assert five and len(five) < len(steps)
+        for rows, products in steps:
+            assert [r for r, _ in rows] == list(range(len(rows)))  # one chunk per cell
+        for rows, products in five:
+            n = [m for _, m in rows]
+            assert n[0] == n[1] and n[2] == n[3] == n[4]
+            assert products == ([1, 1] if n[1] == n[2] else [2, 2])
+        assert any(products == [2, 2] for _, products in five)
+        assert all(products == [1, 1] for rows, products in steps if len(rows) == 2)
+
     def test_cells_without_ssls_match_their_ssls_cells_at_lambda_one(self, monkeypatch):
         # A module cell without ssls trains at lambda = 1, so at train.lam=1.0
         # it must end with the same weights, bit for bit, as the same cell

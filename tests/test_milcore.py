@@ -335,6 +335,20 @@ class TestTotalLossAndGrads:
         with pytest.raises(ValidationError):
             total_loss_and_grads(params, [(sample("x", 0), sample("y", 0))], TrainConfig())
 
+    def test_float32_overflow_is_refused_without_a_warning(self):
+        # A one-run batch silences numpy's floating-point warnings itself,
+        # as training does: a float32 first layer that overflows gives NaN
+        # clip scores, refused by one error naming the video, and no
+        # RuntimeWarning, which this suite turns into an error.
+        import warnings
+
+        big = VideoSample("a-big", np.full((6, 5), 3e38, dtype=np.float32), 1, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"clip scores of video 'a-big' are non-finite"):
+                total_loss_and_grads(ScorerParams.init(5, 4, rng_from("overflow")), [(big, sample("n0", 0))],
+                                     TrainConfig())
+
     def test_scorer_gradients_are_views_of_one_flat_vector(self):
         # train() hands this flat vector to Adam; it must hold every block in
         # the layout of params_to_vector.
@@ -448,12 +462,14 @@ class TestGradientCheck:
         # as float64 take float64 products. Every block of the float32
         # result must agree with the float64 one within 1e-5 of the block's
         # largest entry (about 100 float32 epsilons; about 2e-7 measured),
-        # and the loss within 1e-6 relative.
+        # and the loss within 1e-6 relative. Only the backward's products
+        # are recorded: their left operand is (groups, hidden, rows), where
+        # the forward's is (runs, rows, dim) or (runs, rows, hidden).
         products = []
         matmul = np.matmul
 
         def recording(a, b, out=None):
-            if np.ndim(a) == 3:
+            if np.ndim(a) == 3 and a.shape[1] == config.hidden:
                 products.append((a.dtype.name, b.dtype.name, out.dtype.name, out.shape[-1]))
             return matmul(a, b, out=out)
 
@@ -802,7 +818,10 @@ class TestTrain:
         # one w1 and one w2 product per distinct group size, stacking the
         # groups of that size, and every run still ends bit-identical to
         # the run trained alone. ``chunked`` copies a step one bag at a
-        # time, so the top-k rows come from each bag's features.
+        # time, so the top-k rows come from each bag's features. Only the
+        # backward's products are counted: their left operand is (groups,
+        # hidden, rows), where the forward's is (runs, rows, dim) or (runs,
+        # rows, hidden), and a run's rows are at least one 6-clip bag.
         import gvvad.milcore as milcore
 
         if chunked:
@@ -819,7 +838,7 @@ class TestTrain:
             stacked = []
 
             def counting(a, b, **kwargs):
-                if np.ndim(a) == 3:
+                if np.ndim(a) == 3 and a.shape[1] == plan.hidden:
                     stacked.append(len(a))
                 return matmul(a, b, **kwargs)
 
@@ -845,6 +864,48 @@ class TestTrain:
             assert products == [d for d in depths for _ in range(2)]  # w1 and w2, one each per bucket
         for (data, config), result in zip(runs, stacked):
             alone = train(data, config)
+            for key in ("w1", "b1", "w2", "b2"):
+                assert np.array_equal(getattr(result.params, key), getattr(alone.params, key)), key
+            assert result.history == alone.history
+
+    def test_equal_sizes_merge_only_when_consecutive(self, monkeypatch):
+        # Three runs of equal schedule length stack in the given order. The
+        # outer runs have 6-clip bags and the middle run 5-clip ones, so at
+        # every step the outer runs have equal row counts but are not
+        # consecutive: each run takes its own first-layer and second-layer
+        # product, and ends bit-identical to the run trained alone.
+        import gvvad.milcore as milcore
+
+        steps = []  # per step: its products by layer
+        exact, matmul = milcore._forward, np.matmul
+
+        def spy(*args):
+            products = [0, 0]
+
+            def counting(a, b, **kwargs):
+                products[np.shape(b)[-1] == 1 or np.ndim(b) == 1] += 1  # the second layer's is w2
+                return matmul(a, b, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "matmul", counting)
+                out = exact(*args)
+            steps.append(products)
+            return out
+
+        monkeypatch.setattr(milcore, "_forward", spy)
+
+        def run(tag, clips, lam, seed):
+            def pool(y):
+                return tuple(sample(f"{tag}-{y}{i}", y, y_s=i % 2, t=clips) for i in range(4))
+            return MixedDataset(pool(1), pool(0)), TrainConfig(lam=lam, epochs=2, batch_pairs=2, hidden=3, seed=seed)
+
+        runs = [run("a", 6, 0.5, 1), run("b", 5, 2.0, 2), run("c", 6, 0.25, 3)]
+        stacked = train_runs(runs)
+        assert steps == [[3, 3]] * 4  # 2 epochs of 2 steps
+        for (data, config), result in zip(runs, stacked):
+            steps.clear()
+            alone = train(data, config)
+            assert steps == [[1, 1]] * 4
             for key in ("w1", "b1", "w2", "b2"):
                 assert np.array_equal(getattr(result.params, key), getattr(alone.params, key)), key
             assert result.history == alone.history
