@@ -125,9 +125,11 @@ class PreparedTestSet:
     the trainer's forward (:func:`gvvad.milcore._forward`) over all its
     scorers, under the trainer's dtype and copy rule, decided from every
     sample: a set whose features are all float32 keeps a float32 first
-    layer, and a set that mixes dtypes is cast to float64. Each chunk goes
-    through one matmul per layer per scorer, which adds the scorer's bias
-    to the rows it wrote, and the ReLU runs once over every scorer's rows.
+    layer, and a set that mixes dtypes is cast to float64. Each chunk is
+    one group of every scorer: one stacked matmul per layer, whose slice
+    per scorer is the matmul that scorer alone would make of the chunk,
+    adds each scorer's bias to the rows it wrote, and the ReLU runs once
+    over every scorer's rows.
     Building it fails on an empty set, a sample without frame labels or of
     a feature dim other than ``dim``, and a set whose frames are all of one
     class; scoring fails, naming the video, where a clip's first layer

@@ -30,8 +30,8 @@ its first layer in float32, against w1 rounded to float32 once per
 forward, and writes each product into the float64 hidden activations; any
 other forward is cast to float64. Either way the bags are copied (and
 cast) in one piece when their rows fit ``_CHUNK_BYTES`` as float64, else
-one chunk at a time, and a float32 chunk of one bag is used in place; a
-one-piece copy may span runs. Callers hand :func:`_forward` chunks, never
+one group at a time, and a float32 group of one bag is used in place; a
+one-piece copy may span runs. Callers hand :func:`_forward` groups, never
 copies. Everything after the first layer's product is float64 but the
 first layer's weight gradient: a plan has one feature dtype
 (``_Plan.dtype``), and when it is float32 a step keeps its top-k rows
@@ -43,18 +43,21 @@ overflow and invalid warnings are silenced around the forward by its
 callers, so that the refusal of such a clip is the one report: the
 trainer's loop holds one ``np.errstate`` for all its steps, and
 :func:`_logits` and the one-run :func:`total_loss_and_grads` enter their
-own. Only the matrix products keep a run's shapes: a run's bags go in
+own. Only the matmuls keep a run's shapes: a run's bags go in
 chunks of its own ``_Plan.chunk_bags``, exactly as when the run trains
-alone, because BLAS rounding depends on the matrix shape. In a step copied
-in one piece, consecutive runs whose chunks have equal row counts form a
-group, and each group takes one stacked product per layer, whose slices
-are the BLAS calls the runs' own products would make; a step copied by
-chunks makes one product per run and chunk. Each product adds its runs'
-b1 and b2 to the rows it wrote; the ReLU runs once over all rows of the
-step. Sigmoid and the NaN check follow, then top-k means, BCE and loss
-scaling, each rule called once per step over all runs. The top-k rows'
-features are one take from the one-piece copy that :func:`_forward` hands
-back (one take per bag for a step copied by chunks). The backward covers only those rows, in buckets
+alone, because BLAS rounding depends on the matrix shape. Every forward
+is one loop per layer over groups: a group takes one stacked product per
+layer, whose slices are the BLAS calls the runs' own matmuls of their
+chunks would make. In a step copied in one piece, consecutive runs whose
+chunks have equal row counts form a group, each run reading its own rows;
+in a step copied by chunks, each chunk is a group of its own, so no group
+spans a copy. A test set's chunk is one group of all its scorers, which
+read the chunk's rows by broadcasting. Each group adds its runs' b1 and b2
+to the rows it wrote; the ReLU runs once over all rows of the step. Sigmoid
+and the NaN check follow, then top-k means, BCE and loss scaling, each
+rule called once per step over all runs. The top-k rows' features are one
+take from the one-piece copy that :func:`_forward` hands back (one take
+per bag for a step copied by chunks). The backward covers only those rows, in buckets
 of the step's (run, source) groups with equal selected row counts, never
 padded: one call per block per bucket, whose stacked product makes for
 each group the BLAS call a product of its own would. Each group has a
@@ -71,7 +74,6 @@ alone. The same forward scores test sets
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import struct
@@ -160,30 +162,18 @@ def score_segments(params: ScorerParams, features) -> np.ndarray:
     return scores
 
 
-@functools.lru_cache(maxsize=64)
-def _param_layout(dim: int, hidden: int) -> tuple:
-    """(name, shape, start, stop) of each scorer block in the flat parameter
-    vector: the blocks of ``_PARAM_KEYS`` in order, each row-major."""
-    layout, start = [], 0
-    for name, shape in zip(_PARAM_KEYS, ((hidden, dim), (hidden,), (hidden,), ())):
-        stop = start + math.prod(shape)
-        layout.append((name, shape, start, stop))
-        start = stop
-    return tuple(layout)
-
-
 def _param_views(vec: np.ndarray, dim: int, hidden: int) -> dict:
     """Block name -> view of the flat vector ``vec`` with that block's shape."""
-    layout = _param_layout(dim, hidden)
-    if vec.size != layout[-1][3]:
+    if vec.size != hidden * (dim + 2) + 1:
         raise ShapeError(f"vector of size {vec.size} cannot fill a {dim}->{hidden}->1 scorer")
-    return {name: vec[start:stop].reshape(shape) for name, shape, start, stop in layout}
+    return {name: block[0, ...] for name, block in zip(_PARAM_KEYS, _stacked_views(vec[None], dim, hidden))}
 
 
 def _stacked_views(flat: np.ndarray, dim: int, hidden: int) -> tuple:
     """Per-block views of stacked flat vectors ``flat`` (n, P), each block
-    with a leading run axis: (n, hidden, dim), (n, hidden), (n, hidden), (n,),
-    cut as :func:`_param_layout` lays the blocks out."""
+    with a leading run axis: (n, hidden, dim), (n, hidden), (n, hidden), (n,).
+    This is the parameter layout: the blocks of ``_PARAM_KEYS`` in order,
+    each row-major."""
     w1_end = hidden * dim
     return (flat[:, :w1_end].reshape(len(flat), hidden, dim), flat[:, w1_end:w1_end + hidden],
             flat[:, w1_end + hidden:-1], flat[:, -1])
@@ -414,65 +404,54 @@ def _one_piece(rows, dim: int):
     return rows * (8 * dim) <= _CHUNK_BYTES
 
 
-def _forward(bags, chunks, groups, weights, dtype, h, logits):
+def _forward(bags, groups, weights, dtype, h, logits):
     """Write the hidden activation and the logit of every output row into
     ``h`` (rows, hidden) and ``logits`` (rows,), under the weights of the
     run whose product writes it. Returns the one-piece copy of ``bags``
-    (rows, dim), or None when they were copied one chunk at a time.
+    (rows, dim), or None when they were copied one group at a time.
 
     ``weights`` are (w1, b1, w2, b2) with a leading run axis, and ``dtype``
     is the bags' common dtype (None when they have none). ``bags`` are the
-    feature arrays in row order, and ``chunks`` are (first bag, end bag,
-    first row, end row, products), each product a (run, first output row)
-    that takes the chunk through one matmul per layer. ``groups``, when
-    given, are (first row, end row, first run, end run) of consecutive
-    products of consecutive runs with equal row counts, each writing the
-    rows it reads: a one-piece copy then takes each group through one
-    stacked matmul per layer, whose slices are exactly the products' own
-    matmuls. No product ever spans runs or chunks: BLAS rounding depends
-    on the matrix shape, so a run's result would depend on what it is
-    stacked with. The dtype and copy rule (module docstring) is applied
-    here alone: float32 bags take a float32 first layer, its result written
-    straight into the float64 ``h``; any others are cast to float64. All
-    ``bags`` are copied in one piece, or each chunk's bags in turn. Each
-    product or group adds its runs' biases to the rows it just wrote; the
-    ReLU runs once over all rows. The caller silences numpy's overflow and
-    invalid warnings: a float32 overflow shows as a NaN logit.
+    feature arrays in row order, and ``groups`` are (first bag, end bag,
+    first row, end row, first output row, end output row, first run, end
+    run). A group takes one stacked matmul per layer, each run's slice of
+    it writing ``n`` output rows, run by run. Its rows enter as
+    ``rows.reshape(-1, n, dim)``: when they hold ``n`` rows per run (a
+    training step), each run reads its own; when they hold ``n`` in all (a
+    test-set chunk), every run reads them, by broadcasting. Every slice is
+    exactly the matmul that run would make of those rows alone: BLAS
+    rounding depends on the matrix shape, so a run's result would otherwise
+    depend on what it is stacked with. The dtype and copy rule (module
+    docstring) is applied here alone: float32 bags take a float32 first
+    layer, its result written straight into the float64 ``h``; any others
+    are cast to float64. All ``bags`` are copied in one piece, or each
+    group's bags in turn. Each group adds its runs' biases to the rows it
+    just wrote; the ReLU runs once over all rows. The caller silences
+    numpy's overflow and invalid warnings: a float32 overflow shows as a NaN
+    logit.
     """
     w1, b1, w2, b2 = weights
     float32 = dtype == np.float32
     dtype = np.float32 if float32 else np.float64
     w1 = w1.astype(np.float32) if float32 else w1
-    x = np.concatenate(bags, dtype=dtype) if _one_piece(chunks[-1][3], w1.shape[-1]) else None
-    if x is not None and groups is not None:
-        for lo, hi, r0, r1 in groups:
-            z = h[lo:hi].reshape(r1 - r0, -1, h.shape[1])
-            np.matmul(x[lo:hi].reshape(r1 - r0, -1, x.shape[1]), w1[r0:r1].transpose(0, 2, 1), out=z)
-            z += b1[r0:r1, None]
-        np.maximum(h, 0.0, out=h)
-        for lo, hi, r0, r1 in groups:
-            y = logits[lo:hi].reshape(r1 - r0, -1, 1)
-            np.matmul(h[lo:hi].reshape(r1 - r0, -1, h.shape[1]), w2[r0:r1, :, None], out=y)
-            y += b2[r0:r1, None, None]
-    else:
-        for first_bag, end_bag, lo, hi, products in chunks:
-            if x is not None:
-                rows = x[lo:hi]
-            elif float32 and end_bag - first_bag == 1:
-                rows = bags[first_bag]
-            else:
-                rows = np.concatenate(bags[first_bag:end_bag], dtype=dtype)
-            for r, out in products:
-                z = h[out:out + hi - lo]
-                np.matmul(rows, w1[r].T, out=z)
-                z += b1[r]
-            del rows  # before the next chunk's copy
-        np.maximum(h, 0.0, out=h)
-        for _, _, lo, hi, products in chunks:
-            for r, out in products:
-                y = logits[out:out + hi - lo]
-                np.matmul(h[out:out + hi - lo], w2[r], out=y)
-                y += b2[r]
+    dim, hidden = w1.shape[-1], h.shape[1]
+    x = np.concatenate(bags, dtype=dtype) if _one_piece(groups[-1][3], dim) else None
+    for first_bag, end_bag, lo, hi, out_lo, out_hi, r0, r1 in groups:
+        if x is not None:
+            rows = x[lo:hi]
+        elif float32 and end_bag - first_bag == 1:
+            rows = bags[first_bag]
+        else:
+            rows = np.concatenate(bags[first_bag:end_bag], dtype=dtype)
+        z = h[out_lo:out_hi].reshape(r1 - r0, -1, hidden)
+        np.matmul(rows.reshape(-1, z.shape[1], dim), w1[r0:r1].transpose(0, 2, 1), out=z)
+        z += b1[r0:r1, None]
+        del rows  # before the next group's copy
+    np.maximum(h, 0.0, out=h)
+    for *_, out_lo, out_hi, r0, r1 in groups:
+        y = logits[out_lo:out_hi].reshape(r1 - r0, -1, 1)
+        np.matmul(h[out_lo:out_hi].reshape(r1 - r0, -1, hidden), w2[r0:r1, :, None], out=y)
+        y += b2[r0:r1, None, None]
     # A float32 product can overflow where a float64 one does not; the
     # ReLU clears one at -inf, and any other reaches the logit. Such a clip
     # scores NaN, which training and evaluation refuse.
@@ -484,22 +463,25 @@ def _forward(bags, chunks, groups, weights, dtype, h, logits):
 def _logits(params, bags: list, chunk_bags: int) -> np.ndarray:
     """(len(params), clips) logit of every clip of ``bags`` (feature arrays,
     in order) under each ScorerParams of ``params``, which share their layer
-    sizes. The bags go in chunks of ``chunk_bags`` and every scorer takes
-    each chunk, in one forward whose output rows are scorer by scorer."""
+    sizes. The bags go in chunks of ``chunk_bags``, and each chunk is one
+    group of every scorer, all reading the chunk's rows: the forward's
+    output rows are chunk by chunk, each chunk's scorer by scorer."""
     dim, hidden = params[0].dim, params[0].hidden
     if any((p.dim, p.hidden) != (dim, hidden) for p in params):
         raise ShapeError("scorers scored together must share their layer sizes")
     weights = _stacked_views(np.stack([params_to_vector(p) for p in params]), dim, hidden)
     rows = [0, *itertools.accumulate(map(len, bags))]
     n_runs, n = len(params), rows[-1]
+    if not n:  # rows.reshape(-1, 0, dim) has no shape
+        return np.empty((n_runs, 0))
     chunk_at = [*range(0, len(bags), chunk_bags), len(bags)]
-    chunks = [(b0, b1, rows[b0], rows[b1], [(r, r * n + rows[b0]) for r in range(n_runs)])
+    groups = [(b0, b1, rows[b0], rows[b1], n_runs * rows[b0], n_runs * rows[b1], 0, n_runs)
               for b0, b1 in zip(chunk_at, chunk_at[1:])]
     dtypes = {bag.dtype for bag in bags}
     h, logits = np.empty((n_runs * n, hidden)), np.empty(n_runs * n)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as a NaN logit
-        _forward(bags, chunks, None, weights, dtypes.pop() if len(dtypes) == 1 else None, h, logits)
-    return logits.reshape(n_runs, n)
+        _forward(bags, groups, weights, dtypes.pop() if len(dtypes) == 1 else None, h, logits)
+    return np.concatenate([logits[lo:hi].reshape(n_runs, -1) for *_, lo, hi, _, _ in groups], axis=1)
 
 
 @dataclass(eq=False)
@@ -589,8 +571,7 @@ class _StepLayout:
     """
 
     bags: list  # per bag: its features
-    chunks: list  # the forward's per-(run, chunk) matmuls, as :func:`_forward` takes them
-    groups: list  # the forward's groups of equal-size products of consecutive runs, as :func:`_forward` takes them
+    groups: list  # the forward's groups of equal-size chunks of consecutive runs, as :func:`_forward` takes them
     videos: np.ndarray  # per bag: its index in the plan's table
     is_clip: np.ndarray  # (bags, most clips in a bag): the padded entries that hold a clip
     k: np.ndarray
@@ -668,17 +649,20 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
     chunk_at = np.flatnonzero((np.arange(len(videos)) - run_at[n_runs * step + run]) % plan.chunk_bags[run] == 0)
     chunk_step, chunk_run = step[chunk_at], run[chunk_at]
     edges = np.stack([chunk_at, np.append(chunk_at[1:], len(videos))])  # first and end bag
-    at = np.concatenate([edges - bag_at[chunk_step], row_at[edges] - step_row[chunk_step]])
-    chunks = [(b0, b1, lo, hi, [(r, lo)]) for (b0, b1, lo, hi), r in zip(at.T.tolist(), chunk_run.tolist())]
-    step_chunk = chunk_step.searchsorted(np.arange(n_steps + 1)).tolist()
-    # The forward's groups: a group starts at each chunk whose run does not
-    # follow the one before or whose row count differs. A step's first
-    # chunk is run 0's, which follows no run, so no group spans steps.
-    chunk_lo, chunk_hi = at[2:]
-    starts = np.flatnonzero((np.diff(chunk_run, prepend=-2) != 1) | (np.diff(chunk_hi - chunk_lo, prepend=0) != 0))
-    ends = np.append(starts[1:], len(chunk_at))
-    groups = list(zip(chunk_lo[starts].tolist(), chunk_hi[ends - 1].tolist(),
-                      chunk_run[starts].tolist(), (chunk_run[ends - 1] + 1).tolist()))
+    first_bag, end_bag = edges - bag_at[chunk_step]
+    chunk_lo, chunk_hi = row_at[edges] - step_row[chunk_step]
+    # The forward's groups, each writing the rows it reads. In a step copied
+    # in one piece, a group starts at each chunk whose run does not follow
+    # the one before or whose row count differs; a step's first chunk is run
+    # 0's, which follows no run, so no group spans steps. In a step copied
+    # by chunks, each chunk is a group, so no group spans a copy.
+    one_piece = _one_piece(step_row[1:] - step_row[:-1], plan.dim)[chunk_step]
+    starts = np.flatnonzero(~one_piece | (np.diff(chunk_run, prepend=-2) != 1)
+                            | (np.diff(chunk_hi - chunk_lo, prepend=0) != 0))
+    ends = np.append(starts[1:], len(chunk_at)) - 1  # each group's last chunk
+    lo, hi = chunk_lo[starts], chunk_hi[ends]
+    groups = np.stack([first_bag[starts], end_bag[ends], lo, hi, lo, hi, chunk_run[starts], chunk_run[ends] + 1],
+                      axis=1).tolist()
     step_group = chunk_step[starts].searchsorted(np.arange(n_steps + 1)).tolist()
 
     bag_at, step_sel, widths = bag_at.tolist(), step_sel.tolist(), widths.tolist()
@@ -686,7 +670,6 @@ def _layout_window(plan: _Plan, bags: np.ndarray):
         b0, b1, s0, s1 = bag_at[t], bag_at[t + 1], step_sel[t], step_sel[t + 1]
         yield _StepLayout(
             bags=features[b0:b1],
-            chunks=chunks[step_chunk[t]:step_chunk[t + 1]],
             groups=groups[step_group[t]:step_group[t + 1]],
             videos=videos[b0:b1],
             is_clip=is_clip[b0:b1, :widths[t]],
@@ -743,10 +726,10 @@ def total_loss_and_grads(params, batch, config):
 
 
 def _stacked_loss_and_grads(theta: np.ndarray, step: _StepLayout, plan: _Plan):
-    n_runs, n_rows = len(theta), step.chunks[-1][3]
+    n_runs, n_rows = len(theta), step.groups[-1][3]
     weights = _stacked_views(theta, plan.dim, plan.hidden)
     h, logits = np.empty((n_rows, plan.hidden)), np.empty(n_rows)
-    copy = _forward(step.bags, step.chunks, step.groups, weights, plan.dtype, h, logits)
+    copy = _forward(step.bags, step.groups, weights, plan.dtype, h, logits)
     scores = stable_sigmoid(logits)
     if math.isnan(scores.sum()):
         bag_at = step.is_clip.sum(axis=1).cumsum()  # each bag's end row
@@ -1156,8 +1139,8 @@ def gradient_check(seed: int = 0, num_batches: int = 10, h: float = 1e-5,
         numeric = finite_diff_grad(objective, params_to_vector(params), h)
         denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
         rel = np.abs(analytic - numeric) / denom
-        for name, _, start, stop in _param_layout(dim, hidden):
-            block_errors[name] = max(block_errors[name], float(rel[start:stop].max()))
+        for name, block in zip(_PARAM_KEYS, _stacked_views(rel[None], dim, hidden)):
+            block_errors[name] = max(block_errors[name], float(block.max()))
     max_err = max(block_errors.values())
     return GradCheckReport(
         threshold=threshold,

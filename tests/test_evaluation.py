@@ -220,30 +220,39 @@ class TestPreparedTestSet:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_scorers_scored_together_match_each_scored_alone(self, monkeypatch, dtype):
-        # One call scores every scorer over each chunk of the test set; no
-        # matmul may span scorers, so each scorer's clip scores equal its
-        # own call's bit for bit, over a set of at least three chunks. The
-        # set's 30 rows exceed the bound, so it is copied one chunk at a
-        # time, as under any bound it does not fit; under one it fits, it is
-        # copied in one piece, to the same bits. Float64 features are copied
-        # by a cast; float32 ones are never cast, and the one-bag chunk of
-        # 8 clips is not copied at all.
+        # One call scores every scorer over each chunk of the test set, one
+        # product per layer and chunk whose slices are the scorers' own
+        # matmuls, so each scorer's clip scores equal its own call's bit for
+        # bit, over a set of at least three chunks. The set's 30 rows exceed
+        # the bound, so it is copied one chunk at a time, as under any bound
+        # it does not fit; under one it fits, it is copied in one piece, to
+        # the same bits. Float64 features are copied by a cast; float32 ones
+        # are never cast, and the one-bag chunk of 8 clips is not copied at
+        # all.
         monkeypatch.setattr(milcore, "_CHUNK_BYTES", 2 * 8 * 5 * 8)  # two 8-clip bags of dim 5
         forwards = []  # per forward: the rows of each copy by dtype, and each chunk's (run, rows)
-        exact, concatenate = milcore._forward, np.concatenate
+        matmuls = []  # per forward: its products by layer
+        exact, concatenate, matmul = milcore._forward, np.concatenate, np.matmul
 
-        def spy(bags, chunks, *args):
+        def spy(bags, groups, *args):
             copies = {np.float64: [], np.float32: []}
+            products = [0, 0]
 
             def copy(arrays, **kwargs):
                 out = concatenate(arrays, **kwargs)
                 copies[kwargs["dtype"]].append(len(out))
                 return out
 
+            def counting(a, b, **kwargs):
+                products[np.shape(b)[-1] == 1 or np.ndim(b) == 1] += 1  # the second layer's is w2
+                return matmul(a, b, **kwargs)
+
             with monkeypatch.context() as patch:
                 patch.setattr(np, "concatenate", copy)
-                exact(bags, chunks, *args)
-            forwards.append((copies, [(r, hi - lo) for _, _, lo, hi, products in chunks for r, _ in products]))
+                patch.setattr(np, "matmul", counting)
+                exact(bags, groups, *args)
+            forwards.append((copies, [(r, hi - lo) for _, _, lo, hi, _, _, r0, r1 in groups for r in range(r0, r1)]))
+            matmuls.append(products)
 
         def copied(rows):  # a forward's copies by dtype; float32 features skip the 8-clip one-bag chunk
             return {np.float64: [], np.float32: [], dtype: [n for n in rows if dtype is np.float64 or n != 8]}
@@ -259,13 +268,16 @@ class TestPreparedTestSet:
         together = prepared.clip_scores(scorers)
         chunk_rows = [9, 13, 8]  # 4 + 5, 6 + 7 and 8 clips
         assert forwards == [(copied(chunk_rows), [(r, n) for n in chunk_rows for r in range(len(scorers))])]
+        assert matmuls == [[n_chunks, n_chunks]]  # one product per layer and chunk, not one per scorer
         for scorer, scores in zip(scorers, together):
             assert np.array_equal(scores, prepared.clip_scores([scorer])[0])
         for rows, expected in ((22, chunk_rows), (30, [30])):
             forwards.clear()
+            matmuls.clear()
             monkeypatch.setattr(milcore, "_CHUNK_BYTES", rows * 5 * 8)  # chunks stay as prepared
             assert np.array_equal(prepared.clip_scores(scorers), together)
             assert [copies for copies, _ in forwards] == [copied(expected)], rows  # 22 rows hold chunks 1-2, not the set
+            assert matmuls == [[n_chunks, n_chunks]], rows
 
     def test_one_chunk_per_bag_when_a_bag_fills_the_chunk(self):
         wide = VideoSample("w", np.zeros((300, 2048), dtype=np.float32), 1, 0, np.repeat([1, 0] * 150, 2))
@@ -619,7 +631,7 @@ class TestLockstep:
         steps = []  # per training forward: each chunk's (run, rows), and its products by layer
         exact, matmul = milcore._forward, np.matmul
 
-        def spy(bags, chunks, groups, weights, *args):
+        def spy(bags, groups, *args):
             products = [0, 0]
 
             def counting(a, b, **kwargs):
@@ -628,9 +640,10 @@ class TestLockstep:
 
             with monkeypatch.context() as patch:
                 patch.setattr(np, "matmul", counting)
-                out = exact(bags, chunks, groups, weights, *args)
-            if groups is not None:  # a training step, not a test set
-                steps.append(([(r, hi - lo) for _, _, lo, hi, products_ in chunks for r, _ in products_], products))
+                out = exact(bags, groups, *args)
+            if all(group[2:4] == group[4:6] for group in groups):  # a training step, not a test set of five scorers
+                steps.append(([(r, (hi - lo) // (r1 - r0)) for _, _, lo, hi, _, _, r0, r1 in groups
+                               for r in range(r0, r1)], products))
             return out
 
         monkeypatch.setattr(milcore, "_forward", spy)

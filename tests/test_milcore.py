@@ -93,6 +93,11 @@ class TestScoreSegments:
             naive.append(stable_sigmoid(float(params.w2 @ hidden + params.b2)))
         np.testing.assert_allclose(score_segments(params, feats), naive, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_clips_give_no_scores(self, dtype):
+        scores = score_segments(ScorerParams.init(4, 3, rng_from("empty")), np.zeros((0, 4), dtype=dtype))
+        assert scores.dtype == np.float64 and scores.shape == (0,)
+
     def test_dimension_mismatch(self):
         params = ScorerParams.init(4, 3, rng_from("dim"))
         with pytest.raises(ShapeError):
@@ -450,7 +455,7 @@ class TestGradientCheck:
                      replace(wide, seed=r)) for r in range(2)]
             plan, schedule = milcore._lockstep_plan(runs, wide)
             (step,) = milcore._layout_window(plan, schedule.bags[:1])
-            assert [b1 - b0 for b0, b1, *_ in step.chunks] == [1] * 4
+            assert [b1 - b0 for b0, b1, *_ in step.groups] == [1] * 4
             steps.append(total_loss_and_grads(theta, step, plan))
         (loss64, grads64), (loss32, grads32) = steps
         assert np.all(np.abs(loss32.total - loss64.total) <= 1e-6 * np.abs(loss64.total))
@@ -763,10 +768,10 @@ class TestTrain:
         import gvvad.milcore as milcore
 
         monkeypatch.setattr(milcore, "_CHUNK_BYTES", 24 * 5 * 8)
-        forwards = []  # per forward: the rows of each copy by dtype, and each chunk's (run, rows, bags)
+        forwards = []  # per forward: the rows of each copy by dtype, and each run's (run, rows, its group's bags)
         exact, concatenate = milcore._forward, np.concatenate
 
-        def spy(bags, chunks, *args):
+        def spy(bags, groups, *args):
             copies = {np.float64: [], np.float32: []}
 
             def copy(arrays, **kwargs):
@@ -776,9 +781,9 @@ class TestTrain:
 
             with monkeypatch.context() as patch:
                 patch.setattr(np, "concatenate", copy)
-                exact(bags, chunks, *args)
-            forwards.append((copies, [(r, hi - lo, b1 - b0) for b0, b1, lo, hi, products in chunks
-                                      for r, _ in products]))
+                exact(bags, groups, *args)
+            forwards.append((copies, [(r, (hi - lo) // (r1 - r0), b1 - b0) for b0, b1, lo, hi, _, _, r0, r1 in groups
+                                      for r in range(r0, r1)]))
 
         monkeypatch.setattr(milcore, "_forward", spy)
 

@@ -9,11 +9,14 @@ check. The outputs are criterion 7's module ablation (rows, and every
 cell's weights and history) at ablation seeds 0, 5 and 13; a five-lambda
 sweep on the same world at seed 3; a wide-io pass (2048 dims, about 200
 clips a video) with its weights and AUC; a 512-dim two-run stack of mixed
-float32/float64 features at ``batch_pairs=8``; and the README's CLI
-walkthrough, every file of its output tree with the work directory written
-as ``<work>``. The program is imported from ``src/`` next to this
-directory, and ``perfbench/workloads.py`` is read for the benchmark's
-shapes. It runs in 5-7 s on a 2-core x86 host.
+float32/float64 features at ``batch_pairs=8``; the raw clip scores of
+``PreparedTestSet.clip_scores`` for criterion 7 seed 0's five cells, and
+for three scorers on a 2048-dim test set scored chunk by chunk, in float32
+and float64; and the README's CLI walkthrough, every file of its output
+tree with the work directory written as ``<work>``. The program is
+imported from ``src/`` next to this directory, and
+``perfbench/workloads.py`` is read for the benchmark's shapes. It runs in
+5-7 s on a 2-core x86 host.
 """
 
 from __future__ import annotations
@@ -91,6 +94,25 @@ def mixed_stack() -> str:
     return h.hexdigest()
 
 
+def raw_test_scores() -> str:
+    """Raw test-set clip scores, which the AUCs above see only by rank."""
+    spec = workloads.module_sweep_spec((0,))
+    pool = worldsim.generate_dataset(spec.world, spec.pairs, spec.counts, base_seed=("ablate-pool", 0))
+    cells = [result.params for result in milcore.train_runs(evaluation._seed_runs(spec, pool, 0))]
+    test = worldsim.generate_dataset(spec.world, spec.pairs, worldsim.GenerationCounts(*spec.test_counts, 0, 0),
+                                     base_seed=("ablate-test", 0))
+    h = hashlib.sha256(evaluation.PreparedTestSet(test.all_samples(), spec.world.dim).clip_scores(cells).tobytes())
+    # About 200 clips a video at 2048 dims: one bag a chunk, and no one-piece copy.
+    pairs = promptgen.build_repository(promptgen.default_inventory(), limit=40, seed=7)
+    wide = worldsim.generate_dataset(workloads.wide_world(2048, 180, 220), pairs, worldsim.GenerationCounts(2, 2, 0, 0),
+                                     base_seed=("digest", "test-scores")).all_samples()
+    scorers = [milcore.ScorerParams.init(2048, 32, np.random.default_rng(seed)) for seed in range(3)]
+    for dtype in (np.float32, np.float64):
+        samples = [replace(s, features=s.features.astype(dtype)) for s in wide]
+        h.update(evaluation.PreparedTestSet(samples, 2048).clip_scores(scorers).tobytes())
+    return h.hexdigest()
+
+
 def readme_walkthrough() -> str:
     """The README's CLI walkthrough, steps 1-4, as written there."""
     with tempfile.TemporaryDirectory() as work:
@@ -127,6 +149,7 @@ DIGESTS = {
     "lambda-sweep-seed3": lambda_sweep,
     "wide-io-seed3": wide_io,
     "mixed-stack-512": mixed_stack,
+    "test-scores": raw_test_scores,
     "readme-walkthrough": readme_walkthrough,
 }
 
